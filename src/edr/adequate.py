@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .errors import (
     NotCoprime,
+    PostconditionFailed,
     ScaleExceeded,
     UnsupportedRing,
     ZeroConstantTerm,
@@ -118,14 +119,17 @@ def pi_adequate_split_zn(a: RingElement, b: RingElement) -> AdequateSplit:
     v = ring.from_int(regular_unit(b.payload))
     e = ring.from_int(am) * u
     f = ring.from_int(bm) * v
-    assert e * e == e and f * f == f
+    if e * e != e or f * f != f:
+        raise PostconditionFailed("a^m*u or b^m*v is not idempotent")
 
     coprime_part = ring.one - f + e * f
     u_inv = ring.inverse(u)
     divisor_part = (e + f - e * f) * u_inv
-    assert coprime_part * divisor_part == ring.from_int(am), "split identity failed"
+    if coprime_part * divisor_part != ring.from_int(am):
+        raise PostconditionFailed("split identity failed")
     wit = gcd_bezout(coprime_part, b)
-    assert is_unit(wit.g), "coprime factor shares a divisor with b"
+    if not is_unit(wit.g):
+        raise PostconditionFailed("coprime factor shares a divisor with b")
     return AdequateSplit(coprime_part, divisor_part, m, wit)
 
 
@@ -169,7 +173,8 @@ def series_adequate_split(
         e[i] = rhs * sb
     s_el = ring.element([s_int, *d[1:]])
     t_el = ring.element([t_int, *e[1:]])
-    assert s_el * t_el == f, "series split does not re-multiply"
+    if s_el * t_el != f:
+        raise PostconditionFailed("series split does not re-multiply")
     return s_el, t_el
 
 

@@ -63,11 +63,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text", exc.start) from exc
+
+
 def _load_matrix(args):
     if not args.matrix:
         raise _UsageError("this command needs --matrix")
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        M = serialize.matrix_from_text(fh.read())
+    M = serialize.matrix_from_text(_read_text(args.matrix))
     if args.ring:
         declared = parse_ring(args.ring)
         if declared != M.ring:
@@ -186,11 +193,15 @@ def _run(args) -> int:
     if args.command == "verify":
         import json
 
-        with open(args.cert, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"certificate is not valid JSON: {exc}", exc.pos) from exc
+        text = _read_text(args.cert)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"certificate is not valid JSON: {exc}", exc.pos) from exc
+        except (ValueError, RecursionError) as exc:  # over-long number, deep nesting
+            raise ParseError(f"certificate is not usable JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ParseError("a certificate document must be a JSON object")
         kind = doc.get("kind")
         if kind == "completion-certificate" or ("A" in doc and "first_row" in doc):
             ring, cert = serialize.completion_certificate_from_doc(doc)

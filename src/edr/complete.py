@@ -24,6 +24,7 @@ from .errors import (
     NotInIdeal,
     NotPrincipal,
     NotUnimodular,
+    PostconditionFailed,
     PreconditionFailed,
     UnsupportedRing,
 )
@@ -38,6 +39,7 @@ from .rings import (
     bezout_combination,
     crt,
     divide_exact,
+    exact_quotient,
     gcd_bezout,
     is_unit,
     jacobson_member,
@@ -69,9 +71,11 @@ class CompletionCertificate:
 
 def _certify(ring, rows, first_row, target) -> CompletionCertificate:
     A = RingMatrix(ring, rows)
+    if tuple(A.entries[0]) != tuple(first_row):
+        raise PostconditionFailed("first row was not preserved")
     det = A.det()
-    assert tuple(A.entries[0]) == tuple(first_row), "first row was not preserved"
-    assert det == target, "determinant misses the target"
+    if det != target:
+        raise PostconditionFailed("determinant misses the target")
     return CompletionCertificate(A, tuple(first_row), target, det)
 
 
@@ -103,7 +107,8 @@ def _sr1_domain(a, b, c):
     split = adequate_split(a, b)
     bd = gcd_bezout(split.r, split.s)
     inv = unit_inverse(bd.g)
-    assert inv is not None, "split parts are always coprime over a domain"
+    if inv is None:
+        raise PostconditionFailed("split parts are not coprime")
     return split.r * (bd.x * inv)
 
 
@@ -126,7 +131,8 @@ def sr1_quotient_lift(a: RingElement, b: RingElement, c: RingElement) -> RingEle
     else:
         y = _sr1_domain(a, b, c)
 
-    assert is_unit(gcd_bezout(a, b + c * y).g), "lift postcondition failed"
+    if not is_unit(gcd_bezout(a, b + c * y).g):
+        raise PostconditionFailed("lift postcondition failed")
     return y
 
 
@@ -144,12 +150,14 @@ def sr2_reduce(a1: RingElement, a2: RingElement, a3: RingElement):
 
     if jacobson_member(a1):
         w = unit_inverse(ring.one - a1 * x1)
-        assert w is not None  # radical membership makes 1 - a1*x1 a unit
+        if w is None:  # radical membership makes 1 - a1*x1 a unit
+            raise PostconditionFailed("1 - a1*x1 is not a unit")
         y1, y2 = x3 * w, ring.zero
     else:
         y1, y2 = ring.zero, sr1_quotient_lift(a1, a2, a3)
 
-    assert is_unit(gcd_bezout(a1 + a3 * y1, a2 + a3 * y2).g)
+    if not is_unit(gcd_bezout(a1 + a3 * y1, a2 + a3 * y2).g):
+        raise PostconditionFailed("sr2 postcondition failed")
     return y1, y2
 
 
@@ -170,10 +178,9 @@ def complete_row(row, d: RingElement) -> CompletionCertificate:
         if a.ring != ring:
             raise PreconditionFailed("row entries must share the target's ring")
 
-    try:
-        quotients = [divide_exact(a, d) for a in row]
-    except NotDivisible as exc:
-        raise NotPrincipal(f"d does not divide every entry: {exc}") from exc
+    quotients = [exact_quotient(a, d) for a in row]
+    if None in quotients:
+        raise NotPrincipal(f"d does not divide row entry {quotients.index(None)}")
     g, coeffs = bezout_combination(row)
     try:
         w = divide_exact(d, g)
@@ -246,7 +253,8 @@ def _complete_leading(ring, row, d, q, x, t):
     target = q[k - 2] + t * z
     bd = gcd_bezout(g, target)
     inv = unit_inverse(bd.g)
-    assert inv is not None  # exactly the lift's postcondition
+    if inv is None:  # exactly the lift's postcondition
+        raise PostconditionFailed("lifted pair is not unimodular")
     alpha, beta = bd.x * inv, bd.y * inv
 
     shift = x[k - 1] * z

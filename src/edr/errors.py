@@ -59,6 +59,14 @@ class PreconditionFailed(EdrError):
     code = "PreconditionFailed"
 
 
+class PostconditionFailed(EdrError):
+    """A construction produced a result that fails its own exact re-check.
+
+    Raised instead of `assert`, so the check also runs under `python -O`."""
+
+    code = "PostconditionFailed"
+
+
 class ParseError(EdrError):
     """Raised on malformed descriptors, element literals or matrix files.
 

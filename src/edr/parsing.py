@@ -23,6 +23,7 @@ from .rings import (
     Ring,
     RingElement,
     TruncatedSeriesRing,
+    int_from_decimal,
     is_prime,
 )
 
@@ -66,11 +67,12 @@ class _Cursor:
         if self.peek() in "+-":
             self.pos += 1
         digits = self.pos
-        while self.peek().isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == digits:
             raise ParseError("expected an integer", start)
-        return int(self.text[start : self.pos])
+        value = int_from_decimal(self.text[digits : self.pos])
+        return -value if self.text[start] == "-" else value
 
     def rational(self) -> Fraction:
         num = self.integer()
@@ -127,8 +129,14 @@ def _parse_ring_at(c: _Cursor) -> Ring:
     raise ParseError("expected a ring descriptor", c.pos)
 
 
+def _text(text, what: str) -> str:
+    if not isinstance(text, str):
+        raise ParseError(f"{what} must be a string, not {type(text).__name__}")
+    return text
+
+
 def parse_ring(text: str) -> Ring:
-    c = _Cursor(text)
+    c = _Cursor(_text(text, "a ring descriptor"))
     ring = _parse_ring_at(c)
     c.done()
     return ring
@@ -184,7 +192,7 @@ def _parse_element_at(c: _Cursor, ring: Ring) -> RingElement:
 
 
 def parse_element(ring: Ring, text: str) -> RingElement:
-    c = _Cursor(text)
+    c = _Cursor(_text(text, "an element literal"))
     el = _parse_element_at(c, ring)
     c.done()
     return el

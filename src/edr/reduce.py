@@ -8,12 +8,24 @@ certificate back (reduction commutes with the quotient map); products reduce
 componentwise. A final pass repairs the divisibility chain and normalizes
 each diagonal entry to its canonical associate, absorbing units into P.
 
+No determinant is computed while a certificate is built: every step applied
+to P and Q has a known determinant, and the construction multiplies them up
+as it goes. A row or column swap contributes -1; a Bezout block
+[[x, y], [-b1, a1]] contributes exactly 1, because BezoutData guarantees
+x*a1 + y*b1 = 1; adding a multiple of one row or column to another
+contributes 1; scaling a row of P by a unit u^-1 contributes u^-1. Residue
+rings project the integer values and multiply in their own normalizing
+units, products pair up the component values, and the 2x2 step uses the
+closed forms of its transforms. The recorded values are checked to be units
+before a certificate is returned.
+
 The 2x2 step for a matrix [[a,0],[b,c]] with unimodular (a,b,c) goes through
 an adequate split of one entry against the other and lands on diag(1, ac) up
 to a unit; both split directions are implemented.
 
-verify_reduction re-multiplies everything from scratch and is the ground
-truth for every certificate this module emits.
+verify_reduction re-multiplies everything from scratch and recomputes both
+determinants independently (RingMatrix.det, polynomial time); it is the
+ground truth for every certificate this module emits.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ import itertools
 from dataclasses import dataclass
 
 from .adequate import adequate_split, pi_adequate_split_zn
-from .errors import NotDivisible, NotUnimodular, ScaleExceeded, UnsupportedRing
+from .errors import NotUnimodular, PostconditionFailed, ScaleExceeded, UnsupportedRing
 from .matrices import RingMatrix
 from .report import CheckReport
 from .rings import (
@@ -33,6 +45,7 @@ from .rings import (
     RingElement,
     canonical_associate,
     divide_exact,
+    exact_quotient,
     gcd_bezout,
     is_unit,
     unit_inverse,
@@ -52,7 +65,12 @@ __all__ = [
 @dataclass(frozen=True)
 class ReductionCertificate:
     """P*A*Q = D with P, Q invertible, D diagonal with d_i | d_{i+1} and
-    every d_i canonical. The determinant units are recorded for auditing."""
+    every d_i canonical.
+
+    detP_unit and detQ_unit are det(P) and det(Q), units of the ring. The
+    construction records them from the determinants of the steps it applies
+    (see the module docstring) and checks only that they are units;
+    verify_reduction recomputes both from P and Q and compares."""
 
     P: RingMatrix
     D: RingMatrix
@@ -61,14 +79,13 @@ class ReductionCertificate:
     detQ_unit: RingElement
 
 
-def _make_certificate(ring, P_rows, D_rows, Q_rows) -> ReductionCertificate:
-    P = RingMatrix(ring, P_rows)
-    D = RingMatrix(ring, D_rows)
-    Q = RingMatrix(ring, Q_rows)
-    detP = P.det()
-    detQ = Q.det()
-    assert is_unit(detP) and is_unit(detQ), "transform lost invertibility"
-    return ReductionCertificate(P, D, Q, detP, detQ)
+def _make_certificate(ring, P_rows, D_rows, Q_rows, detP, detQ) -> ReductionCertificate:
+    """detP and detQ are the determinants the construction recorded."""
+    if not (is_unit(detP) and is_unit(detQ)):
+        raise PostconditionFailed("transform lost invertibility")
+    return ReductionCertificate(
+        RingMatrix(ring, P_rows), RingMatrix(ring, D_rows), RingMatrix(ring, Q_rows), detP, detQ
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +139,16 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement, branch: str = 
         # (b, c) is unimodular; p*b + q*c = 1
         p, q = _normalized_unit_combo(b, c)
         P = [[zero, one], [one, zero]]
-        Q1 = RingMatrix(ring, [[c, p], [-b, q]])
+        Q1 = RingMatrix(ring, [[c, p], [-b, q]])  # det c*q + p*b = 1
         Q2 = RingMatrix(ring, [[zero, one], [one, zero]])
         Q = (Q1 * Q2).to_lists()
-        return _finish_2x2(ring, A, P, Q)
+        return _finish_2x2(ring, A, P, Q, -one, -one)
 
     if c.is_zero():
         p, q = _normalized_unit_combo(a, b)
-        P = [[p, q], [-b, a]]
+        P = [[p, q], [-b, a]]  # det p*a + q*b = 1
         Q = RingMatrix.identity(ring, 2).to_lists()
-        return _finish_2x2(ring, A, P, Q)
+        return _finish_2x2(ring, A, P, Q, one, one)
 
     if branch not in ("auto", "c_to_a", "a_to_c"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -152,8 +169,8 @@ def _kaplansky_c_to_a(ring, A, a, b, c):
     one = ring.one
     lower = -(b * x + c * y)
     P = [[one, r], [lower, one + lower * r]]  # [[1,0],[lower,1]] * [[1,r],[0,1]]
-    Q = [[x, -(c * r)], [y, t]]
-    return _finish_2x2(ring, A, P, Q)
+    Q = [[x, -(c * r)], [y, t]]  # det x*t + y*c*r = 1
+    return _finish_2x2(ring, A, P, Q, one, one)
 
 
 def _kaplansky_a_to_c(ring, A, a, b, c):
@@ -163,24 +180,20 @@ def _kaplansky_a_to_c(ring, A, a, b, c):
     x, y = _normalized_unit_combo(a * r, t)
     one = ring.one
     w = -(x * a + y * b)
-    P = [[x, y], [-t, a * r]]
-    Q = [[r, r * w + one], [one, w]]  # [[r,1],[1,0]] * [[1,w],[0,1]]
-    return _finish_2x2(ring, A, P, Q)
+    P = [[x, y], [-t, a * r]]  # det x*a*r + y*t = 1
+    Q = [[r, r * w + one], [one, w]]  # [[r,1],[1,0]] * [[1,w],[0,1]], det -1
+    return _finish_2x2(ring, A, P, Q, one, -one)
 
 
-def _finish_2x2(ring, A, P_rows, Q_rows):
+def _finish_2x2(ring, A, P_rows, Q_rows, detP, detQ):
     P = [list(row) for row in P_rows]
     Q = [list(row) for row in Q_rows]
     D = (RingMatrix(ring, P) * A * RingMatrix(ring, Q)).to_lists()
-    assert D[0][1].is_zero() and D[1][0].is_zero(), "2x2 step failed to diagonalize"
-    for i in range(2):
-        u, _ = canonical_associate(D[i][i])
-        if u != ring.one:
-            u_inv = unit_inverse(u)
-            D[i] = [u_inv * v for v in D[i]]
-            P[i] = [u_inv * v for v in P[i]]
+    if not (D[0][1].is_zero() and D[1][0].is_zero()):
+        raise PostconditionFailed("2x2 step failed to diagonalize")
+    detP = detP * _normalize_diagonal(ring, D, P)
     # the chain holds by construction: d1 is the unit 1, which divides d2
-    return _make_certificate(ring, P, D, Q)
+    return _make_certificate(ring, P, D, Q, detP, detQ)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +219,7 @@ def _clear_pivot_column(A, P, k):
         if e.is_zero():
             continue
         p = A[k][k]
-        try:
-            q = divide_exact(e, p)
-        except NotDivisible:
-            q = None
+        q = exact_quotient(e, p)
         if q is not None:
             A[i] = [v - q * u for u, v in zip(A[k], A[i])]
             P[i] = [v - q * u for u, v in zip(P[k], P[i])]
@@ -231,10 +241,7 @@ def _clear_pivot_row(A, Q, k):
         if e.is_zero():
             continue
         p = A[k][k]
-        try:
-            q = divide_exact(e, p)
-        except NotDivisible:
-            q = None
+        q = exact_quotient(e, p)
         if q is not None:
             for row in A:
                 row[j] = row[j] - q * row[k]
@@ -254,8 +261,14 @@ def _clear_pivot_row(A, Q, k):
                 )
 
 
-def _sweep(A, P, Q):
+def _sweep(ring, A, P, Q):
+    """Diagonalize A in place, applying the row steps to P and the column
+    steps to Q; returns the determinants of the steps, (det P, det Q).
+
+    Only the pivot swaps change them: the gcd blocks and the eliminations
+    in _clear_pivot_column and _clear_pivot_row have determinant 1."""
     m, n = len(A), len(A[0])
+    detP = detQ = ring.one
     for k in range(min(m, n)):
         best = None
         for i in range(k, m):
@@ -270,9 +283,11 @@ def _sweep(A, P, Q):
         if bi != k:
             A[k], A[bi] = A[bi], A[k]
             P[k], P[bi] = P[bi], P[k]
+            detP = -detP
         if bj != k:
             _swap_cols(A, k, bj)
             _swap_cols(Q, k, bj)
+            detQ = -detQ
         while True:
             if any(not A[i][k].is_zero() for i in range(k + 1, m)):
                 _clear_pivot_column(A, P, k)
@@ -282,21 +297,20 @@ def _sweep(A, P, Q):
                 A[k][j].is_zero() for j in range(k + 1, n)
             ):
                 break
+    return detP, detQ
 
 
 def _fix_divisibility_chain(A, P, Q):
+    """Repair d_i | d_{i+1} in place. Every step (a row addition, a gcd
+    column block, an elimination) has determinant 1, so det P and det Q
+    stay as they are."""
     r = min(len(A), len(A[0]))
     while True:
         changed = False
         for i in range(r - 1):
             a, b = A[i][i], A[i + 1][i + 1]
-            if b.is_zero():
+            if b.is_zero() or exact_quotient(b, a) is not None:
                 continue  # d | 0 always
-            try:
-                divide_exact(b, a)
-                continue
-            except NotDivisible:
-                pass
             A[i] = [u + v for u, v in zip(A[i], A[i + 1])]
             P[i] = [u + v for u, v in zip(P[i], P[i + 1])]
             bd = gcd_bezout(a, b)
@@ -319,12 +333,17 @@ def _fix_divisibility_chain(A, P, Q):
 
 
 def _normalize_diagonal(ring, A, P):
+    """Scale rows of A and P so that each d_i is its canonical associate;
+    returns the determinant of the scaling, the product of the u^-1."""
+    scale = ring.one
     for i in range(min(len(A), len(A[0]))):
         u, _ = canonical_associate(A[i][i])
         if u != ring.one:
             u_inv = unit_inverse(u)
             A[i] = [u_inv * v for v in A[i]]
             P[i] = [u_inv * v for v in P[i]]
+            scale = scale * u_inv
+    return scale
 
 
 def diagonal_reduce(A: RingMatrix) -> ReductionCertificate:
@@ -339,15 +358,16 @@ def diagonal_reduce(A: RingMatrix) -> ReductionCertificate:
     work = A.to_lists()
     P = RingMatrix.identity(ring, A.rows).to_lists()
     Q = RingMatrix.identity(ring, A.cols).to_lists()
-    _sweep(work, P, Q)
+    detP, detQ = _sweep(ring, work, P, Q)
     _fix_divisibility_chain(work, P, Q)
-    _normalize_diagonal(ring, work, P)
-    return _make_certificate(ring, P, work, Q)
+    detP = detP * _normalize_diagonal(ring, work, P)
+    return _make_certificate(ring, P, work, Q, detP, detQ)
 
 
 def _reduce_modular(A: RingMatrix) -> ReductionCertificate:
     # lift to Z, reduce there, project back; P and Q stay invertible because
-    # their integer determinants are +-1, and integer divisibility descends
+    # their integer determinants are +-1 (and project to the determinants
+    # mod n), and integer divisibility descends
     ring = A.ring
     zz = IntegerRing()
     lifted = RingMatrix.from_payloads(zz, [[e.payload for e in row] for row in A.entries])
@@ -357,8 +377,10 @@ def _reduce_modular(A: RingMatrix) -> ReductionCertificate:
         return [[ring.from_int(e.payload) for e in row] for row in M.entries]
 
     P, D, Q = project(cert.P), project(cert.D), project(cert.Q)
-    _normalize_diagonal(ring, D, P)
-    return _make_certificate(ring, P, D, Q)
+    scale = _normalize_diagonal(ring, D, P)
+    detP = ring.from_int(cert.detP_unit.payload) * scale
+    detQ = ring.from_int(cert.detQ_unit.payload)
+    return _make_certificate(ring, P, D, Q, detP, detQ)
 
 
 def _reduce_product(A: RingMatrix) -> ReductionCertificate:
@@ -380,7 +402,9 @@ def _reduce_product(A: RingMatrix) -> ReductionCertificate:
     P = merge([c.P for c in parts], A.rows, A.rows)
     D = merge([c.D for c in parts], A.rows, A.cols)
     Q = merge([c.Q for c in parts], A.cols, A.cols)
-    return _make_certificate(ring, P, D, Q)
+    detP = RingElement(ring, tuple(c.detP_unit for c in parts))
+    detQ = RingElement(ring, tuple(c.detQ_unit for c in parts))
+    return _make_certificate(ring, P, D, Q, detP, detQ)
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +499,7 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
 
     r = min(cert.D.rows, cert.D.cols)
     for i in range(r - 1):
-        try:
-            divide_exact(cert.D.entries[i + 1][i + 1], cert.D.entries[i][i])
-        except NotDivisible:
+        if exact_quotient(cert.D.entries[i + 1][i + 1], cert.D.entries[i][i]) is None:
             failures.append("divisibility chain")
             break
 

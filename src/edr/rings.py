@@ -22,6 +22,7 @@ from fractions import Fraction
 from .errors import (
     DescriptorMismatch,
     NotDivisible,
+    PostconditionFailed,
     UnsupportedRing,
 )
 
@@ -39,6 +40,7 @@ __all__ = [
     "unit_inverse",
     "gcd_bezout",
     "divide_exact",
+    "exact_quotient",
     "jacobson_member",
     "canonical_associate",
     "bezout_combination",
@@ -47,6 +49,8 @@ __all__ = [
     "factorize",
     "radical",
     "crt",
+    "int_to_decimal",
+    "int_from_decimal",
 ]
 
 
@@ -73,7 +77,8 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes: no composite below psi_13 ~ 3.317e24 passes them all
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
@@ -120,6 +125,31 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# decimal digits per str()/int() call, well under the interpreter's
+# int <-> str conversion limit (4300 digits by default)
+_DECIMAL_CHUNK = 4000
+
+
+def int_to_decimal(v: int) -> str:
+    """str(v) for integers of any length: halves split at a power of ten
+    keep every str() call under the interpreter's digit limit."""
+    if v < 0:
+        return "-" + int_to_decimal(-v)
+    if v.bit_length() <= 3 * _DECIMAL_CHUNK:  # < 10**3612
+        return str(v)
+    k = v.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(v, 10**k)
+    return int_to_decimal(hi) + int_to_decimal(lo).zfill(k)
+
+
+def int_from_decimal(digits: str) -> int:
+    """int(digits) for a run of decimal digits of any length (no sign)."""
+    if len(digits) <= _DECIMAL_CHUNK:
+        return int(digits)
+    k = len(digits) // 2
+    return int_from_decimal(digits[:-k]) * 10**k + int_from_decimal(digits[-k:])
 
 
 def radical(n: int) -> int:
@@ -372,8 +402,15 @@ class Ring:
     def gcd_bezout(self, a: RingElement, b: RingElement) -> BezoutData:
         raise UnsupportedRing(f"{self} does not support Bezout gcds")
 
-    def divide_exact(self, a: RingElement, b: RingElement) -> RingElement:
+    def exact_quotient(self, a: RingElement, b: RingElement) -> RingElement | None:
+        """A q with b*q = a, or None when b does not divide a."""
         raise NotImplementedError
+
+    def divide_exact(self, a: RingElement, b: RingElement) -> RingElement:
+        q = self.exact_quotient(a, b)
+        if q is None:
+            raise NotDivisible(f"inexact division in {self}")
+        return q
 
     def jacobson_member(self, a: RingElement) -> bool:
         raise NotImplementedError
@@ -435,15 +472,11 @@ class IntegerRing(Ring):
         mk = self.from_int
         return BezoutData(mk(g), mk(x), mk(y), mk(a1), mk(b1))
 
-    def divide_exact(self, a, b):
+    def exact_quotient(self, a, b):
         if b.payload == 0:
-            if a.payload == 0:
-                return self.zero
-            raise NotDivisible(f"{b.payload} does not divide {a.payload} in Z")
+            return self.zero if a.payload == 0 else None
         q, r = divmod(a.payload, b.payload)
-        if r:
-            raise NotDivisible(f"{b.payload} does not divide {a.payload} in Z")
-        return self.from_int(q)
+        return None if r else self.from_int(q)
 
     def jacobson_member(self, a):
         return a.payload == 0
@@ -454,7 +487,7 @@ class IntegerRing(Ring):
         return self.one, a
 
     def element_str(self, a):
-        return str(a.payload)
+        return int_to_decimal(a.payload)
 
 
 class ModularRing(Ring):
@@ -534,16 +567,17 @@ class ModularRing(Ring):
         b1 = bp % n
         g1, u, v = xgcd(a1, b1)
         gg, w, _ = xgcd(g1, n)
-        assert gg == 1, "cofactor repair failed"
+        if gg != 1:
+            raise PostconditionFailed("cofactor repair failed")
         x = w * u % n
         y = w * v % n
         mk = self.from_int
         return BezoutData(mk(g0), mk(x), mk(y), mk(a1), mk(b1))
 
-    def divide_exact(self, a, b):
+    def exact_quotient(self, a, b):
         g = math.gcd(b.payload, self.n)
         if a.payload % g:
-            raise NotDivisible(f"{b.payload} does not divide {a.payload} in Z/{self.n}")
+            return None
         m = self.n // g
         if m == 1:
             return self.zero  # every residue works; 0 is the smallest
@@ -578,7 +612,7 @@ class ModularRing(Ring):
             yield RingElement(self, v)
 
     def element_str(self, a):
-        return str(a.payload)
+        return int_to_decimal(a.payload)
 
 
 class PrimeFieldPolynomialRing(Ring):
@@ -631,15 +665,11 @@ class PrimeFieldPolynomialRing(Ring):
         mk = lambda cs: RingElement(self, cs)
         return BezoutData(mk(g), mk(x), mk(y), mk(a1), mk(b1))
 
-    def divide_exact(self, a, b):
+    def exact_quotient(self, a, b):
         if not b.payload:
-            if not a.payload:
-                return self.zero
-            raise NotDivisible("zero polynomial divides only zero")
+            return self.zero if not a.payload else None
         q, r = _pdivmod(a.payload, b.payload, self.p)
-        if r:
-            raise NotDivisible("inexact polynomial division")
-        return RingElement(self, q)
+        return None if r else RingElement(self, q)
 
     def jacobson_member(self, a):
         return not a.payload
@@ -729,15 +759,13 @@ class TruncatedSeriesRing(Ring):
             inv[i] = -acc / z0
         return RingElement(self, (z0, *inv[1:]))
 
-    def divide_exact(self, a, b):
+    def exact_quotient(self, a, b):
         k = self.order
         bv = next((i for i, c in enumerate(b.payload) if c), None)
         if bv is None:
-            if a.is_zero():
-                return self.zero
-            raise NotDivisible("zero series divides only zero")
+            return self.zero if a.is_zero() else None
         if any(a.payload[i] for i in range(min(bv, k))):
-            raise NotDivisible("valuation of divisor exceeds dividend")
+            return None  # the divisor's valuation exceeds the dividend's
         lead = Fraction(b.payload[bv])
         q = [Fraction(0)] * k
         for i in range(k - bv):
@@ -746,11 +774,9 @@ class TruncatedSeriesRing(Ring):
                 acc -= Fraction(b.payload[bv + j]) * q[i - j]
             q[i] = acc / lead
         if q[0].denominator != 1:
-            raise NotDivisible("quotient constant term is not an integer")
+            return None  # the quotient's constant term is not an integer
         cand = RingElement(self, (int(q[0]), *q[1:]))
-        if b * cand != a:
-            raise NotDivisible("no exact series quotient")
-        return cand
+        return cand if b * cand == a else None
 
     def jacobson_member(self, a):
         return a.payload[0] == 0
@@ -824,11 +850,14 @@ class ProductRing(Ring):
         pack = lambda attr: RingElement(self, tuple(getattr(d, attr) for d in datas))
         return BezoutData(pack("g"), pack("x"), pack("y"), pack("a1"), pack("b1"))
 
-    def divide_exact(self, a, b):
-        return RingElement(
-            self,
-            tuple(f.divide_exact(x, y) for f, x, y in zip(self.factors, a.payload, b.payload)),
-        )
+    def exact_quotient(self, a, b):
+        comps = []
+        for f, x, y in zip(self.factors, a.payload, b.payload):
+            q = f.exact_quotient(x, y)
+            if q is None:
+                return None
+            comps.append(q)
+        return RingElement(self, tuple(comps))
 
     def jacobson_member(self, a):
         return all(f.jacobson_member(c) for f, c in zip(self.factors, a.payload))
@@ -905,6 +934,11 @@ def divide_exact(a: RingElement, b: RingElement) -> RingElement:
     """The exact quotient q with b*q = a; raises NotDivisible otherwise.
     Over Z/n the smallest nonnegative solution is returned."""
     return _same_ring(a, b).divide_exact(a, b)
+
+
+def exact_quotient(a: RingElement, b: RingElement) -> RingElement | None:
+    """divide_exact's quotient, or None where it would raise NotDivisible."""
+    return _same_ring(a, b).exact_quotient(a, b)
 
 
 def jacobson_member(a: RingElement) -> bool:

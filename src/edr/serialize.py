@@ -64,7 +64,7 @@ def matrix_from_text(text: str) -> RingMatrix:
     if len(lines) < 2 or not lines[1].startswith("shape:"):
         raise ParseError("second line must be 'shape: <m> <n>'", pos)
     parts = lines[1][len("shape:") :].split()
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
         raise ParseError("shape needs two positive integers", pos)
     m, n = int(parts[0]), int(parts[1])
     if m < 1 or n < 1:
@@ -104,12 +104,24 @@ def matrix_to_doc(M: RingMatrix) -> dict:
 def matrix_from_doc(ring: Ring, doc) -> RingMatrix:
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ParseError("matrix document needs a 'rows' field")
-    rows = [[parse_element(ring, lit) for lit in row] for row in doc["rows"]]
-    M = RingMatrix(ring, rows)
+    rows = doc["rows"]
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows)):
+        raise ParseError("matrix 'rows' must be a nonempty list of nonempty lists")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ParseError("matrix 'rows' are ragged")
+    M = RingMatrix(ring, [[parse_element(ring, lit) for lit in row] for row in rows])
     shape = doc.get("shape")
-    if shape is not None and list(shape) != [M.rows, M.cols]:
+    if shape is not None and (not isinstance(shape, (list, tuple)) or list(shape) != [M.rows, M.cols]):
         raise ParseError("matrix document shape disagrees with its rows")
     return M
+
+
+def _require_fields(doc, keys):
+    if not isinstance(doc, dict):
+        raise ParseError("a certificate document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"certificate document lacks the {key!r} field")
 
 
 def reduction_certificate_to_doc(ring: Ring, cert: ReductionCertificate) -> dict:
@@ -125,9 +137,7 @@ def reduction_certificate_to_doc(ring: Ring, cert: ReductionCertificate) -> dict
 
 
 def reduction_certificate_from_doc(doc) -> tuple[Ring, ReductionCertificate]:
-    for key in ("ring", "P", "D", "Q", "detP", "detQ"):
-        if key not in doc:
-            raise ParseError(f"certificate document lacks the {key!r} field")
+    _require_fields(doc, ("ring", "P", "D", "Q", "detP", "detQ"))
     ring = parse_ring(doc["ring"])
     return ring, ReductionCertificate(
         P=matrix_from_doc(ring, doc["P"]),
@@ -149,14 +159,16 @@ def completion_certificate_to_doc(ring: Ring, cert: CompletionCertificate) -> di
 
 
 def completion_certificate_from_doc(doc) -> tuple[Ring, CompletionCertificate]:
-    for key in ("ring", "A", "first_row", "det"):
-        if key not in doc:
-            raise ParseError(f"certificate document lacks the {key!r} field")
+    """The document's "det" is both the target and the claimed value; only
+    verify_completion computes the determinant of A."""
+    _require_fields(doc, ("ring", "A", "first_row", "det"))
     ring = parse_ring(doc["ring"])
     A = matrix_from_doc(ring, doc["A"])
+    if not isinstance(doc["first_row"], list):
+        raise ParseError("'first_row' must be a list of element literals")
     first_row = tuple(parse_element(ring, lit) for lit in doc["first_row"])
     det = parse_element(ring, doc["det"])
-    return ring, CompletionCertificate(A, first_row, det, A.det())
+    return ring, CompletionCertificate(A, first_row, det, det)
 
 
 def predicate_report_to_doc(ring: Ring, report: PredicateReport) -> dict:

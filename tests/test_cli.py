@@ -225,3 +225,78 @@ def test_every_emitted_certificate_round_trips(capsys, tmp_path):
                "--out", str(comp))[0] == 0
     code, out, _ = run(capsys, "verify", "--cert", str(comp))
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def _reduction_doc(capsys, matrix_file, tmp_path):
+    cert_path = tmp_path / "c.json"
+    assert run(capsys, "reduce", "--matrix", matrix_file, "--out", str(cert_path))[0] == 0
+    return json.loads(cert_path.read_text())
+
+
+def _verify_doc(capsys, tmp_path, doc, *extra):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return run(capsys, "verify", "--cert", str(path), *extra)
+
+
+def test_verify_malformed_documents_are_json_errors(capsys, matrix_file, tmp_path):
+    good = _reduction_doc(capsys, matrix_file, tmp_path)
+    empty_q = json.loads(json.dumps(good))
+    empty_q["Q"] = {"rows": []}
+    number_literal = json.loads(json.dumps(good))
+    number_literal["P"]["rows"][0][0] = 1
+    number_det = json.loads(json.dumps(good))
+    number_det["detQ"] = 1
+    ragged = json.loads(json.dumps(good))
+    ragged["D"]["rows"][1] = ["0"]
+    bad_shape = json.loads(json.dumps(good))
+    bad_shape["P"]["shape"] = 2
+    completion_rows = {"kind": "completion-certificate", "ring": "Z", "A": {"rows": [[1]]},
+                       "first_row": "1", "det": "1"}
+    for doc in ([good], [], "text", 5, None, empty_q, number_literal, number_det, ragged,
+                bad_shape, completion_rows, {"ring": 5, "P": {}, "D": {}, "Q": {}, "detP": "1", "detQ": "1"}):
+        code, out, err = _verify_doc(capsys, tmp_path, doc, "--matrix", matrix_file)
+        assert code == 1, doc
+        assert json.loads(out)["error"] == "ParseError", doc
+        assert "Traceback" not in err
+
+
+def test_verify_unreadable_files_are_json_errors(capsys, matrix_file, tmp_path):
+    path = tmp_path / "bin.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, _ = run(capsys, "verify", "--matrix", matrix_file, "--cert", str(path))
+    assert code == 1 and json.loads(out)["error"] == "ParseError"
+    path.write_text('{"detP": ' + "9" * 5000 + "}", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--matrix", matrix_file, "--cert", str(path))
+    assert code == 1 and json.loads(out)["error"] == "ParseError"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--matrix", matrix_file, "--cert", str(path))
+    assert code == 1 and json.loads(out)["error"] == "ParseError"
+    path.write_bytes(b"ring: Z\nshape: 1 1\n\xff\n")
+    code, out, _ = run(capsys, "reduce", "--matrix", str(path))
+    assert code == 1 and json.loads(out)["error"] == "ParseError"
+
+
+def test_verify_non_square_completion_is_a_failed_check(capsys, tmp_path):
+    doc = {"kind": "completion-certificate", "ring": "Z", "A": {"rows": [["1", "2"]]},
+           "first_row": ["1", "2"], "det": "1"}
+    code, out, _ = _verify_doc(capsys, tmp_path, doc)
+    assert code == 2
+    assert json.loads(out)["failures"] == ["shapes consistent"]
+
+
+def test_reduce_and_verify_integers_beyond_the_digit_limit(capsys, tmp_path):
+    # the 24x24 Z certificate carries entries of about 94000 bits
+    import random
+
+    rng = random.Random(24)
+    rows = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
+    mat = tmp_path / "m24.txt"
+    mat.write_text("ring: Z\nshape: 24 24\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n",
+                   encoding="utf-8")
+    cert = tmp_path / "c24.json"
+    assert run(capsys, "reduce", "--matrix", str(mat), "--out", str(cert))[0] == 0
+    doc = json.loads(cert.read_text())
+    assert max(len(lit) for row in doc["P"]["rows"] for lit in row) > 4300
+    code, out, _ = run(capsys, "verify", "--matrix", str(mat), "--cert", str(cert))
+    assert code == 0 and json.loads(out)["ok"] is True

@@ -1,0 +1,235 @@
+"""RingMatrix.det against the Leibniz oracle, the determinants the reduction
+records, and verifier cost on large certificates."""
+
+import math
+import random
+import time
+from fractions import Fraction
+
+import pytest
+
+from edr.errors import NotUnimodular, UnsupportedRing
+from edr.matrices import RingMatrix
+from edr.reduce import ReductionCertificate, diagonal_reduce, kaplansky_2x2, verify_reduction
+from edr.rings import (
+    IntegerRing,
+    ModularRing,
+    PrimeFieldPolynomialRing,
+    ProductRing,
+    TruncatedSeriesRing,
+    gcd_bezout,
+    is_unit,
+)
+
+from oracles import perm_det
+
+Z = IntegerRing()
+Z360 = ModularRing(360)
+GF5 = PrimeFieldPolynomialRing(5)
+ZSER3 = TruncatedSeriesRing(3)
+
+
+def _element(ring, rng):
+    if isinstance(ring, IntegerRing):
+        return ring.from_int(rng.choice([0, rng.randint(-9, 9), rng.randint(-999, 999)]))
+    if isinstance(ring, ModularRing):
+        return ring.from_int(rng.randrange(ring.n))
+    if isinstance(ring, PrimeFieldPolynomialRing):
+        return ring.element([rng.randrange(ring.p) for _ in range(rng.randint(0, 3))])
+    if isinstance(ring, TruncatedSeriesRing):
+        return ring.element(
+            [rng.randint(-3, 3)] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ring.order - 1)]
+        )
+    return ring.element([_element(f, rng) for f in ring.factors])
+
+
+def _matrix(ring, rng, m, n):
+    return [[_element(ring, rng) for _ in range(n)] for _ in range(m)]
+
+
+DET_RINGS = [
+    Z,
+    Z360,
+    ModularRing(7),
+    GF5,
+    PrimeFieldPolynomialRing(2),
+    ZSER3,
+    ProductRing([Z, ZSER3]),
+    ProductRing([Z, ModularRing(12)]),
+    ProductRing([GF5, ModularRing(8), Z]),
+]
+
+
+@pytest.mark.parametrize("ring", DET_RINGS, ids=str)
+def test_det_matches_leibniz(ring):
+    rng = random.Random(f"det/{ring}")
+    for n in range(1, 8):
+        for _ in range(12 if n < 6 else 2):
+            rows = _matrix(ring, rng, n, n)
+            assert RingMatrix(ring, rows).det() == perm_det(rows), (n, rows)
+
+
+@pytest.mark.parametrize("ring", DET_RINGS, ids=str)
+def test_det_zero_pivots_singular_and_1x1(ring):
+    rng = random.Random(f"det-edge/{ring}")
+    zero = ring.zero
+    for n in range(2, 6):
+        rows = _matrix(ring, rng, n, n)
+        # zero leading column entries force a row swap before elimination
+        for i in range(n - 1):
+            rows[i][0] = zero
+        assert RingMatrix(ring, rows).det() == perm_det(rows)
+        # a zero column and a repeated row are singular
+        singular = [row[:] for row in rows]
+        for row in singular:
+            row[n - 1] = zero
+        assert RingMatrix(ring, singular).det() == zero
+        repeated = [row[:] for row in rows]
+        repeated[n - 1] = repeated[0]
+        assert RingMatrix(ring, repeated).det() == perm_det(repeated)
+    for _ in range(5):
+        e = _element(ring, rng)
+        assert RingMatrix(ring, [[e]]).det() == e
+
+
+def test_det_swap_sign_and_non_square():
+    M = RingMatrix.from_payloads(Z, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    assert M.det() == Z.from_int(-1)
+    with pytest.raises(ValueError):
+        RingMatrix.from_payloads(Z, [[1, 2]]).det()
+
+
+# ---------------------------------------------------------------------------
+# the determinants a reduction records
+
+
+REDUCE_RINGS = [Z, Z360, ModularRing(12), GF5, ProductRing([Z, ModularRing(12)]), ProductRing([GF5, Z])]
+
+
+@pytest.mark.parametrize("ring", REDUCE_RINGS, ids=str)
+def test_recorded_determinants_are_the_determinants(ring):
+    rng = random.Random(f"recorded/{ring}")
+    for m, n in [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (3, 3), (4, 4), (5, 3), (3, 5), (5, 5)]:
+        for _ in range(3):
+            A = RingMatrix(ring, _matrix(ring, rng, m, n))
+            cert = diagonal_reduce(A)
+            assert cert.detP_unit == perm_det(cert.P.to_lists())
+            assert cert.detQ_unit == perm_det(cert.Q.to_lists())
+            assert is_unit(cert.detP_unit) and is_unit(cert.detQ_unit)
+            assert verify_reduction(A, cert).ok
+
+
+def _unimodular_triples(ring, rng, count):
+    out = []
+    while len(out) < count:
+        a, b, c = (_element(ring, rng) for _ in range(3))
+        if is_unit(gcd_bezout(gcd_bezout(a, b).g, c).g):
+            out.append((a, b, c))
+    return out
+
+
+@pytest.mark.parametrize("ring", [Z, Z360, GF5], ids=str)
+def test_kaplansky_recorded_determinants_every_branch(ring):
+    rng = random.Random(f"kaplansky/{ring}")
+    zero = ring.zero
+    cases = []
+    for a, b, c in _unimodular_triples(ring, rng, 12):
+        cases += [(a, b, c, "c_to_a"), (a, b, c, "a_to_c")]
+    for a, b, c in _unimodular_triples(ring, rng, 30):
+        if is_unit(gcd_bezout(b, c).g):
+            cases.append((zero, b, c, "auto"))  # the a = 0 branch
+        if is_unit(gcd_bezout(a, b).g):
+            cases.append((a, b, zero, "auto"))  # the c = 0 branch
+    branches = {(a.is_zero(), c.is_zero(), br) for a, _, c, br in cases}
+    assert {(True, False, "auto"), (False, True, "auto")} <= branches
+    ran = set()
+    for a, b, c, branch in cases:
+        if branch != "auto" and (a.is_zero() or c.is_zero()):
+            continue
+        try:
+            cert = kaplansky_2x2(a, b, c, branch=branch)
+        except (UnsupportedRing, NotUnimodular):  # a split direction the ring cannot take
+            continue
+        ran.add("a=0" if a.is_zero() else "c=0" if c.is_zero() else branch)
+        assert cert.detP_unit == perm_det(cert.P.to_lists())
+        assert cert.detQ_unit == perm_det(cert.Q.to_lists())
+        A = RingMatrix(ring, [[a, zero], [b, c]])
+        assert verify_reduction(A, cert).ok
+    assert ran == {"a=0", "c=0", "c_to_a", "a_to_c"}
+
+
+# ---------------------------------------------------------------------------
+# verifier cost and large reductions
+
+
+def _unit_lower_inverse(L):
+    """X with L*X = I for a unit lower triangular L (forward substitution)."""
+    n = len(L)
+    ring = L[0][0].ring
+    X = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ring.one if i == j else ring.zero
+            for k in range(j, i):
+                acc = acc - L[i][k] * X[k][j]
+            row.append(acc)
+        X.append(row)
+    return X
+
+
+def _transpose(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _triangular_certificate(ring, n, seed):
+    """A = L*D*U with L unit lower and U unit upper; the certificate holds
+    P = L^-1 (unit lower) and Q = U^-1 (unit upper), so det P = det Q = 1."""
+    rng = random.Random(seed)
+    one, zero = ring.one, ring.zero
+    L = [[one if i == j else ring.from_int(rng.randint(-9, 9)) if j < i else zero for j in range(n)] for i in range(n)]
+    Ut = [[one if i == j else ring.from_int(rng.randint(-9, 9)) if j < i else zero for j in range(n)] for i in range(n)]
+    diag = [1] * (n - 3) + [2, 4, 12]
+    D = [[ring.from_int(diag[i]) if i == j else zero for j in range(n)] for i in range(n)]
+    A = RingMatrix(ring, L) * RingMatrix(ring, D) * RingMatrix(ring, _transpose(Ut))
+    P = RingMatrix(ring, _unit_lower_inverse(L))
+    Q = RingMatrix(ring, _transpose(_unit_lower_inverse(Ut)))
+    return A, ReductionCertificate(P, RingMatrix(ring, D), Q, one, one)
+
+
+@pytest.mark.parametrize("ring", [Z, Z360], ids=str)
+def test_verify_40x40_triangular_certificate_is_fast(ring):
+    A, cert = _triangular_certificate(ring, 40, seed=40)
+    t0 = time.perf_counter()
+    report = verify_reduction(A, cert)
+    elapsed = time.perf_counter() - t0
+    assert report.ok, report.failures
+    assert elapsed < 5.0, elapsed
+
+
+def _dense(ring, seed, n, draw):
+    rng = random.Random(seed)
+    return RingMatrix.from_payloads(ring, [[draw(rng) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "ring, seed, n, draw",
+    [
+        (Z, 24, 24, lambda rng: rng.randint(-9, 9)),
+        (Z360, 20000, 20, lambda rng: rng.randrange(360)),
+        (Z, 20, 20, lambda rng: rng.randint(-9, 9)),
+    ],
+    ids=["Z-24x24", "Z360-20x20", "Z-20x20"],
+)
+def test_large_dense_reduce_and_verify(ring, seed, n, draw):
+    A = _dense(ring, seed, n, draw)
+    t0 = time.perf_counter()
+    cert = diagonal_reduce(A)
+    report = verify_reduction(A, cert)
+    elapsed = time.perf_counter() - t0
+    assert report.ok, report.failures
+    assert elapsed < 10.0, elapsed
+    if isinstance(ring, IntegerRing):
+        # the product of the invariant factors is |det A| (Hadamard-sized here)
+        d = math.prod(cert.D.entries[i][i].payload for i in range(n))
+        assert d == abs(A.det().payload)

@@ -33,7 +33,19 @@ def test_ring_round_trip(text):
 
 @pytest.mark.parametrize(
     "bad",
-    ["Z/1", "Z/", "GF(4)[x]", "GF(5)", "Zser0", "prod(Z)", "Q", "Z/12 trailing", ""],
+    [
+        "Z/1",
+        "Z/",
+        "GF(4)[x]",
+        "GF(5)",
+        "Zser0",
+        "prod(Z)",
+        "Q",
+        "Z/12 trailing",
+        "",
+        "GF(318665857834031151167461)[x]",  # psi_12, a strong pseudoprime to 12 bases
+        "Z/\u00b2",  # a superscript two is no decimal digit
+    ],
 )
 def test_ring_rejects(bad):
     with pytest.raises(ParseError) as exc:
@@ -128,3 +140,20 @@ def test_split_top_level_respects_nesting():
     assert split_top_level("{1;2,3},{0;}") == ["{1;2,3}", "{0;}"]
     with pytest.raises(ParseError):
         split_top_level("[1,2")
+
+
+def test_element_literals_beyond_the_interpreter_digit_limit():
+    Z = IntegerRing()
+    text = "-" + "9" * 10000
+    el = parse_element(Z, text)
+    assert el.payload == -(10**10000 - 1)
+    assert element_to_str(el) == text
+    assert parse_element(ModularRing(7), "1" * 5000).payload == sum(pow(10, i, 7) for i in range(5000)) % 7
+
+
+@pytest.mark.parametrize("bad", [5, None, ["1"], b"1"])
+def test_non_text_literals_are_parse_errors(bad):
+    with pytest.raises(ParseError):
+        parse_element(IntegerRing(), bad)
+    with pytest.raises(ParseError):
+        parse_ring(bad)

@@ -14,7 +14,11 @@ from edr.rings import (
     bezout_combination,
     canonical_associate,
     divide_exact,
+    exact_quotient,
     gcd_bezout,
+    int_from_decimal,
+    int_to_decimal,
+    is_prime,
     is_unit,
     jacobson_member,
     ring_arith,
@@ -249,3 +253,57 @@ def test_bezout_combination_folds():
     for c, a in zip(coeffs, [Z.from_int(6), Z.from_int(10), Z.from_int(15)]):
         total = total + c * a
     assert total == g
+
+
+def test_exact_quotient_returns_none_instead_of_raising():
+    S = TruncatedSeriesRing(3)
+    P = ProductRing([Z, M12])
+    cases = [
+        (Z.from_int(12), Z.from_int(4), Z.from_int(3)),
+        (Z.from_int(5), Z.from_int(2), None),
+        (Z.from_int(5), Z.zero, None),
+        (Z.zero, Z.zero, Z.zero),
+        (M12.from_int(8), M12.from_int(4), M12.from_int(2)),
+        (M12.from_int(3), M12.from_int(4), None),
+        (GF5.element([0, 1]), GF5.element([0, 0, 1]), None),
+        (S.one, S.from_int(2), None),
+        (P.element((6, 8)), P.element((3, 4)), P.element((2, 2))),
+        (P.element((6, 3)), P.element((3, 4)), None),
+    ]
+    for a, b, q in cases:
+        assert exact_quotient(a, b) == q
+        if q is None:
+            with pytest.raises(NotDivisible):
+                divide_exact(a, b)
+        else:
+            assert divide_exact(a, b) == q
+
+
+def test_not_divisible_message_stays_short_for_huge_operands():
+    big = Z.from_int(3**40000)  # about 19000 decimal digits
+    with pytest.raises(NotDivisible) as exc:
+        divide_exact(big, Z.from_int(2))
+    assert len(str(exc.value)) < 100
+
+
+def test_is_prime_rejects_psi12():
+    # psi_12, the least strong pseudoprime to the first 12 prime bases
+    psi12 = 318665857834031151167461
+    assert psi12 == 399165290221 * 798330580441
+    assert not is_prime(psi12)
+    assert is_prime(399165290221) and is_prime(798330580441)
+    assert [n for n in range(2, 60) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59
+    ]
+
+
+def test_decimal_conversion_beyond_the_interpreter_digit_limit():
+    for v in (0, 7, -7, 10**3611, 10**3612 + 1, -(10**20000) - 12345, 3**50000):
+        text = int_to_decimal(v)
+        assert text.lstrip("-") == text.lstrip("-").lstrip("0") or text == "0"
+        value = int_from_decimal(text.lstrip("-"))
+        assert (-value if text.startswith("-") else value) == v
+    assert int_to_decimal(10**20000 + 12345) == "1" + "0" * 19995 + "12345"
+    assert int_to_decimal(-(10**5000)) == "-1" + "0" * 5000
+    assert int_from_decimal("0" * 9000 + "42") == 42
+    assert Z.element_str(Z.from_int(10**5000)) == "1" + "0" * 5000
