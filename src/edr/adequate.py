@@ -33,8 +33,10 @@ from .rings import (
     _pmonic,
     _pmul,
     _pxgcd,
+    coprime_divisor,
     crt,
     divide_exact,
+    factorize,
     gcd_bezout,
     is_unit,
     xgcd,
@@ -88,6 +90,8 @@ def adequate_split(a: RingElement, b: RingElement) -> AdequateSplit:
 def pi_adequate_split_zn(a: RingElement, b: RingElement) -> AdequateSplit:
     """Split a^m over Z/n through idempotents, m = largest prime-power
     exponent of n (which makes a^m and b^m unit-regular componentwise).
+    Finding m is the one step that factors n: a modulus whose factorization
+    exceeds factorize's budget is refused with ScaleExceeded.
 
     With u, v units satisfying a^m*u*a^m = a^m and b^m*v*b^m = b^m, the
     idempotents e = a^m*u and f = b^m*v combine into e+f-ef and 1-f+ef whose
@@ -99,19 +103,12 @@ def pi_adequate_split_zn(a: RingElement, b: RingElement) -> AdequateSplit:
     if not isinstance(ring, ModularRing):
         raise UnsupportedRing("pi_adequate_split_zn needs a Z/n ring")
     n = ring.n
-    factors = ring.factors()
-    m = max(factors.values())
+    m = max(factorize(n).values())
 
     def regular_unit(x: int) -> int:
-        res, mods = [], []
-        for p, e in factors.items():
-            pe = p**e
-            if x % p == 0:
-                res.append(1)
-            else:
-                res.append(pow(pow(x, m, pe), -1, pe))
-            mods.append(pe)
-        return crt(res, mods)
+        # 1 on the prime powers that divide x, (x^m)^-1 on the rest
+        free = coprime_divisor(n, x)
+        return crt([1, pow(pow(x, m, free), -1, free)], [n // free, free])
 
     am = pow(a.payload, m, n)
     bm = pow(b.payload, m, n)

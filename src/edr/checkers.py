@@ -23,6 +23,7 @@ from .rings import (
     gcd_bezout,
     is_unit,
     jacobson_member,
+    radical,
 )
 
 __all__ = [
@@ -185,7 +186,7 @@ def _modular_scan(ring: ModularRing, predicate: str):
         return True, None, n
 
     if predicate == "JStableCondition":
-        rad = ring.rad()
+        rad = radical(n)
         scanned = 0
         for a in range(n):
             if a % rad == 0:

@@ -169,6 +169,12 @@ def complete_row(row, d: RingElement) -> CompletionCertificate:
     """Square matrix with the given first row and determinant exactly d;
     requires the row to generate the ideal (d) and length >= 2."""
     row = list(row)
+    rows = _completion_rows(row, d)
+    return _certify(d.ring, rows, row, d)
+
+
+def _completion_rows(row, d):
+    """complete_row's entry rows, preconditions checked, not yet certified."""
     if len(row) < 2:
         raise PreconditionFailed("need at least two row entries")
     ring = d.ring
@@ -195,10 +201,9 @@ def complete_row(row, d: RingElement) -> CompletionCertificate:
         rows = [list(row)]
         for i in range(1, n):
             rows.append([one if j == i - 1 else zero for j in range(n)])
-        return _certify(ring, rows, row, d)
+        return rows
 
-    rows = _complete(ring, row, d, quotients, witnesses)
-    return _certify(ring, rows, row, d)
+    return _complete(ring, row, d, quotients, witnesses)
 
 
 def _complete(ring, row, d, q, x):
@@ -322,9 +327,10 @@ def _zero_det_rows(ring, row):
 
 
 def _component_complete(ring, row, e):
-    """Entry rows (lists of RingElements) completing `row` to determinant e."""
+    """Entry rows (lists of RingElements) completing `row` to determinant e;
+    idempotent_complete certifies them once, glued."""
     if e == ring.one:
-        return complete_row(row, ring.one).A.to_lists()
+        return _completion_rows(row, ring.one)
     if e.is_zero():
         return _zero_det_rows(ring, row)
     if not isinstance(ring, ModularRing):
@@ -334,13 +340,13 @@ def _component_complete(ring, row, e):
     n2 = math.gcd(e.payload, n_mod)
     n1 = n_mod // n2
     sub = ModularRing(n1)
-    cert1 = complete_row([sub.from_int(a.payload) for a in row], sub.one)
+    rows1 = _completion_rows([sub.from_int(a.payload) for a in row], sub.one)
     n = len(row)
     rows = []
     for i in range(n):
         out = []
         for j in range(n):
-            r1 = cert1.A.entries[i][j].payload
+            r1 = rows1[i][j].payload
             r2 = row[j].payload % n2 if i == 0 else 0
             out.append(ring.from_int(crt([r1, r2], [n1, n2])))
         rows.append(out)

@@ -1,6 +1,7 @@
 """Text grammar for ring descriptors and element literals.
 
 Descriptors:  Z | Z/<n> | GF(<p>)[x] | Zser<k> | prod(<desc>,<desc>[,...])
+              (Zser orders above 256 are refused with ScaleExceeded)
 Elements:     decimal integers; polynomials as [c0,c1,...]; truncated series
               as {z0;c1,c2,...} with rationals p/q; product tuples as
               (<el>,<el>,...).
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, ScaleExceeded
 from .rings import (
     IntegerRing,
     ModularRing,
@@ -93,6 +94,10 @@ class _Cursor:
 # ---------------------------------------------------------------------------
 # descriptors
 
+# largest Zser order accepted: every literal is padded to k Fractions and a
+# series split takes O(k^2) exact products (about half a second at 256)
+_SERIES_ORDER_BOUND = 256
+
 
 def _parse_ring_at(c: _Cursor) -> Ring:
     c.skip_ws()
@@ -117,6 +122,8 @@ def _parse_ring_at(c: _Cursor) -> Ring:
         k = c.integer()
         if k < 1:
             raise ParseError("truncation order must be >= 1", kpos)
+        if k > _SERIES_ORDER_BOUND:
+            raise ScaleExceeded(f"truncation order {k} exceeds {_SERIES_ORDER_BOUND}")
         return TruncatedSeriesRing(k)
     if c.match("Z/"):
         npos = c.pos

@@ -23,6 +23,7 @@ from .errors import (
     DescriptorMismatch,
     NotDivisible,
     PostconditionFailed,
+    ScaleExceeded,
     UnsupportedRing,
 )
 
@@ -47,6 +48,7 @@ __all__ = [
     "xgcd",
     "is_prime",
     "factorize",
+    "coprime_divisor",
     "radical",
     "crt",
     "int_to_decimal",
@@ -106,25 +108,101 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# the primes below 1000, which factorize strips by trial division
+_STRIP_PRIMES = tuple(
+    p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1))
+)
+# Pollard-Brent squarings one factorize call may spend before it gives up
+_RHO_BUDGET = 1 << 17
+# squarings between two gcds of Brent's accumulated product
+_RHO_BATCH = 128
+# cofactors longer than this (after the strip) are refused unsplit: each
+# squaring and each Miller-Rabin round grows with the square of the length
+_RHO_MAX_BITS = 512
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (desk scale; n up to ~10^12)."""
+    """Prime factorization: trial division below 1000, then deterministic
+    Pollard-Brent (R. P. Brent, BIT 20, 1980) on what remains.
+
+    What the budget guarantees: the call ends after at most 2^17 rho
+    squarings in all (plus at most 128 per replayed batch), on numbers of
+    at most 512 bits once the small primes are stripped, and otherwise
+    raises ScaleExceeded; it never hangs. A returned factorization is
+    exact, each factor passing is_prime (proved below 3.3e24). Whether a
+    given n fits the budget is not proved: rho needs about sqrt(p)
+    squarings to split off a prime p, so factors below 2^24 or so are found
+    and two primes of 2^40 each are not.
+    """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
     out: dict[int, int] = {}
-    for p in (2, 3):
+    for p in _STRIP_PRIMES:
+        if p * p > n:  # what is left is 1 or a prime
+            if n > 1:
+                out[n] = out.get(n, 0) + 1
+            return out
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    f = 5
-    while f * f <= n:
-        for p in (f, f + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        f += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    if n.bit_length() > _RHO_MAX_BITS:
+        raise ScaleExceeded(f"a {n.bit_length()}-bit cofactor is beyond factorize's reach")
+    budget = _RHO_BUDGET
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d, budget = _rho_divisor(m, budget)
+        pending += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho_divisor(n: int, budget: int) -> tuple[int, int]:
+    """A proper divisor of the odd composite n, and the budget left over.
+
+    Brent's cycle search on y -> y^2 + c from y = 2, with c = 1, 2, ... until
+    a run separates a factor; gcds are taken of batched products of |x - y|.
+    Each doubling of the cycle length r is paid for in advance (2r squarings).
+    """
+    c = 0
+    while True:
+        c += 1
+        y, q, g, r = 2, 1, 1, 1
+        while g == 1:
+            budget -= 2 * r
+            if budget < 0:
+                raise ScaleExceeded(f"{n} resists rho within its budget")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                steps = min(_RHO_BATCH, r - k)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:  # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g, budget
+
+
+def coprime_divisor(n: int, a: int) -> int:
+    """The largest divisor of n coprime to a (n >= 1), by gcds alone."""
+    g = math.gcd(n, a)
+    while g != 1:
+        n //= g
+        g = math.gcd(n, g)
+    return n
 
 
 # decimal digits per str()/int() call, well under the interpreter's
@@ -153,10 +231,8 @@ def int_from_decimal(digits: str) -> int:
 
 
 def radical(n: int) -> int:
-    r = 1
-    for p in factorize(n):
-        r *= p
-    return r
+    """The product of the distinct primes of n (through factorize)."""
+    return math.prod(factorize(n))
 
 
 def crt(residues, moduli) -> int:
@@ -495,31 +571,20 @@ class ModularRing(Ring):
 
     Z/n is a principal ideal ring; the gcd of (a, b) is canonically the
     residue of gcd(lift a, lift b, n), and the Bezout cofactors are repaired
-    with multiples of n/g so that they stay unimodular.
+    with multiples of n/g so that they stay unimodular. Every operation here
+    needs gcds only, never the primes of n (Storjohann & Mulders, ESA 1998).
     """
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
             raise ValueError("modulus must be an integer >= 2")
         self.n = n
-        self._factors = None
-        self._radical = None
 
     def _key(self):
         return ("Zmod", self.n)
 
     def __str__(self):
         return f"Z/{self.n}"
-
-    def factors(self) -> dict[int, int]:
-        if self._factors is None:
-            self._factors = factorize(self.n)
-        return self._factors
-
-    def rad(self) -> int:
-        if self._radical is None:
-            self._radical = math.prod(self.factors())
-        return self._radical
 
     def element(self, payload):
         if not isinstance(payload, int) or isinstance(payload, bool):
@@ -551,18 +616,12 @@ class ModularRing(Ring):
             return BezoutData(mk(0), mk(1), mk(0), mk(1), mk(0))
         ap, bp = a.payload // g0, b.payload // g0
         np_ = n // g0
-        # shift ap by multiples of n/g0 so that (ap, bp) is unimodular mod n
-        res, mods = [], []
-        for p in self.factors():
-            if ap % p != 0:
-                s = 0
-            elif np_ % p != 0:
-                s = (1 - ap) * pow(np_, -1, p) % p  # force ap + s*np_ = 1 (mod p)
-            else:
-                s = 0  # p divides ap and n/g0, hence p cannot divide bp
-            res.append(s)
-            mods.append(p)
-        s = crt(res, mods) if mods else 0
+        # shift ap by s*np_ so that (ap, bp) is unimodular mod n: a prime of
+        # n dividing ap but not np_ needs ap + s*np_ = 1, i.e. s = np_^-1; on
+        # the other primes s = 0 keeps ap, which is then a unit or p misses bp
+        free = coprime_divisor(n, np_)
+        fix = free // coprime_divisor(free, ap)
+        s = crt([pow(np_, -1, fix), 0], [fix, n // fix])
         a1 = (ap + s * np_) % n
         b1 = bp % n
         g1, u, v = xgcd(a1, b1)
@@ -585,23 +644,15 @@ class ModularRing(Ring):
         return self.from_int(q)
 
     def jacobson_member(self, a):
-        return a.payload % self.rad() == 0
+        return coprime_divisor(self.n, a.payload) == 1  # every prime divides a
 
     def canonical_associate(self, a):
         if a.payload == 0:
             return self.one, a
         g = math.gcd(a.payload, self.n)
-        ap = a.payload // g
-        npg = self.n // g
-        res, mods = [], []
-        for p, e in self.factors().items():
-            pe = p**e
-            if npg % p == 0:
-                res.append(ap % pe)  # ap is coprime to n/g, hence a unit mod p
-            else:
-                res.append(1)
-            mods.append(pe)
-        u = crt(res, mods)
+        # a/g is a unit mod n/g; the prime powers of n missing n/g take 1
+        kept = self.n // coprime_divisor(self.n, self.n // g)
+        u = crt([a.payload // g % kept, 1], [kept, self.n // kept])
         return self.from_int(u), self.from_int(g)
 
     def cardinality(self):

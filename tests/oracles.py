@@ -80,3 +80,49 @@ def sr1_solution_exists_z(a, b, c, bound):
 def jacobson_brute_zn(n, a):
     """a is radical in Z/n iff 1 + a*t is a unit for every t."""
     return all(math.gcd((1 + a * t) % n, n) == 1 for t in range(n))
+
+
+def trial_factorize(n):
+    """Prime factorization {p: e} of n >= 1 by trial division."""
+    out = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def canonical_associate_zn(n, a):
+    """(u, g) for a in Z/n by the per-prime-power rule: g = gcd(a, n), and u
+    is a/g modulo p^e where p divides n/g, 1 modulo the other p^e."""
+    if a % n == 0:
+        return 1, 0
+    g = math.gcd(a, n)
+    u, m = 0, 1
+    for p, e in trial_factorize(n).items():
+        pe = p**e
+        r = (a // g) % pe if (n // g) % p == 0 else 1
+        while u % pe != r:  # plain CRT: step through the residues mod m
+            u += m
+        m *= pe
+    return u, g
+
+
+def sieve_factorizations(limit):
+    """{p: e} of every 1 <= n < limit, from a smallest-prime-factor sieve."""
+    spf = list(range(limit))
+    for p in range(2, math.isqrt(limit - 1) + 1):
+        if spf[p] == p:
+            for k in range(p * p, limit, p):
+                if spf[k] == k:
+                    spf[k] = p
+    out = [None, {}]
+    for n in range(2, limit):
+        f = dict(out[n // spf[n]])
+        f[spf[n]] = f.get(spf[n], 0) + 1
+        out.append(f)
+    return out

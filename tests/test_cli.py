@@ -300,3 +300,47 @@ def test_reduce_and_verify_integers_beyond_the_digit_limit(capsys, tmp_path):
     assert max(len(lit) for row in doc["P"]["rows"] for lit in row) > 4300
     code, out, _ = run(capsys, "verify", "--matrix", str(mat), "--cert", str(cert))
     assert code == 0 and json.loads(out)["ok"] is True
+
+
+def test_commands_over_a_128_bit_modulus(capsys, tmp_path, prime_pair_128):
+    import random
+    import time
+
+    p, q = prime_pair_128
+    n = p * q
+    rng = random.Random(4)
+    mat = tmp_path / "m.txt"
+    rows = [[rng.randrange(n) for _ in range(4)] for _ in range(4)]
+    mat.write_text(f"ring: Z/{n}\nshape: 4 4\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n",
+                   encoding="utf-8")
+    cert = tmp_path / "c.json"
+    ring = f"Z/{n}"
+    a, b, c = str(p * 3), str(rng.randrange(n)), str(rng.randrange(n))
+    for argv in (
+        ("reduce", "--matrix", str(mat), "--out", str(cert)),
+        ("verify", "--matrix", str(mat), "--cert", str(cert)),
+        ("lift", "--ring", ring, "--a", a, "--b", b, "--c", c),
+        ("lift", "--ring", ring, "--a", a, "--b", b, "--c", c, "--sr2"),
+        ("complete", "--ring", ring, "--row", f"{p},{q},{c}", "--det", "1"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv[0]
+        assert code == 0 and err == "", argv[0]
+    assert json.loads(out)["det"] == "1"
+
+    # the pi-split needs the largest prime exponent of n: refused, not hung
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "split", "--ring", ring, "--a", a, "--b", b, "--pi")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and json.loads(out)["error"] == "ScaleExceeded"
+
+
+def test_oversized_series_order_is_refused_before_parsing_elements(capsys, tmp_path):
+    doc = {"kind": "completion-certificate", "ring": "Zser1000000000",
+           "A": {"rows": [["{1;}", "{0;}"], ["{0;}", "{1;}"]]},
+           "first_row": ["{1;}", "{0;}"], "det": "{1;}"}
+    code, out, err = _verify_doc(capsys, tmp_path, doc)
+    assert code == 2
+    assert json.loads(out)["error"] == "ScaleExceeded"
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from edr.errors import (
     PreconditionFailed,
     UnsupportedRing,
 )
+from edr.matrices import RingMatrix
 from edr.rings import (
     IntegerRing,
     ModularRing,
@@ -326,3 +328,35 @@ def test_idempotent_product_ring():
     cert = idempotent_complete(row, e0)
     assert cert.det_value == e0
     assert verify_completion(cert).ok
+
+
+def test_idempotent_complete_takes_one_determinant(monkeypatch):
+    calls = []
+    det = RingMatrix.det
+    monkeypatch.setattr(RingMatrix, "det", lambda self: calls.append(self.rows) or det(self))
+    row = [M12.from_int(v) for v in (3, 4, 5)]
+    cert = idempotent_complete(row, M12.from_int(4))
+    assert calls == [3]
+    assert cert.det_value == M12.from_int(4)
+    assert verify_completion(cert).ok
+
+
+def test_lifts_and_completion_over_a_128_bit_modulus(prime_pair_128):
+    p, q = prime_pair_128
+    ring = ModularRing(p * q)
+    rng = random.Random(7)
+    for _ in range(3):
+        start = time.perf_counter()
+        a = ring.from_int(p * rng.randrange(q))
+        b, c = ring.from_int(rng.randrange(p * q)), ring.from_int(rng.randrange(p * q))
+        y = sr1_quotient_lift(a, b, c)
+        assert math.gcd((b + c * y).payload, a.payload, p * q) == 1
+        y1, y2 = sr2_reduce(ring.from_int(p), b, c)
+        assert math.gcd(p + c.payload * y1.payload, b.payload + c.payload * y2.payload, p * q) == 1
+        row = [ring.from_int(p * 3), ring.from_int(q * 5), ring.from_int(rng.randrange(p * q))]
+        cert = complete_row(row, ring.one)
+        assert verify_completion(cert).ok
+        e = ring.from_int(q * pow(q, -1, p))  # 1 mod p, 0 mod q
+        cert = idempotent_complete(row, e)
+        assert verify_completion(cert).ok
+        assert time.perf_counter() - start < 1.0

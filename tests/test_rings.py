@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from edr.errors import DescriptorMismatch, NotDivisible, UnsupportedRing
+from edr.errors import DescriptorMismatch, NotDivisible, ScaleExceeded, UnsupportedRing
 from edr.rings import (
     IntegerRing,
     ModularRing,
@@ -13,8 +13,10 @@ from edr.rings import (
     TruncatedSeriesRing,
     bezout_combination,
     canonical_associate,
+    coprime_divisor,
     divide_exact,
     exact_quotient,
+    factorize,
     gcd_bezout,
     int_from_decimal,
     int_to_decimal,
@@ -25,7 +27,12 @@ from edr.rings import (
     unit_inverse,
 )
 
-from oracles import jacobson_brute_zn
+from oracles import (
+    canonical_associate_zn,
+    jacobson_brute_zn,
+    sieve_factorizations,
+    trial_factorize,
+)
 
 Z = IntegerRing()
 M12 = ModularRing(12)
@@ -307,3 +314,67 @@ def test_decimal_conversion_beyond_the_interpreter_digit_limit():
     assert int_to_decimal(-(10**5000)) == "-1" + "0" * 5000
     assert int_from_decimal("0" * 9000 + "42") == 42
     assert Z.element_str(Z.from_int(10**5000)) == "1" + "0" * 5000
+
+
+# ---------------------------------------------------------------------------
+# factor-free Z/n primitives against factorization-based formulas
+
+
+def test_coprime_divisor_examples():
+    assert coprime_divisor(360, 6) == 5
+    assert coprime_divisor(360, 7) == 360
+    assert coprime_divisor(360, 0) == 1
+    assert coprime_divisor(1, 12) == 1
+
+
+def test_modular_primitives_match_factorization_formulas():
+    rng = random.Random(400)
+    for n in range(2, 401):
+        ring = ModularRing(n)
+        rad = math.prod(trial_factorize(n))
+        for a in range(n):
+            el = ring.from_int(a)
+            u, norm = canonical_associate(el)
+            assert (u.payload, norm.payload) == canonical_associate_zn(n, a), (n, a)
+            assert jacobson_member(el) == (a % rad == 0), (n, a)
+            for b in (rng.randrange(n), rng.randrange(n)):
+                bd = gcd_bezout(el, ring.from_int(b))
+                g, x, y, a1, b1 = (v.payload for v in (bd.g, bd.x, bd.y, bd.a1, bd.b1))
+                assert g == math.gcd(a, b, n) % n, (n, a, b)
+                assert (x * a + y * b - g) % n == 0, (n, a, b)
+                assert (a1 * g - a) % n == 0 and (b1 * g - b) % n == 0, (n, a, b)
+                assert (x * a1 + y * b1) % n == 1, (n, a, b)
+
+
+def test_factorize_matches_the_sieve_below_1e5():
+    expected = sieve_factorizations(10**5)
+    for n in range(1, 10**5):
+        assert factorize(n) == expected[n], n
+
+
+def _oracle_prime(rng, bits):
+    while True:
+        p = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if trial_factorize(p) == {p: 1}:
+            return p
+
+
+def test_factorize_splits_seeded_40_bit_semiprimes():
+    rng = random.Random(40)
+    for _ in range(12):
+        p, q = _oracle_prime(rng, 20), _oracle_prime(rng, 20)
+        expected = {p: 1, q: 1} if p != q else {p: 2}
+        assert factorize(p * q) == expected
+    # repeated large primes and a small-prime tail go through rho too
+    p, q = _oracle_prime(rng, 18), _oracle_prime(rng, 16)
+    assert factorize(p**2 * q * 12) == {2: 2, 3: 1, p: 2, q: 1}
+    assert factorize(p**3) == {p: 3}
+
+
+def test_factorize_refuses_beyond_its_budget(prime_pair_128):
+    p, q = prime_pair_128
+    with pytest.raises(ScaleExceeded):
+        factorize(p * q)
+    with pytest.raises(ScaleExceeded):
+        factorize((1 << 521) - 1)  # a Mersenne prime past the length cap
+    assert factorize(1 << 600) == {2: 600}  # the strip alone needs no cap
