@@ -2,22 +2,10 @@
 
 from __future__ import annotations
 
-import operator
-from typing import Callable, NamedTuple
+from functools import reduce
 
 from .errors import DescriptorMismatch
-from .rings import (
-    IntegerRing,
-    ModularRing,
-    PrimeFieldPolynomialRing,
-    ProductRing,
-    Ring,
-    RingElement,
-    _padd,
-    _pdivmod,
-    _pmul,
-    _pneg,
-)
+from .rings import IntegerRing, ModularRing, PayloadOps, ProductRing, Ring, RingElement
 
 __all__ = ["RingMatrix"]
 
@@ -36,7 +24,7 @@ class RingMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for e in row:
-                if not isinstance(e, RingElement) or e.ring != ring:
+                if not isinstance(e, RingElement) or (e.ring is not ring and e.ring != ring):
                     raise DescriptorMismatch("entry from a different ring")
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rows", len(rows))
@@ -64,6 +52,16 @@ class RingMatrix:
         return cls(ring, conv)
 
     @classmethod
+    def wrap(cls, ring: Ring, payload_rows) -> "RingMatrix":
+        """Build from canonical payloads of `ring` (as payload_lists gives
+        them), without the per-entry checks of the constructor."""
+        M = object.__new__(cls)
+        entries = tuple(tuple(RingElement(ring, v) for v in row) for row in payload_rows)
+        for name, value in (("ring", ring), ("rows", len(entries)), ("cols", len(entries[0])), ("entries", entries)):
+            object.__setattr__(M, name, value)
+        return M
+
+    @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
         one, zero = ring.one, ring.zero
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
@@ -73,6 +71,10 @@ class RingMatrix:
 
     def to_lists(self):
         return [list(row) for row in self.entries]
+
+    def payload_lists(self):
+        """Fresh lists of the entries' payloads."""
+        return [[e.payload for e in row] for row in self.entries]
 
     def __eq__(self, other):
         return (
@@ -91,26 +93,16 @@ class RingMatrix:
             raise DescriptorMismatch("matrix rings differ")
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        zero = self.ring.zero
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = zero
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return RingMatrix(self.ring, out)
+        return RingMatrix(self.ring, _matmul(self.ring, self.entries, other.entries))
 
     def det(self) -> RingElement:
         """Exact determinant in polynomial time, chosen by the ring.
 
         Products work componentwise. Over Z and GF(p)[x] it is fraction-free
-        Gaussian elimination (Bareiss, Math. Comp. 22, 1968): O(n^3)
-        operations, every entry it forms is a minor of the input, every
-        division is exact, and the pivot is the smallest nonzero entry of
-        its column. Over Z/n the same elimination runs on the integer lift
+        Gaussian elimination (Bareiss, Math. Comp. 22, 1968) on payloads,
+        through the ring's op table: O(n^3) operations, every entry it forms
+        is a minor of the input, every division is exact, and the pivot is
+        the smallest nonzero entry of its column. Over Z/n the same elimination runs on the integer lift
         and the result is reduced mod n, since the determinant commutes with
         Z -> Z/n. Rings with none of these (the truncated series Zser<k>)
         take Berkowitz's division-free algorithm (IPL 18, 1984), O(n^4) ring
@@ -128,52 +120,43 @@ class RingMatrix:
 
 
 # ---------------------------------------------------------------------------
-# determinants
+# kernels on rows of entries: payload arithmetic through the ring's op table,
+# componentwise over products, element arithmetic where there is no table
 
 
-class _Arith(NamedTuple):
-    """Payload arithmetic for Bareiss: `div` is only ever asked for exact
-    quotients, `size` ranks pivot candidates, and zero payloads are falsy."""
-
-    zero: object
-    mul: Callable
-    sub: Callable
-    div: Callable
-    neg: Callable
-    size: Callable
+def _component(rows, idx):
+    """The idx-th component elements of rows of product elements."""
+    return [[e.payload[idx] for e in row] for row in rows]
 
 
-_INT_ARITH = _Arith(0, operator.mul, operator.sub, operator.floordiv, operator.neg, abs)
-
-
-def _poly_arith(p: int) -> _Arith:
-    return _Arith(
-        (),
-        lambda a, b: _pmul(a, b, p),
-        lambda a, b: _padd(a, _pneg(b, p), p),
-        lambda a, b: _pdivmod(a, b, p)[0],
-        lambda a: _pneg(a, p),
-        len,
-    )
+def _matmul(ring: Ring, a, b):
+    """Rows of the elements of the product of the entry rows a and b."""
+    if isinstance(ring, ProductRing):
+        parts = [_matmul(f, _component(a, i), _component(b, i)) for i, f in enumerate(ring.factors)]
+        return [[RingElement(ring, comps) for comps in zip(*rows)] for rows in zip(*parts)]
+    ops, cols = ring.ops, list(zip(*b))
+    if ops is None:  # Zser<k>
+        return [[_dot(row, col, ring.zero) for col in cols] for row in a]
+    add, mul, zero = ops.add, ops.mul, ops.zero
+    cols = [[e.payload for e in col] for col in cols]
+    return [
+        [RingElement(ring, reduce(add, map(mul, prow, col), zero)) for col in cols]
+        for prow in ([e.payload for e in row] for row in a)
+    ]
 
 
 def _det(ring: Ring, rows) -> RingElement:
     if isinstance(ring, ProductRing):
-        return RingElement(
-            ring,
-            tuple(
-                _det(factor, [[e.payload[idx] for e in row] for row in rows])
-                for idx, factor in enumerate(ring.factors)
-            ),
-        )
-    if isinstance(ring, (IntegerRing, ModularRing)):
-        return ring.from_int(_bareiss([[e.payload for e in row] for row in rows], _INT_ARITH))
-    if isinstance(ring, PrimeFieldPolynomialRing):
-        return RingElement(ring, _bareiss([[e.payload for e in row] for row in rows], _poly_arith(ring.p)))
-    return _berkowitz(ring, rows)
+        return RingElement(ring, tuple(_det(f, _component(rows, i)) for i, f in enumerate(ring.factors)))
+    if ring.ops is None:
+        return _berkowitz(ring, rows)
+    payloads = [[e.payload for e in row] for row in rows]
+    if isinstance(ring, ModularRing):  # on the integer lift, reduced mod n
+        return ring.from_int(_bareiss(payloads, IntegerRing.ops))
+    return RingElement(ring, _bareiss(payloads, ring.ops))
 
 
-def _bareiss(a, ar: _Arith):
+def _bareiss(a, ops: PayloadOps):
     """Determinant of the square payload matrix `a` (overwritten).
 
     After step k every entry of the trailing block is the (k+1) x (k+1)
@@ -185,8 +168,8 @@ def _bareiss(a, ar: _Arith):
     for k in range(n - 1):
         candidates = [i for i in range(k, n) if a[i][k]]
         if not candidates:
-            return ar.zero
-        best = min(candidates, key=lambda i: ar.size(a[i][k]))
+            return ops.zero
+        best = min(candidates, key=lambda i: ops.size(a[i][k]))
         if best != k:
             a[k], a[best] = a[best], a[k]
             negate = not negate
@@ -196,15 +179,15 @@ def _bareiss(a, ar: _Arith):
             row = a[i]
             f = row[k]
             if f:
-                new = [ar.sub(ar.mul(pivot, row[j]), ar.mul(f, pivot_row[j])) for j in range(k + 1, n)]
+                new = [ops.sub(ops.mul(pivot, row[j]), ops.mul(f, pivot_row[j])) for j in range(k + 1, n)]
             else:
-                new = [ar.mul(pivot, row[j]) for j in range(k + 1, n)]
+                new = [ops.mul(pivot, row[j]) for j in range(k + 1, n)]
             if prev is not None:
-                new = [ar.div(v, prev) for v in new]
+                new = [ops.quo(v, prev) for v in new]
             row[k + 1 :] = new
         prev = pivot
     d = a[n - 1][n - 1]
-    return ar.neg(d) if negate else d
+    return ops.neg(d) if negate else d
 
 
 def _dot(xs, ys, zero):

@@ -8,6 +8,11 @@ certificate back (reduction commutes with the quotient map); products reduce
 componentwise. A final pass repairs the divisibility chain and normalizes
 each diagonal entry to its canonical associate, absorbing units into P.
 
+The sweep, the chain repair and the normalization work on lists of raw
+payloads through the ring's PayloadOps table (rings.py). Elements appear
+only at the API boundary: diagonal_reduce unwraps A once and wraps P, D, Q
+and the two recorded determinants once, on the way out.
+
 No determinant is computed while a certificate is built: every step applied
 to P and Q has a known determinant, and the construction multiplies them up
 as it goes. A row or column swap contributes -1; a Bezout block
@@ -79,12 +84,13 @@ class ReductionCertificate:
     detQ_unit: RingElement
 
 
-def _make_certificate(ring, P_rows, D_rows, Q_rows, detP, detQ) -> ReductionCertificate:
-    """detP and detQ are the determinants the construction recorded."""
+def _make_certificate(ring, P, D, Q, detP, detQ) -> ReductionCertificate:
+    """P, D and Q are payload rows; detP and detQ are the determinants the
+    construction recorded."""
     if not (is_unit(detP) and is_unit(detQ)):
         raise PostconditionFailed("transform lost invertibility")
     return ReductionCertificate(
-        RingMatrix(ring, P_rows), RingMatrix(ring, D_rows), RingMatrix(ring, Q_rows), detP, detQ
+        RingMatrix.wrap(ring, P), RingMatrix.wrap(ring, D), RingMatrix.wrap(ring, Q), detP, detQ
     )
 
 
@@ -186,26 +192,54 @@ def _kaplansky_a_to_c(ring, A, a, b, c):
 
 
 def _finish_2x2(ring, A, P_rows, Q_rows, detP, detQ):
-    P = [list(row) for row in P_rows]
-    Q = [list(row) for row in Q_rows]
-    D = (RingMatrix(ring, P) * A * RingMatrix(ring, Q)).to_lists()
-    if not (D[0][1].is_zero() and D[1][0].is_zero()):
+    P, Q = RingMatrix(ring, P_rows), RingMatrix(ring, Q_rows)
+    D = (P * A * Q).payload_lists()
+    if D[0][1] or D[1][0]:
         raise PostconditionFailed("2x2 step failed to diagonalize")
+    P = P.payload_lists()
     detP = detP * _normalize_diagonal(ring, D, P)
     # the chain holds by construction: d1 is the unit 1, which divides d2
-    return _make_certificate(ring, P, D, Q, detP, detQ)
+    return _make_certificate(ring, P, D, Q.payload_lists(), detP, detQ)
 
 
 # ---------------------------------------------------------------------------
 # full reduction
 
 
-def _entry_size(e: RingElement) -> int:
-    if isinstance(e.ring, IntegerRing):
-        return abs(e.payload)
-    if isinstance(e.ring, PrimeFieldPolynomialRing):
-        return len(e.payload)
-    return 1
+def _sub_rows(ops, mats, i, k, q):
+    """Row i -= q * row k, in each of mats."""
+    sub, mul = ops.sub, ops.mul
+    for R in mats:
+        R[i] = [sub(v, mul(q, u)) for u, v in zip(R[k], R[i])]
+
+
+def _sub_cols(ops, mats, j, k, q):
+    """Column j -= q * column k, in each of mats."""
+    sub, mul = ops.sub, ops.mul
+    for R in mats:
+        for row in R:
+            row[j] = sub(row[j], mul(q, row[k]))
+
+
+def _bezout_rows(ops, mats, k, i, bd):
+    """Rows k, i become x*row k + y*row i and a1*row i - b1*row k."""
+    _, x, y, a1, b1 = bd
+    add, sub, mul = ops.add, ops.sub, ops.mul
+    for R in mats:
+        R[k], R[i] = (
+            [add(mul(x, u), mul(y, v)) for u, v in zip(R[k], R[i])],
+            [sub(mul(a1, v), mul(b1, u)) for u, v in zip(R[k], R[i])],
+        )
+
+
+def _bezout_cols(ops, mats, k, j, bd):
+    """Columns k, j become x*col k + y*col j and a1*col j - b1*col k."""
+    _, x, y, a1, b1 = bd
+    add, sub, mul = ops.add, ops.sub, ops.mul
+    for R in mats:
+        for row in R:
+            u, v = row[k], row[j]
+            row[k], row[j] = add(mul(x, u), mul(y, v)), sub(mul(a1, v), mul(b1, u))
 
 
 def _swap_cols(rows, i, j):
@@ -213,73 +247,41 @@ def _swap_cols(rows, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _clear_pivot_column(A, P, k):
+def _clear_pivot_column(ops, A, P, k):
     for i in range(k + 1, len(A)):
-        e = A[i][k]
-        if e.is_zero():
-            continue
-        p = A[k][k]
-        q = exact_quotient(e, p)
-        if q is not None:
-            A[i] = [v - q * u for u, v in zip(A[k], A[i])]
-            P[i] = [v - q * u for u, v in zip(P[k], P[i])]
-        else:
-            bd = gcd_bezout(p, e)
-            A[k], A[i] = (
-                [bd.x * u + bd.y * v for u, v in zip(A[k], A[i])],
-                [bd.a1 * v - bd.b1 * u for u, v in zip(A[k], A[i])],
-            )
-            P[k], P[i] = (
-                [bd.x * u + bd.y * v for u, v in zip(P[k], P[i])],
-                [bd.a1 * v - bd.b1 * u for u, v in zip(P[k], P[i])],
-            )
+        if A[i][k]:
+            q = ops.quo(A[i][k], A[k][k])
+            if q is not None:
+                _sub_rows(ops, (A, P), i, k, q)
+            else:
+                _bezout_rows(ops, (A, P), k, i, ops.bezout(A[k][k], A[i][k]))
 
 
-def _clear_pivot_row(A, Q, k):
+def _clear_pivot_row(ops, A, Q, k):
     for j in range(k + 1, len(A[0])):
-        e = A[k][j]
-        if e.is_zero():
-            continue
-        p = A[k][k]
-        q = exact_quotient(e, p)
-        if q is not None:
-            for row in A:
-                row[j] = row[j] - q * row[k]
-            for row in Q:
-                row[j] = row[j] - q * row[k]
-        else:
-            bd = gcd_bezout(p, e)
-            for row in A:
-                row[k], row[j] = (
-                    bd.x * row[k] + bd.y * row[j],
-                    bd.a1 * row[j] - bd.b1 * row[k],
-                )
-            for row in Q:
-                row[k], row[j] = (
-                    bd.x * row[k] + bd.y * row[j],
-                    bd.a1 * row[j] - bd.b1 * row[k],
-                )
+        if A[k][j]:
+            q = ops.quo(A[k][j], A[k][k])
+            if q is not None:
+                _sub_cols(ops, (A, Q), j, k, q)
+            else:
+                _bezout_cols(ops, (A, Q), k, j, ops.bezout(A[k][k], A[k][j]))
 
 
 def _sweep(ring, A, P, Q):
-    """Diagonalize A in place, applying the row steps to P and the column
-    steps to Q; returns the determinants of the steps, (det P, det Q).
+    """Diagonalize the payload rows A in place, applying the row steps to P
+    and the column steps to Q; returns the determinants of the steps,
+    (det P, det Q), as ring elements.
 
     Only the pivot swaps change them: the gcd blocks and the eliminations
     in _clear_pivot_column and _clear_pivot_row have determinant 1."""
+    ops = ring.ops
     m, n = len(A), len(A[0])
     detP = detQ = ring.one
     for k in range(min(m, n)):
-        best = None
-        for i in range(k, m):
-            for j in range(k, n):
-                if not A[i][j].is_zero():
-                    sz = _entry_size(A[i][j])
-                    if best is None or sz < best[0]:
-                        best = (sz, i, j)
-        if best is None:
+        nonzero = [(i, j) for i in range(k, m) for j in range(k, n) if A[i][j]]
+        if not nonzero:
             break  # trailing block is zero; remaining diagonal entries stay 0
-        _, bi, bj = best
+        bi, bj = min(nonzero, key=lambda ij: ops.size(A[ij[0]][ij[1]]))
         if bi != k:
             A[k], A[bi] = A[bi], A[k]
             P[k], P[bi] = P[bi], P[k]
@@ -289,61 +291,52 @@ def _sweep(ring, A, P, Q):
             _swap_cols(Q, k, bj)
             detQ = -detQ
         while True:
-            if any(not A[i][k].is_zero() for i in range(k + 1, m)):
-                _clear_pivot_column(A, P, k)
-            if any(not A[k][j].is_zero() for j in range(k + 1, n)):
-                _clear_pivot_row(A, Q, k)
-            if all(A[i][k].is_zero() for i in range(k + 1, m)) and all(
-                A[k][j].is_zero() for j in range(k + 1, n)
-            ):
+            if any(A[i][k] for i in range(k + 1, m)):
+                _clear_pivot_column(ops, A, P, k)
+            if any(A[k][j] for j in range(k + 1, n)):
+                _clear_pivot_row(ops, A, Q, k)
+            if not any(A[i][k] for i in range(k + 1, m)) and not any(A[k][j] for j in range(k + 1, n)):
                 break
     return detP, detQ
 
 
-def _fix_divisibility_chain(A, P, Q):
-    """Repair d_i | d_{i+1} in place. Every step (a row addition, a gcd
-    column block, an elimination) has determinant 1, so det P and det Q
-    stay as they are."""
+def _fix_divisibility_chain(ring, A, P, Q):
+    """Repair d_i | d_{i+1} in the payload rows, in place. Every step (a row
+    addition, a gcd column block, an elimination) has determinant 1, so det
+    P and det Q stay as they are."""
+    ops = ring.ops
     r = min(len(A), len(A[0]))
     while True:
         changed = False
         for i in range(r - 1):
             a, b = A[i][i], A[i + 1][i + 1]
-            if b.is_zero() or exact_quotient(b, a) is not None:
+            if not b or ops.quo(b, a) is not None:
                 continue  # d | 0 always
-            A[i] = [u + v for u, v in zip(A[i], A[i + 1])]
-            P[i] = [u + v for u, v in zip(P[i], P[i + 1])]
-            bd = gcd_bezout(a, b)
-            for row in A:
-                row[i], row[i + 1] = (
-                    bd.x * row[i] + bd.y * row[i + 1],
-                    bd.a1 * row[i + 1] - bd.b1 * row[i],
-                )
-            for row in Q:
-                row[i], row[i + 1] = (
-                    bd.x * row[i] + bd.y * row[i + 1],
-                    bd.a1 * row[i + 1] - bd.b1 * row[i],
-                )
-            q2 = divide_exact(A[i + 1][i], A[i][i])
-            A[i + 1] = [v - q2 * u for u, v in zip(A[i], A[i + 1])]
-            P[i + 1] = [v - q2 * u for u, v in zip(P[i], P[i + 1])]
+            _sub_rows(ops, (A, P), i, i + 1, ops.neg(ops.one))  # row i += row i+1
+            bd = ops.bezout(a, b)
+            _bezout_cols(ops, (A, Q), i, i + 1, bd)
+            q = ops.quo(A[i + 1][i], A[i][i])  # g divides y*b
+            if q is None:
+                raise PostconditionFailed("chain repair left an inexact quotient")
+            _sub_rows(ops, (A, P), i + 1, i, q)
             changed = True
         if not changed:
             return
 
 
 def _normalize_diagonal(ring, A, P):
-    """Scale rows of A and P so that each d_i is its canonical associate;
-    returns the determinant of the scaling, the product of the u^-1."""
-    scale = ring.one
+    """Scale rows of the payload rows A and P so that each d_i is its
+    canonical associate; returns the determinant of the scaling, the
+    product of the u^-1, as a ring element."""
+    ops = ring.ops
+    scale = ops.one
     for i in range(min(len(A), len(A[0]))):
-        u, _ = canonical_associate(A[i][i])
-        if u != ring.one:
-            u_inv = unit_inverse(u)
-            A[i] = [u_inv * v for v in A[i]]
-            P[i] = [u_inv * v for v in P[i]]
-            scale = scale * u_inv
-    return scale
+        u_inv = ops.normal(A[i][i])
+        if u_inv != ops.one:
+            A[i] = [ops.mul(u_inv, v) for v in A[i]]
+            P[i] = [ops.mul(u_inv, v) for v in P[i]]
+            scale = ops.mul(scale, u_inv)
+    return RingElement(ring, scale)
 
 
 def diagonal_reduce(A: RingMatrix) -> ReductionCertificate:
@@ -355,11 +348,11 @@ def diagonal_reduce(A: RingMatrix) -> ReductionCertificate:
         return _reduce_product(A)
     if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing)):
         raise UnsupportedRing(f"diagonal reduction is not supported over {ring}")
-    work = A.to_lists()
-    P = RingMatrix.identity(ring, A.rows).to_lists()
-    Q = RingMatrix.identity(ring, A.cols).to_lists()
+    work = A.payload_lists()
+    P = RingMatrix.identity(ring, A.rows).payload_lists()
+    Q = RingMatrix.identity(ring, A.cols).payload_lists()
     detP, detQ = _sweep(ring, work, P, Q)
-    _fix_divisibility_chain(work, P, Q)
+    _fix_divisibility_chain(ring, work, P, Q)
     detP = detP * _normalize_diagonal(ring, work, P)
     return _make_certificate(ring, P, work, Q, detP, detQ)
 
@@ -369,14 +362,8 @@ def _reduce_modular(A: RingMatrix) -> ReductionCertificate:
     # their integer determinants are +-1 (and project to the determinants
     # mod n), and integer divisibility descends
     ring = A.ring
-    zz = IntegerRing()
-    lifted = RingMatrix.from_payloads(zz, [[e.payload for e in row] for row in A.entries])
-    cert = diagonal_reduce(lifted)
-
-    def project(M):
-        return [[ring.from_int(e.payload) for e in row] for row in M.entries]
-
-    P, D, Q = project(cert.P), project(cert.D), project(cert.Q)
+    cert = diagonal_reduce(RingMatrix.wrap(IntegerRing(), A.payload_lists()))
+    P, D, Q = ([[e.payload % ring.n for e in row] for row in M.entries] for M in (cert.P, cert.D, cert.Q))
     scale = _normalize_diagonal(ring, D, P)
     detP = ring.from_int(cert.detP_unit.payload) * scale
     detQ = ring.from_int(cert.detQ_unit.payload)
@@ -390,18 +377,12 @@ def _reduce_product(A: RingMatrix) -> ReductionCertificate:
         comp = RingMatrix(factor, [[e.payload[idx] for e in row] for row in A.entries])
         parts.append(diagonal_reduce(comp))
 
-    def merge(mats, rows, cols):
-        out = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                row.append(RingElement(ring, tuple(m.entries[i][j] for m in mats)))
-            out.append(row)
-        return out
+    def merge(mats):  # payload rows: tuples of component elements
+        return [list(zip(*rows)) for rows in zip(*(m.entries for m in mats))]
 
-    P = merge([c.P for c in parts], A.rows, A.rows)
-    D = merge([c.D for c in parts], A.rows, A.cols)
-    Q = merge([c.Q for c in parts], A.cols, A.cols)
+    P = merge([c.P for c in parts])
+    D = merge([c.D for c in parts])
+    Q = merge([c.Q for c in parts])
     detP = RingElement(ring, tuple(c.detP_unit for c in parts))
     detQ = RingElement(ring, tuple(c.detQ_unit for c in parts))
     return _make_certificate(ring, P, D, Q, detP, detQ)

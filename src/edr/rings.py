@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, partial
 
 from .errors import (
     DescriptorMismatch,
@@ -36,6 +39,7 @@ __all__ = [
     "ProductRing",
     "RingElement",
     "BezoutData",
+    "PayloadOps",
     "ring_arith",
     "is_unit",
     "unit_inverse",
@@ -248,6 +252,82 @@ def crt(residues, moduli) -> int:
 
 
 # ---------------------------------------------------------------------------
+# payload arithmetic
+
+
+# A ring's arithmetic on raw payloads, for loops that would otherwise wrap
+# every intermediate value in a RingElement. Zero payloads are falsy and
+# every result is canonical. `size` ranks pivot candidates; `quo(a, b)` is
+# exact_quotient's payload, or None when b does not divide a; `bezout(a, b)`
+# is the payloads (g, x, y, a1, b1) of gcd_bezout's BezoutData; `normal(a)`
+# is the inverse of the unit canonical_associate splits off, so
+# normal(a) * a is canonical.
+PayloadOps = namedtuple("PayloadOps", "zero one add sub mul neg size quo bezout normal")
+
+
+def _int_quo(a, b):
+    if not b:
+        return None if a else 0
+    q, r = divmod(a, b)
+    return None if r else q
+
+
+def _int_bezout(a, b):
+    g, x, y = xgcd(a, b)
+    if not g:
+        return 0, x, y, 1, 0
+    return g, x, y, a // g, b // g
+
+
+_INT_OPS = PayloadOps(
+    0, 1, operator.add, operator.sub, operator.mul, operator.neg, abs,
+    _int_quo, _int_bezout, lambda a: -1 if a < 0 else 1,
+)
+
+
+def _zn_quo(n, a, b):
+    """The smallest residue q with b*q = a (mod n), or None."""
+    g = math.gcd(b, n)
+    if a % g:
+        return None
+    m = n // g
+    if m == 1:
+        return 0  # every residue works; 0 is the smallest
+    return (a // g) * pow(b // g, -1, m) % m
+
+
+def _zn_bezout(n, a, b):
+    g0 = math.gcd(a, math.gcd(b, n))
+    if g0 == n:  # both residues are zero
+        return 0, 1, 0, 1, 0
+    ap, bp = a // g0, b // g0
+    np_ = n // g0
+    # shift ap by s*np_ so that (ap, bp) is unimodular mod n: a prime of n
+    # dividing ap but not np_ needs ap + s*np_ = 1, i.e. s = np_^-1; on the
+    # other primes s = 0 keeps ap, which is then a unit or p misses bp
+    free = coprime_divisor(n, np_)
+    fix = free // coprime_divisor(free, ap)
+    s = crt([pow(np_, -1, fix), 0], [fix, n // fix])
+    a1 = (ap + s * np_) % n
+    b1 = bp % n
+    g1, u, v = xgcd(a1, b1)
+    gg, w, _ = xgcd(g1, n)
+    if gg != 1:
+        raise PostconditionFailed("cofactor repair failed")
+    return g0, w * u % n, w * v % n, a1, b1
+
+
+def _zn_unit(n, a):
+    """(u, g) with a = u*g (mod n), u a unit and g = gcd(a, n)."""
+    if not a:
+        return 1, 0
+    g = math.gcd(a, n)
+    # a/g is a unit mod n/g; the prime powers of n missing n/g take 1
+    kept = n // coprime_divisor(n, n // g)
+    return crt([a // g % kept, 1], [kept, n // kept]), g
+
+
+# ---------------------------------------------------------------------------
 # polynomial payload helpers (little-endian int tuples over GF(p))
 
 
@@ -259,8 +339,11 @@ def _ptrim(cs):
 
 
 def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)])
+    return _ptrim([(x + y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+
+def _psub(a, b, p):
+    return _ptrim([(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def _pneg(a, p):
@@ -273,9 +356,9 @@ def _pmul(a, b, p):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+            for j, bj in enumerate(b, i):
+                out[j] += ai * bj
+    return _ptrim([c % p for c in out])
 
 
 def _pdivmod(a, b, p):
@@ -291,6 +374,20 @@ def _pdivmod(a, b, p):
             for j, bj in enumerate(b):
                 a[i + j] = (a[i + j] - c * bj) % p
     return _ptrim(q), _ptrim(a)
+
+
+def _pquo(a, b, p):
+    if not b:
+        return None if a else ()
+    q, r = _pdivmod(a, b, p)
+    return None if r else q
+
+
+def _pbezout(a, b, p):
+    g, x, y = _pxgcd(a, b, p)
+    if not g:
+        return (), (1,), (), (1,), ()
+    return g, x, y, _pdivmod(a, g, p)[0], _pdivmod(b, g, p)[0]
 
 
 def _pmonic(a, p):
@@ -347,7 +444,7 @@ class RingElement:
 
     def _coerce(self, other):
         if isinstance(other, RingElement):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise DescriptorMismatch(
                     f"cannot mix elements of {self.ring} and {other.ring}"
                 )
@@ -390,7 +487,7 @@ class RingElement:
     def __eq__(self, other):
         return (
             isinstance(other, RingElement)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.payload == other.payload
         )
 
@@ -398,7 +495,7 @@ class RingElement:
         return hash((self.ring, self.payload))
 
     def is_zero(self) -> bool:
-        return self.payload == self.ring.zero.payload
+        return self.payload == self.ring.zero.payload  # zero is cached
 
     def __repr__(self):
         return f"<{self.ring}: {self.ring.element_str(self)}>"
@@ -430,13 +527,20 @@ class BezoutData:
 
 
 class Ring:
-    """Common interface of the ring descriptors."""
+    """Common interface of the ring descriptors.
+
+    `ops` is the ring's PayloadOps table, or None where it has none (the
+    truncated series and products, which work elementwise and
+    componentwise); gcd_bezout and exact_quotient wrap the table's entries
+    unless a ring defines its own."""
+
+    ops = None
 
     def _key(self):
         raise NotImplementedError
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self._key() == other._key()
+        return self is other or (isinstance(other, Ring) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -450,24 +554,24 @@ class Ring:
         """Canonical image of the integer k (k times the identity)."""
         raise NotImplementedError
 
-    @property
+    @cached_property
     def zero(self) -> RingElement:
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self) -> RingElement:
         return self.from_int(1)
 
-    # --- arithmetic (payload level, wrapped by RingElement operators) -----
+    # --- arithmetic (the op table unless overridden; RingElement wraps) --
 
     def _add(self, a, b):
-        raise NotImplementedError
+        return RingElement(self, self.ops.add(a.payload, b.payload))
 
     def _neg(self, a):
-        raise NotImplementedError
+        return RingElement(self, self.ops.neg(a.payload))
 
     def _mul(self, a, b):
-        raise NotImplementedError
+        return RingElement(self, self.ops.mul(a.payload, b.payload))
 
     # --- structure --------------------------------------------------------
 
@@ -476,11 +580,14 @@ class Ring:
         raise NotImplementedError
 
     def gcd_bezout(self, a: RingElement, b: RingElement) -> BezoutData:
-        raise UnsupportedRing(f"{self} does not support Bezout gcds")
+        if self.ops is None:
+            raise UnsupportedRing(f"{self} does not support Bezout gcds")
+        return BezoutData(*(RingElement(self, v) for v in self.ops.bezout(a.payload, b.payload)))
 
     def exact_quotient(self, a: RingElement, b: RingElement) -> RingElement | None:
         """A q with b*q = a, or None when b does not divide a."""
-        raise NotImplementedError
+        q = self.ops.quo(a.payload, b.payload)
+        return None if q is None else RingElement(self, q)
 
     def divide_exact(self, a: RingElement, b: RingElement) -> RingElement:
         q = self.exact_quotient(a, b)
@@ -511,6 +618,8 @@ class Ring:
 class IntegerRing(Ring):
     """The ring of rational integers."""
 
+    ops = _INT_OPS
+
     def _key(self):
         return ("Z",)
 
@@ -525,34 +634,10 @@ class IntegerRing(Ring):
     def from_int(self, k):
         return RingElement(self, k)
 
-    def _add(self, a, b):
-        return RingElement(self, a.payload + b.payload)
-
-    def _neg(self, a):
-        return RingElement(self, -a.payload)
-
-    def _mul(self, a, b):
-        return RingElement(self, a.payload * b.payload)
-
     def inverse(self, a):
         if a.payload in (1, -1):
             return a
         return None
-
-    def gcd_bezout(self, a, b):
-        g, x, y = xgcd(a.payload, b.payload)
-        if g == 0:
-            a1, b1 = 1, 0
-        else:
-            a1, b1 = a.payload // g, b.payload // g
-        mk = self.from_int
-        return BezoutData(mk(g), mk(x), mk(y), mk(a1), mk(b1))
-
-    def exact_quotient(self, a, b):
-        if b.payload == 0:
-            return self.zero if a.payload == 0 else None
-        q, r = divmod(a.payload, b.payload)
-        return None if r else self.from_int(q)
 
     def jacobson_member(self, a):
         return a.payload == 0
@@ -594,65 +679,25 @@ class ModularRing(Ring):
     def from_int(self, k):
         return RingElement(self, k % self.n)
 
-    def _add(self, a, b):
-        return RingElement(self, (a.payload + b.payload) % self.n)
-
-    def _neg(self, a):
-        return RingElement(self, (-a.payload) % self.n)
-
-    def _mul(self, a, b):
-        return RingElement(self, (a.payload * b.payload) % self.n)
-
     def inverse(self, a):
         if math.gcd(a.payload, self.n) != 1:
             return None
         return RingElement(self, pow(a.payload, -1, self.n))
 
-    def gcd_bezout(self, a, b):
+    @cached_property
+    def ops(self):
         n = self.n
-        g0 = math.gcd(a.payload, math.gcd(b.payload, n))
-        if g0 == n:  # both residues are zero
-            mk = self.from_int
-            return BezoutData(mk(0), mk(1), mk(0), mk(1), mk(0))
-        ap, bp = a.payload // g0, b.payload // g0
-        np_ = n // g0
-        # shift ap by s*np_ so that (ap, bp) is unimodular mod n: a prime of
-        # n dividing ap but not np_ needs ap + s*np_ = 1, i.e. s = np_^-1; on
-        # the other primes s = 0 keeps ap, which is then a unit or p misses bp
-        free = coprime_divisor(n, np_)
-        fix = free // coprime_divisor(free, ap)
-        s = crt([pow(np_, -1, fix), 0], [fix, n // fix])
-        a1 = (ap + s * np_) % n
-        b1 = bp % n
-        g1, u, v = xgcd(a1, b1)
-        gg, w, _ = xgcd(g1, n)
-        if gg != 1:
-            raise PostconditionFailed("cofactor repair failed")
-        x = w * u % n
-        y = w * v % n
-        mk = self.from_int
-        return BezoutData(mk(g0), mk(x), mk(y), mk(a1), mk(b1))
-
-    def exact_quotient(self, a, b):
-        g = math.gcd(b.payload, self.n)
-        if a.payload % g:
-            return None
-        m = self.n // g
-        if m == 1:
-            return self.zero  # every residue works; 0 is the smallest
-        q = (a.payload // g) * pow(b.payload // g, -1, m) % m
-        return self.from_int(q)
+        return PayloadOps(
+            0, 1, lambda a, b: (a + b) % n, lambda a, b: (a - b) % n, lambda a, b: a * b % n,
+            lambda a: -a % n, lambda a: 1, partial(_zn_quo, n), partial(_zn_bezout, n),
+            lambda a: pow(_zn_unit(n, a)[0], -1, n),
+        )
 
     def jacobson_member(self, a):
         return coprime_divisor(self.n, a.payload) == 1  # every prime divides a
 
     def canonical_associate(self, a):
-        if a.payload == 0:
-            return self.one, a
-        g = math.gcd(a.payload, self.n)
-        # a/g is a unit mod n/g; the prime powers of n missing n/g take 1
-        kept = self.n // coprime_divisor(self.n, self.n // g)
-        u = crt([a.payload // g % kept, 1], [kept, self.n // kept])
+        u, g = _zn_unit(self.n, a.payload)
         return self.from_int(u), self.from_int(g)
 
     def cardinality(self):
@@ -692,35 +737,20 @@ class PrimeFieldPolynomialRing(Ring):
         k %= self.p
         return RingElement(self, (k,) if k else ())
 
-    def _add(self, a, b):
-        return RingElement(self, _padd(a.payload, b.payload, self.p))
-
-    def _neg(self, a):
-        return RingElement(self, _pneg(a.payload, self.p))
-
-    def _mul(self, a, b):
-        return RingElement(self, _pmul(a.payload, b.payload, self.p))
+    @cached_property
+    def ops(self):
+        p = self.p
+        return PayloadOps(
+            (), (1,), lambda a, b: _padd(a, b, p), lambda a, b: _psub(a, b, p),
+            lambda a, b: _pmul(a, b, p), lambda a: _pneg(a, p), len,
+            lambda a, b: _pquo(a, b, p), lambda a, b: _pbezout(a, b, p),
+            lambda a: (pow(a[-1], -1, p),) if a else (1,),
+        )
 
     def inverse(self, a):
         if len(a.payload) != 1:
             return None
         return self.from_int(pow(a.payload[0], -1, self.p))
-
-    def gcd_bezout(self, a, b):
-        p = self.p
-        g, x, y = _pxgcd(a.payload, b.payload, p)
-        if not g:
-            return BezoutData(self.zero, self.one, self.zero, self.one, self.zero)
-        a1, _ = _pdivmod(a.payload, g, p)
-        b1, _ = _pdivmod(b.payload, g, p)
-        mk = lambda cs: RingElement(self, cs)
-        return BezoutData(mk(g), mk(x), mk(y), mk(a1), mk(b1))
-
-    def exact_quotient(self, a, b):
-        if not b.payload:
-            return self.zero if not a.payload else None
-        q, r = _pdivmod(a.payload, b.payload, self.p)
-        return None if r else RingElement(self, q)
 
     def jacobson_member(self, a):
         return not a.payload

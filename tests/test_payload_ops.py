@@ -1,0 +1,162 @@
+"""Properties of the payload op tables against the element-level surface."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from edr.matrices import RingMatrix
+from edr.rings import (
+    IntegerRing,
+    ModularRing,
+    PrimeFieldPolynomialRing,
+    ProductRing,
+    RingElement,
+    TruncatedSeriesRing,
+    canonical_associate,
+    exact_quotient,
+    gcd_bezout,
+    is_unit,
+    unit_inverse,
+)
+
+Z = IntegerRing()
+GF5 = PrimeFieldPolynomialRing(5)
+# a 128-bit p*q with p = 2^64 - 59 and q = 2^64 - 83, both prime
+BIG = ModularRing((2**64 - 59) * (2**64 - 83))
+
+TABLE_RINGS = [Z, ModularRing(12), ModularRing(360), BIG, GF5, PrimeFieldPolynomialRing(2)]
+PRODUCT_RINGS = TABLE_RINGS + [
+    TruncatedSeriesRing(3),
+    ProductRing([Z, ModularRing(12), GF5]),
+]
+
+
+def elements(ring):
+    if isinstance(ring, IntegerRing):
+        return st.integers(-(2**70), 2**70).map(ring.from_int)
+    if isinstance(ring, ModularRing):
+        return st.integers(0, ring.n - 1).map(ring.from_int)
+    if isinstance(ring, PrimeFieldPolynomialRing):
+        return st.lists(st.integers(0, ring.p - 1), max_size=6).map(ring.element)
+    if isinstance(ring, TruncatedSeriesRing):
+        rest = st.lists(st.fractions(max_denominator=6), min_size=ring.order - 1, max_size=ring.order - 1)
+        return st.tuples(st.integers(-9, 9), rest).map(lambda t: ring.element([t[0], *t[1]]))
+    return st.tuples(*(elements(f) for f in ring.factors)).map(ring.element)
+
+
+@st.composite
+def matrix_pairs(draw):
+    ring = draw(st.sampled_from(PRODUCT_RINGS))
+    m, k, n = (draw(st.integers(1, 4)) for _ in range(3))
+    A = [[draw(elements(ring)) for _ in range(k)] for _ in range(m)]
+    B = [[draw(elements(ring)) for _ in range(n)] for _ in range(k)]
+    if draw(st.booleans()):  # a zero row in one factor
+        rows = draw(st.sampled_from([A, B]))
+        rows[draw(st.integers(0, len(rows) - 1))] = [ring.zero] * len(rows[0])
+    return ring, RingMatrix(ring, A), RingMatrix(ring, B)
+
+
+def element_product(A, B):
+    """The triple loop on elements, the reference for RingMatrix.__mul__."""
+    return [
+        [sum((A.entries[i][t] * B.entries[t][j] for t in range(A.cols)), A.ring.zero) for j in range(B.cols)]
+        for i in range(A.rows)
+    ]
+
+
+def plain(ring, e):
+    """e as plain Python values: ints, coefficient tuples, component tuples."""
+    if isinstance(ring, ProductRing):
+        return tuple(plain(f, c) for f, c in zip(ring.factors, e.payload))
+    return e.payload
+
+
+def plain_dot(ring, xs, ys):
+    """sum(x * y) computed on plain values, apart from edr's arithmetic."""
+    if isinstance(ring, ProductRing):
+        return tuple(
+            plain_dot(f, [x[i] for x in xs], [y[i] for y in ys]) for i, f in enumerate(ring.factors)
+        )
+    if isinstance(ring, IntegerRing):
+        return sum(x * y for x, y in zip(xs, ys))
+    if isinstance(ring, ModularRing):
+        return sum(x * y for x, y in zip(xs, ys)) % ring.n
+    size = ring.order if isinstance(ring, TruncatedSeriesRing) else 2 * max(map(len, xs + ys), default=0)
+    out = [0] * size
+    for x, y in zip(xs, ys):
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                if i + j < size:
+                    out[i + j] += xi * yj
+    if isinstance(ring, TruncatedSeriesRing):
+        return (int(out[0]), *(Fraction(c) for c in out[1:]))
+    out = [c % ring.p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_matrix_product_matches_the_element_triple_loop(case):
+    ring, A, B = case
+    C = A * B
+    assert (C.rows, C.cols) == (A.rows, B.cols)
+    assert C == RingMatrix(ring, element_product(A, B))
+    a = [[plain(ring, e) for e in row] for row in A.entries]
+    b_cols = [[plain(ring, e) for e in col] for col in zip(*B.entries)]
+    assert [[plain(ring, e) for e in row] for row in C.entries] == [
+        [plain_dot(ring, row, col) for col in b_cols] for row in a
+    ]
+
+
+@pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
+def test_one_by_one_and_zero_products(ring):
+    x = ring.from_int(7)
+    assert RingMatrix(ring, [[x]]) * RingMatrix(ring, [[x]]) == RingMatrix(ring, [[x * x]])
+    zeros = RingMatrix(ring, [[ring.zero] * 3])
+    col = RingMatrix(ring, [[x], [x], [x]])
+    assert zeros * col == RingMatrix(ring, [[ring.zero]])
+
+
+@st.composite
+def table_pairs(draw):
+    ring = draw(st.sampled_from(TABLE_RINGS))
+    return ring, draw(elements(ring)), draw(elements(ring))
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_pairs())
+def test_table_quotient_bezout_and_normal_agree_with_the_ring(case):
+    ring, a, b = case
+    ops = ring.ops
+    wrap = lambda v: RingElement(ring, v)  # noqa: E731
+
+    q = ops.quo(a.payload, b.payload)
+    expected = exact_quotient(a, b)
+    assert (q is None) == (expected is None)
+    if q is not None:
+        assert wrap(q) == expected and b * wrap(q) == a
+
+    g, x, y, a1, b1 = map(wrap, ops.bezout(a.payload, b.payload))
+    bd = gcd_bezout(a, b)
+    assert (g, x, y, a1, b1) == (bd.g, bd.x, bd.y, bd.a1, bd.b1)
+    assert bd.holds_for(a, b)
+
+    u, canonical = canonical_associate(a)
+    u_inv = wrap(ops.normal(a.payload))
+    assert is_unit(u_inv) and u_inv == unit_inverse(u)
+    assert u_inv * a == canonical
+    assert wrap(ops.mul(a.payload, b.payload)) == a * b
+    assert wrap(ops.sub(a.payload, b.payload)) == a - b
+    assert wrap(ops.add(a.payload, ops.neg(b.payload))) == a - b
+    assert bool(a.payload) == (not a.is_zero())
+
+
+def test_big_modulus_is_the_product_of_two_primes():
+    from edr.rings import is_prime
+
+    assert is_prime(2**64 - 59) and is_prime(2**64 - 83)
+    assert BIG.n.bit_length() == 128

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from edr.errors import NotUnimodular, ScaleExceeded, UnsupportedRing
 from edr.matrices import RingMatrix
+from edr.parsing import parse_ring
 from edr.reduce import (
     ReductionCertificate,
     determinantal_divisors,
@@ -23,6 +25,7 @@ from edr.rings import (
     canonical_associate,
     is_unit,
 )
+from edr.serialize import dumps, reduction_certificate_to_doc
 
 from oracles import perm_det
 
@@ -305,3 +308,37 @@ def test_matrix_det_against_leibniz():
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             M = RingMatrix.from_payloads(Z, rows)
             assert M.det().payload == perm_det(rows)
+
+
+# sha256 over the certificate documents of the seeded matrices below, joined
+# in order; recorded before the sweep moved to payload arithmetic, so any
+# change to P, D, Q or the recorded determinants shows up here
+PINNED_DOCUMENTS = {
+    "Z": "2786557ca9310fff4bacb5f74234327f7864d1fa04cc11d01c9a82a980659113",
+    "Z/360": "0a71ddc82a7410997e3d0d3d97fa119603de0ba123fd82f9044194886e74af18",
+    "GF(5)[x]": "10efc66bcf5cb68f703cbdff4c18123e1aa37697f516ce3d7d24113ded414b34",
+    "prod(Z,Z/12)": "4f22deb077f8ed36af7b241fac0e1236f5b4a559bdf2cf8fc132a58a1efc33b3",
+}
+_PIN_SHAPES = [(1, 1), (1, 4), (4, 1), (3, 5), (5, 3), (6, 6), (7, 7), (8, 8)]
+
+
+def _pin_entry(ring, rng):
+    if isinstance(ring, IntegerRing):
+        return ring.from_int(rng.randint(-9, 9))
+    if isinstance(ring, ModularRing):
+        return ring.from_int(rng.randrange(ring.n))
+    if isinstance(ring, PrimeFieldPolynomialRing):
+        return ring.element([rng.randrange(ring.p) for _ in range(rng.randint(0, 4))])
+    return ring.element(tuple(_pin_entry(f, rng) for f in ring.factors))
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_DOCUMENTS))
+def test_certificate_documents_are_pinned(spec):
+    ring = parse_ring(spec)
+    rng = random.Random(f"pin/{spec}")
+    digest = hashlib.sha256()
+    for m, n in _PIN_SHAPES:
+        A = RingMatrix(ring, [[_pin_entry(ring, rng) for _ in range(n)] for _ in range(m)])
+        cert = diagonal_reduce(A)
+        digest.update(dumps(reduction_certificate_to_doc(ring, cert)).encode())
+    assert digest.hexdigest() == PINNED_DOCUMENTS[spec]
