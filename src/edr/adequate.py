@@ -84,7 +84,7 @@ def adequate_split(a: RingElement, b: RingElement) -> AdequateSplit:
             return AdequateSplit(r, s, 1, bd)
         r = divide_exact(r, bd.g)
         s = s * bd.g
-    raise AssertionError("gcd extraction failed to terminate")
+    raise PostconditionFailed("gcd extraction failed to terminate")
 
 
 def pi_adequate_split_zn(a: RingElement, b: RingElement) -> AdequateSplit:

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    NotDivisible,
     NotIdempotent,
     NotInIdeal,
     NotPrincipal,
@@ -38,7 +37,6 @@ from .rings import (
     RingElement,
     bezout_combination,
     crt,
-    divide_exact,
     exact_quotient,
     gcd_bezout,
     is_unit,
@@ -188,10 +186,9 @@ def _completion_rows(row, d):
     if None in quotients:
         raise NotPrincipal(f"d does not divide row entry {quotients.index(None)}")
     g, coeffs = bezout_combination(row)
-    try:
-        w = divide_exact(d, g)
-    except NotDivisible as exc:
-        raise NotPrincipal("d is not an element combination of the row") from exc
+    w = exact_quotient(d, g)
+    if w is None:
+        raise NotPrincipal("d is not an element combination of the row")
     witnesses = [c * w for c in coeffs]  # sum(witnesses[i] * row[i]) == d
 
     if d.is_zero():
@@ -300,10 +297,8 @@ def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
     if e * e != e:
         raise NotIdempotent("e*e != e")
     g, _ = bezout_combination(row)
-    try:
-        divide_exact(e, g)
-    except NotDivisible as exc:
-        raise NotInIdeal("e is not in the ideal generated by the row") from exc
+    if exact_quotient(e, g) is None:
+        raise NotInIdeal("e is not in the ideal generated by the row")
 
     if isinstance(ring, ProductRing):
         parts = []

@@ -1,12 +1,24 @@
 """Diagonal reduction with invertibility certificates.
 
 The workhorse is a classical sweep: gcd row operations clear the pivot
-column, gcd column operations clear the pivot row, and the pivot strictly
-shrinks whenever the two interfere, so the alternation terminates over Z and
-GF(p)[x]. Residue rings reduce by lifting to Z and projecting the whole
-certificate back (reduction commutes with the quotient map); products reduce
-componentwise. A final pass repairs the divisibility chain and normalizes
-each diagonal entry to its canonical associate, absorbing units into P.
+column and gcd column operations clear the pivot row, alternating until
+both are clear. One sweep serves Z, GF(p)[x] and Z/n (whose entries all
+have size 1, so any nonzero entry may be the pivot). A Bezout block is
+applied only when the pivot does not divide the entry, and it replaces the
+pivot by their gcd, so the pivot's ideal strictly grows; eliminations leave
+the pivot alone. Z/n has finitely many ideals and Z and GF(p)[x] are
+Noetherian, so the alternation terminates.
+
+A final pass repairs the divisibility chain d_i | d_{i+1}. Each repair
+replaces d_i by gcd(d_i, d_{i+1}), a strictly larger ideal, and leaves
+d_1, ..., d_{i-1} as they are, so the tuple of diagonal ideals rises
+lexicographically and the pass terminates for the same reason. Then each
+diagonal entry is normalized to its canonical associate, absorbing units
+into P.
+
+Products reduce componentwise: a product's Smith form is the tuple of its
+components' forms. A direct sweep over prod(Z,Z/12) verifies too, but it
+ran 2-4x slower, and its Z part loses the Euclidean size control.
 
 The sweep, the chain repair and the normalization work on lists of raw
 payloads through the ring's PayloadOps table (rings.py). Elements appear
@@ -18,15 +30,16 @@ to P and Q has a known determinant, and the construction multiplies them up
 as it goes. A row or column swap contributes -1; a Bezout block
 [[x, y], [-b1, a1]] contributes exactly 1, because BezoutData guarantees
 x*a1 + y*b1 = 1; adding a multiple of one row or column to another
-contributes 1; scaling a row of P by a unit u^-1 contributes u^-1. Residue
-rings project the integer values and multiply in their own normalizing
-units, products pair up the component values, and the 2x2 step uses the
-closed forms of its transforms. The recorded values are checked to be units
-before a certificate is returned.
+contributes 1; scaling a row of P by a unit u^-1 contributes u^-1. Products
+pair up the component values, and the 2x2 step uses the closed forms of its
+transforms. The recorded values are checked to be units before a
+certificate is returned.
 
-The 2x2 step for a matrix [[a,0],[b,c]] with unimodular (a,b,c) goes through
-an adequate split of one entry against the other and lands on diag(1, ac) up
-to a unit; both split directions are implemented.
+kaplansky_2x2 is the paper's 2x2 step, a standalone utility that
+diagonal_reduce does not call. For a matrix [[a,0],[b,c]] with unimodular
+(a,b,c) it goes through an adequate split of one entry against the other
+and lands on diag(1, ac) up to a unit; both split directions are
+implemented.
 
 verify_reduction re-multiplies everything from scratch and recomputes both
 determinants independently (RingMatrix.det, polynomial time); it is the
@@ -127,8 +140,15 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement, branch: str = 
     """Certificate reducing [[a,0],[b,c]] to diag(1, ac) up to a unit.
 
     Requires aR + bR + cR = R. `branch` selects which entry gets the
-    adequate split: "c_to_a" (default first try), "a_to_c" for the symmetric
-    construction, or "auto" to fall back when the first is unavailable.
+    adequate split: "c_to_a" (the default; "auto" is the same) or "a_to_c"
+    for the symmetric construction.
+
+    "c_to_a" always succeeds. Let c^m = r*s be the split of c against a
+    (m = 1 outside Z/n; r is coprime to a and every prime dividing s
+    divides a). A prime p dividing both t = a + b*r and c*r divides r or s.
+    If p | r then p does not divide a, and t = a mod p is not 0. If p | s
+    then p | a, so p | b*r and p | b, and (a, b, c) is not unimodular. So
+    (t, c*r) is unimodular.
     """
     ring = a.ring
     if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing, ModularRing)):
@@ -158,13 +178,9 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement, branch: str = 
 
     if branch not in ("auto", "c_to_a", "a_to_c"):
         raise ValueError(f"unknown branch {branch!r}")
-    if branch in ("auto", "c_to_a"):
-        try:
-            return _kaplansky_c_to_a(ring, A, a, b, c)
-        except (UnsupportedRing, NotUnimodular):
-            if branch == "c_to_a":
-                raise
-    return _kaplansky_a_to_c(ring, A, a, b, c)
+    if branch == "a_to_c":
+        return _kaplansky_a_to_c(ring, A, a, b, c)
+    return _kaplansky_c_to_a(ring, A, a, b, c)
 
 
 def _kaplansky_c_to_a(ring, A, a, b, c):
@@ -342,11 +358,9 @@ def _normalize_diagonal(ring, A, P):
 def diagonal_reduce(A: RingMatrix) -> ReductionCertificate:
     """Full Smith-style reduction with certificate, any m x n shape."""
     ring = A.ring
-    if isinstance(ring, ModularRing):
-        return _reduce_modular(A)
     if isinstance(ring, ProductRing):
         return _reduce_product(A)
-    if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing)):
+    if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing, ModularRing)):
         raise UnsupportedRing(f"diagonal reduction is not supported over {ring}")
     work = A.payload_lists()
     P = RingMatrix.identity(ring, A.rows).payload_lists()
@@ -355,19 +369,6 @@ def diagonal_reduce(A: RingMatrix) -> ReductionCertificate:
     _fix_divisibility_chain(ring, work, P, Q)
     detP = detP * _normalize_diagonal(ring, work, P)
     return _make_certificate(ring, P, work, Q, detP, detQ)
-
-
-def _reduce_modular(A: RingMatrix) -> ReductionCertificate:
-    # lift to Z, reduce there, project back; P and Q stay invertible because
-    # their integer determinants are +-1 (and project to the determinants
-    # mod n), and integer divisibility descends
-    ring = A.ring
-    cert = diagonal_reduce(RingMatrix.wrap(IntegerRing(), A.payload_lists()))
-    P, D, Q = ([[e.payload % ring.n for e in row] for row in M.entries] for M in (cert.P, cert.D, cert.Q))
-    scale = _normalize_diagonal(ring, D, P)
-    detP = ring.from_int(cert.detP_unit.payload) * scale
-    detQ = ring.from_int(cert.detQ_unit.payload)
-    return _make_certificate(ring, P, D, Q, detP, detQ)
 
 
 def _reduce_product(A: RingMatrix) -> ReductionCertificate:

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -25,7 +27,7 @@ from edr.rings import (
     canonical_associate,
     is_unit,
 )
-from edr.serialize import dumps, reduction_certificate_to_doc
+from edr.serialize import dumps, matrix_to_doc, reduction_certificate_to_doc
 
 from oracles import perm_det
 
@@ -150,6 +152,30 @@ def test_kaplansky_modular():
             cert = kaplansky_2x2(ring.from_int(a), ring.from_int(b), ring.from_int(c))
             A = RingMatrix.from_payloads(ring, [[a, 0], [b, c]])
             assert verify_reduction(A, cert).ok
+
+
+def _unimodular_triples(values, gcd):
+    for a, b, c in itertools.product(values, repeat=3):
+        if gcd(gcd(a, b), c) == 1:
+            yield a, b, c
+
+
+@pytest.mark.parametrize("spec", ["Z/8", "Z/12", "Z"])
+def test_kaplansky_auto_verifies_on_every_unimodular_triple(spec):
+    # "auto" runs the c_to_a construction with no fallback; it must verify
+    # on every unimodular triple, zeros included
+    ring = parse_ring(spec)
+    if isinstance(ring, ModularRing):
+        n = ring.n
+        triples = _unimodular_triples(range(n), lambda x, y: math.gcd(x, y, n))
+    else:
+        triples = _unimodular_triples(range(-6, 7), math.gcd)
+    start = time.monotonic()
+    for a, b, c in triples:
+        cert = kaplansky_2x2(ring.from_int(a), ring.from_int(b), ring.from_int(c), branch="auto")
+        A = RingMatrix.from_payloads(ring, [[a, 0], [b, c]])
+        assert verify_reduction(A, cert).ok, (a, b, c)
+    assert time.monotonic() - start < 3.0
 
 
 def test_kaplansky_not_unimodular():
@@ -311,13 +337,16 @@ def test_matrix_det_against_leibniz():
 
 
 # sha256 over the certificate documents of the seeded matrices below, joined
-# in order; recorded before the sweep moved to payload arithmetic, so any
-# change to P, D, Q or the recorded determinants shows up here
+# in order, so any change to P, D, Q or the recorded determinants shows up
+# here. Z and GF(5)[x] were recorded before the sweep moved to payload
+# arithmetic. Z/360 and prod(Z,Z/12) were re-recorded when Z/n stopped
+# reducing through a lift to Z and went through the sweep directly: P and Q
+# changed by design, and PINNED_DIAGONALS below shows that D did not.
 PINNED_DOCUMENTS = {
     "Z": "2786557ca9310fff4bacb5f74234327f7864d1fa04cc11d01c9a82a980659113",
-    "Z/360": "0a71ddc82a7410997e3d0d3d97fa119603de0ba123fd82f9044194886e74af18",
+    "Z/360": "be1c206385b8c1ab9165072f3ab1063b065acb2a53d048b77b8c280c8bb53dd7",
     "GF(5)[x]": "10efc66bcf5cb68f703cbdff4c18123e1aa37697f516ce3d7d24113ded414b34",
-    "prod(Z,Z/12)": "4f22deb077f8ed36af7b241fac0e1236f5b4a559bdf2cf8fc132a58a1efc33b3",
+    "prod(Z,Z/12)": "5386acfb83da3e885b4e3715e332c6789145dbc8ce5cd5a606c26212cdac3d00",
 }
 _PIN_SHAPES = [(1, 1), (1, 4), (4, 1), (3, 5), (5, 3), (6, 6), (7, 7), (8, 8)]
 
@@ -342,3 +371,36 @@ def test_certificate_documents_are_pinned(spec):
         cert = diagonal_reduce(A)
         digest.update(dumps(reduction_certificate_to_doc(ring, cert)).encode())
     assert digest.hexdigest() == PINNED_DOCUMENTS[spec]
+
+
+# sha256 over D alone for the same seeded matrices, recorded while Z/n still
+# reduced through a lift to Z; D must not depend on the reduction path
+PINNED_DIAGONALS = {
+    "Z/360": "010a587c4bea07c466dfaf470a68c66284d5ec7ad0bbc712538b061c87d24f0d",
+    "Z/12": "ccef12cc14f4e3a92786c9bd0a443309a160276fb6be67f2c454afddf23d219b",
+    "prod(Z,Z/12)": "e20b33ae879c107d04ee293eacf53da28ad9881196eee20307a74dd91e2c83cc",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_DIAGONALS))
+def test_diagonals_are_pinned(spec):
+    ring = parse_ring(spec)
+    rng = random.Random(f"pin/{spec}")
+    digest = hashlib.sha256()
+    for m, n in _PIN_SHAPES:
+        A = RingMatrix(ring, [[_pin_entry(ring, rng) for _ in range(n)] for _ in range(m)])
+        digest.update(dumps(matrix_to_doc(diagonal_reduce(A).D)).encode())
+    assert digest.hexdigest() == PINNED_DIAGONALS[spec]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_reduce_modular_30x30_is_fast(seed):
+    # Z/n entries stay below n throughout the sweep, so nothing grows with
+    # the size of the matrix but the number of ring operations
+    ring = ModularRing(360)
+    rng = random.Random(seed)
+    A = RingMatrix.from_payloads(ring, [[rng.randrange(360) for _ in range(30)] for _ in range(30)])
+    start = time.monotonic()
+    cert = diagonal_reduce(A)
+    assert verify_reduction(A, cert).ok
+    assert time.monotonic() - start < 1.0
