@@ -1,17 +1,36 @@
 """Exhaustive predicate checks on finite rings plus a bounded refuter.
 
 Each check evaluates its quantified clause over every element (or tuple) of
-the ring and reports a replayable witness when the clause fails. Residue
-rings get a fast path through integer gcd tables; the generic path walks
-product rings element by element. Ideal membership aR + bR = R is decided
-through gcd(a, b, n) on residues; `pair_unimodular_by_scan` is the plain
-set-scan definition kept around so tests can pin the two against each other.
+the ring and reports a replayable witness when the clause fails. One engine
+serves every finite ring edr accepts, a product of Z/n_i (Z/n is one factor;
+nested products flatten), numbering its elements 0..N-1 in `iter_elements()`
+order. The ideal of a is fixed by its class, the tuple gcd(a_i, n_i):
+aR + bR = R iff two classes are coprime in each factor, and a is in J iff
+each gcd(a_i, n_i) is nilpotent, so the filters read classes only. An inner
+exists-y runs per factor on plain residues, as some y in prod R_i has
+phi_i(y_i) for all i iff each R_i has some y_i with phi_i(y_i). Since
+a + bR = a + gcd(b, n)R and comaximality with a depends on aR alone, the
+StableRange1 inner clause sees b, and the JStableCondition one a and c, only
+through their classes: it runs once per class of the last variable, whose
+tuples are counted by class sizes. Only a failure is walked in order, so
+`elements_scanned` and the first witness are those of the plain nested loop.
+A clause quantifying q variables (Clean 2, StableRange1 and PmRing 3,
+JStableCondition 4) is refused with ScaleExceeded when N^q > 10^8, the plain
+loop's work, which bounds the engine's.
+
+The element clauses `_*_clause` replay a witness apart from the engine;
+`pair_unimodular_by_scan` is the plain set-scan definition of aR + bR = R
+that tests pin the gcd test `pair_unimodular` against.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from operator import getitem
 
 from .errors import PreconditionFailed, ScaleExceeded, UnsupportedRing, ZeroElement
 from .rings import (
@@ -23,7 +42,6 @@ from .rings import (
     gcd_bezout,
     is_unit,
     jacobson_member,
-    radical,
 )
 
 __all__ = [
@@ -38,8 +56,6 @@ __all__ = [
 ]
 
 PREDICATES = ("StableRange1", "Clean", "PmRing", "JStableCondition")
-
-_SCAN_BOUND = 10**4
 
 
 @dataclass(frozen=True)
@@ -79,17 +95,8 @@ def pair_unimodular_by_scan(a: RingElement, b: RingElement) -> bool:
     return False
 
 
-def _require_finite(ring: Ring) -> int:
-    card = ring.cardinality()
-    if card is None:
-        raise UnsupportedRing(f"{ring} is not finite")
-    if card > _SCAN_BOUND:
-        raise ScaleExceeded(f"{card} elements exceed the scan bound {_SCAN_BOUND}")
-    return card
-
-
 # ---------------------------------------------------------------------------
-# clause evaluation (shared by the checker and witness replay)
+# clause evaluation (the independent replay of a witness)
 
 
 def _sr1_clause(ring, a, b):
@@ -141,123 +148,116 @@ def predicate_clause_holds(predicate: str, witness) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fast modular scans
+# the scan engine over an indexed finite ring
 
 
-def _modular_scan(ring: ModularRing, predicate: str):
-    n = ring.n
-    gcd_n = [math.gcd(v, n) for v in range(n)]
-    units = [v for v in range(n) if gcd_n[v] == 1]
-    unit_mask = [g == 1 for g in gcd_n]
+def _moduli(ring) -> list[int]:
+    if isinstance(ring, ProductRing):
+        return [n for f in ring.factors for n in _moduli(f)]
+    return [ring.n]
 
-    if predicate == "StableRange1":
-        scanned = 0
-        for a in range(n):
-            ga = gcd_n[a]
-            for b in range(n):
-                if math.gcd(ga, gcd_n[b]) != 1:
-                    continue
-                scanned += 1
-                if not any(unit_mask[(a + b * y) % n] for y in range(n)):
-                    return False, (a, b), scanned
+
+def _scan_elements(moduli, table):
+    # Clean, PmRing: a passes iff each residue passes in its own factor,
+    # table(n) holding the verdict of every residue mod n; all a are scanned
+    tables = [table(n) for n in moduli]
+    size = math.prod(moduli)
+    if all(map(all, tables)):
+        return True, None, size
+    residues = itertools.product(*map(range, moduli))
+    a = next(a for a, r in enumerate(residues) if not all(map(getitem, tables, r)))
+    return False, (a,), size
+
+
+def _reaches(xs, rs, gs, moduli):
+    # in each factor, some r + g*y (y mod n) is coprime to x, a divisor of n
+    return all(
+        any(math.gcd(x, r + g * y) == 1 for y in range(n)) for x, r, g, n in zip(xs, rs, gs, moduli)
+    )
+
+
+class _IdealClasses:
+    """Each element's residues and class id, each class's gcd tuple, which
+    classes are comaximal and how many elements are comaximal to each."""
+
+    def __init__(self, moduli):
+        self.moduli = moduli
+        self.residues = list(itertools.product(*map(range, moduli)))
+        ids = {}
+        self.of = [ids.setdefault(tuple(map(math.gcd, r, moduli)), len(ids)) for r in self.residues]
+        self.gcds = list(ids)
+        self.comax = [[all(math.gcd(x, y) == 1 for x, y in zip(gx, gy)) for gy in ids] for gx in ids]
+        sizes = Counter(self.of)
+        self.count = [sum(sizes[Y] for Y, ok in enumerate(row) if ok) for row in self.comax]
+
+    def scan(self, prefixes, target):
+        """Scan t + (y,) for each prefix t in order and each y comaximal to
+        p = t[-1] in order, on the clause: some p + y*z is comaximal to the
+        class target(t). (holds, first failing tuple or None, tuples scanned)"""
+        scanned, gcds, moduli = 0, self.gcds, self.moduli
+        for t in prefixes:
+            x, r, row = target(t), self.residues[t[-1]], self.comax[self.of[t[-1]]]
+            bad = {C for C, ok in enumerate(row) if ok and not _reaches(x, r, gcds[C], moduli)}
+            if bad:  # walk the tuples of this prefix up to the first failure
+                y = next(y for y, Y in enumerate(self.of) if Y in bad)
+                return False, t + (y,), scanned + sum(row[Y] for Y in self.of[: y + 1])
+            scanned += self.count[self.of[t[-1]]]
         return True, None, scanned
 
-    if predicate == "Clean":
-        idempotents = [e for e in range(n) if e * e % n == e]
-        for a in range(n):
-            if not any(unit_mask[(a - e) % n] for e in idempotents):
-                return False, (a,), n
-        return True, None, n
+    def sr1(self):
+        # (a, b) comaximal => some a + b*y is a unit: comaximal to 0, of class n
+        return self.scan([(a,) for a in range(len(self.of))], lambda t: self.moduli)
 
-    if predicate == "PmRing":
-        for a in range(n):
-            b = (1 - a) % n
-            found = False
-            for x in range(n):
-                lhs = (1 - a * x) % n
-                if lhs == 0:
-                    found = True
-                    break
-                if any((lhs * (1 - b * y)) % n == 0 for y in range(n)):
-                    found = True
-                    break
-            if not found:
-                return False, (a,), n
-        return True, None, n
-
-    if predicate == "JStableCondition":
-        rad = radical(n)
-        scanned = 0
-        for a in range(n):
-            if a % rad == 0:
-                continue  # radical members are exempt
-            ga = gcd_n[a]
-            for b in range(n):
-                gb = gcd_n[b]
-                for c in range(n):
-                    if math.gcd(gb, gcd_n[c]) != 1:
-                        continue
-                    scanned += 1
-                    if not any(
-                        math.gcd(ga, gcd_n[(b + c * y) % n]) == 1 for y in range(n)
-                    ):
-                        return False, (a, b, c), scanned
-        return True, None, scanned
-
-    raise ValueError(f"unknown predicate {predicate!r}")
+    def jstable(self):
+        # a not in J and (b, c) comaximal => some b + c*y is comaximal to a
+        gcds, of, elements = self.gcds, self.of, range(len(self.of))
+        in_j = [all(pow(g, n.bit_length(), n) == 0 for g, n in zip(gx, self.moduli)) for gx in gcds]
+        prefixes = ((a, b) for a in elements if not in_j[of[a]] for b in elements)
+        return self.scan(prefixes, lambda t: gcds[of[t[0]]])
 
 
-def _generic_scan(ring: Ring, predicate: str):
-    elements = list(ring.iter_elements())
-    if predicate == "StableRange1":
-        scanned = 0
-        for a in elements:
-            for b in elements:
-                if not pair_unimodular(a, b):
-                    continue
-                scanned += 1
-                if not _sr1_clause(ring, a, b):
-                    return False, (a, b), scanned
-        return True, None, scanned
-    if predicate == "Clean":
-        for a in elements:
-            if not _clean_clause(ring, a):
-                return False, (a,), len(elements)
-        return True, None, len(elements)
-    if predicate == "PmRing":
-        for a in elements:
-            if not _pm_clause(ring, a):
-                return False, (a,), len(elements)
-        return True, None, len(elements)
-    if predicate == "JStableCondition":
-        scanned = 0
-        for a in elements:
-            if jacobson_member(a):
-                continue
-            for b in elements:
-                for c in elements:
-                    if not pair_unimodular(b, c):
-                        continue
-                    scanned += 1
-                    if not _jstable_clause(ring, a, b, c):
-                        return False, (a, b, c), scanned
-        return True, None, scanned
-    raise ValueError(f"unknown predicate {predicate!r}")
+def _clean_table(n):
+    # some idempotent e with a - e a unit
+    idempotents = [e for e in range(n) if e * e % n == e]
+    return [any(math.gcd(a - e, n) == 1 for e in idempotents) for a in range(n)]
+
+
+def _pm_holds(a, n):
+    # some x, y with (1 - a*x)(1 - (1 - a)*y) = 0
+    b = 1 - a
+    for x in range(n):
+        lhs = (1 - a * x) % n
+        if lhs == 0 or any(lhs * (1 - b * y) % n == 0 for y in range(n)):
+            return True
+    return False
+
+
+# each predicate's scan and the number of variables its clause quantifies
+_SCANS = {
+    "StableRange1": (3, lambda moduli: _IdealClasses(moduli).sr1()),
+    "Clean": (2, partial(_scan_elements, table=_clean_table)),
+    "PmRing": (3, partial(_scan_elements, table=lambda n: [_pm_holds(a, n) for a in range(n)])),
+    "JStableCondition": (4, lambda moduli: _IdealClasses(moduli).jstable()),
+}
 
 
 def check_finite_predicate(ring: Ring, predicate: str) -> PredicateReport:
     """Exhaustively evaluate one of StableRange1, Clean, PmRing,
-    JStableCondition over a finite ring (at most 10^4 elements)."""
-    if predicate not in PREDICATES:
+    JStableCondition over a finite ring of N elements. A clause that
+    quantifies q variables is refused with ScaleExceeded when N^q > 10^8."""
+    if predicate not in _SCANS:
         raise ValueError(f"unknown predicate {predicate!r}")
-    _require_finite(ring)
-    if isinstance(ring, ModularRing):
-        holds, witness, scanned = _modular_scan(ring, predicate)
-        wit = tuple(ring.from_int(v) for v in witness) if witness else None
-    else:
-        holds, witness, scanned = _generic_scan(ring, predicate)
-        wit = witness
-    return PredicateReport(predicate, holds, wit, scanned)
+    card = ring.cardinality()
+    if card is None:
+        raise UnsupportedRing(f"{ring} is not finite")
+    q, scan = _SCANS[predicate]
+    if card**q > 10**8:
+        raise ScaleExceeded(f"{predicate} on {card} elements: {card}^{q} exceeds the bound 10^8")
+    holds, witness, scanned = scan(_moduli(ring))
+    if witness is not None:
+        elements = list(ring.iter_elements())
+        witness = tuple(elements[i] for i in witness)
+    return PredicateReport(predicate, holds, witness, scanned)
 
 
 def check_clean_quotient(a: RingElement) -> PredicateReport:
@@ -268,8 +268,6 @@ def check_clean_quotient(a: RingElement) -> PredicateReport:
     v = abs(a.payload)
     if v == 0:
         raise ZeroElement("the quotient by zero is not finite")
-    if v > _SCAN_BOUND:
-        raise ScaleExceeded(f"|a| = {v} exceeds {_SCAN_BOUND}")
     if v == 1:
         return PredicateReport("Clean", True, None, 1, note="zero ring, vacuous")
     return check_finite_predicate(ModularRing(v), "Clean")

@@ -53,7 +53,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "coprime_divisor",
-    "radical",
     "crt",
     "int_to_decimal",
     "int_from_decimal",
@@ -232,11 +231,6 @@ def int_from_decimal(digits: str) -> int:
         return int(digits)
     k = len(digits) // 2
     return int_from_decimal(digits[:-k]) * 10**k + int_from_decimal(digits[-k:])
-
-
-def radical(n: int) -> int:
-    """The product of the distinct primes of n (through factorize)."""
-    return math.prod(factorize(n))
 
 
 def crt(residues, moduli) -> int:

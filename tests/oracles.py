@@ -126,3 +126,63 @@ def sieve_factorizations(limit):
         f[spf[n]] = f.get(spf[n], 0) + 1
         out.append(f)
     return out
+
+
+def brute_predicate_scan(ring, predicate):
+    """(holds, elements_scanned) of one finite-ring predicate by the plain
+    nested loops of its clause, over Cayley tables built with RingElement
+    arithmetic: a unit is an element with a multiple equal to one, aR + bR = R
+    iff some a*x + b*y is one, and a lies in J iff 1 - a*x is a unit for
+    every x. Counts as the checker does: Clean and PmRing every a,
+    StableRange1 the comaximal pairs (a, b), JStableCondition the triples
+    with a outside J and (b, c) comaximal."""
+    elements = list(ring.iter_elements())
+    index = {e: i for i, e in enumerate(elements)}
+    size = len(elements)
+    add = [[index[x + y] for y in elements] for x in elements]
+    mul = [[index[x * y] for y in elements] for x in elements]
+    zero, one = index[ring.zero], index[ring.one]
+    sub = [[row.index(x) for row in add] for x in range(size)]  # sub[x][y] = x - y
+    units = {x for x in range(size) if one in mul[x]}
+    ideal = [frozenset(row) for row in mul]
+    comaximal = [
+        [any(sub[one][u] in ideal[a] for u in ideal[b]) for b in range(size)]
+        for a in range(size)
+    ]
+    elems = range(size)
+
+    if predicate == "Clean":
+        idempotents = [e for e in elems if mul[e][e] == e]
+        holds = all(any(sub[a][e] in units for e in idempotents) for a in elems)
+        return holds, size
+    if predicate == "PmRing":
+        holds = all(
+            any(
+                mul[sub[one][mul[a][x]]][sub[one][mul[sub[one][a]][y]]] == zero
+                for x in elems
+                for y in elems
+            )
+            for a in elems
+        )
+        return holds, size
+    scanned = 0
+    if predicate == "StableRange1":
+        for a in elems:
+            for b in elems:
+                if comaximal[a][b]:
+                    scanned += 1
+                    if not any(add[a][mul[b][y]] in units for y in elems):
+                        return False, scanned
+        return True, scanned
+    if predicate == "JStableCondition":
+        for a in elems:
+            if all(sub[one][mul[a][x]] in units for x in elems):
+                continue  # a lies in J
+            for b in elems:
+                for c in elems:
+                    if comaximal[b][c]:
+                        scanned += 1
+                        if not any(comaximal[a][add[b][mul[c][y]]] for y in elems):
+                            return False, scanned
+        return True, scanned
+    raise ValueError(f"unknown predicate {predicate!r}")

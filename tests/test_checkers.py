@@ -3,14 +3,19 @@
 Every finite commutative ring here is a product of local rings, so the four
 predicates genuinely hold on every Z/n; the false branch of the report is
 reachable only through the bounded refuter over infinite products, whose
-witness gets re-verified by direct componentwise gcd below.
+witness gets re-verified by direct componentwise gcd below. One engine scans
+Z/n and products alike; it is checked against the brute RingElement scan of
+`oracles.brute_predicate_scan`, its documents are pinned, and its
+failure walk (unreachable on real rings) is checked on its own.
 """
 
+import hashlib
 import itertools
 import math
 
 import pytest
 
+from edr import checkers
 from edr.checkers import (
     PREDICATES,
     bounded_refute_sr1,
@@ -21,7 +26,10 @@ from edr.checkers import (
     predicate_clause_holds,
 )
 from edr.errors import PreconditionFailed, ScaleExceeded, UnsupportedRing
-from edr.rings import IntegerRing, ModularRing, ProductRing
+from edr.parsing import parse_ring
+from edr.rings import IntegerRing, ModularRing, ProductRing, jacobson_member
+from edr.serialize import dumps, predicate_report_to_doc
+from oracles import brute_predicate_scan
 
 Z = IntegerRing()
 ZxZ = ProductRing([Z, Z])
@@ -38,7 +46,8 @@ def test_predicate_examples():
 
 
 def test_predicates_on_products_cross_validate():
-    # Z/2 x Z/3 is isomorphic to Z/6, so the two paths must agree
+    # Z/2 x Z/3 is isomorphic to Z/6, so the engine's verdicts on the two
+    # presentations must agree
     prod = ProductRing([ModularRing(2), ModularRing(3)])
     flat = ModularRing(6)
     for pred in PREDICATES:
@@ -167,3 +176,75 @@ def test_jstable_condition_up_to_100():
     for n in range(2, 101):
         rep = check_finite_predicate(ModularRing(n), "JStableCondition")
         assert rep.holds, n
+
+
+# every two-factor product of Z/m with N <= 30, a three-factor product and a
+# nested one, which the engine flattens in iteration order
+_PRODUCTS = [f"prod(Z/{m},Z/{k})" for m in range(2, 16) for k in range(2, 30 // m + 1)] + [
+    "prod(Z/2,Z/2,Z/3)",
+    "prod(prod(Z/2,Z/3),Z/4)",
+]
+
+
+@pytest.mark.parametrize("predicate", PREDICATES)
+def test_engine_matches_the_brute_scan(predicate):
+    for spec in [f"Z/{n}" for n in range(2, 31)] + _PRODUCTS:
+        ring = parse_ring(spec)
+        rep = check_finite_predicate(ring, predicate)
+        assert (rep.holds, rep.elements_scanned) == brute_predicate_scan(ring, predicate), spec
+
+
+# sha256 over the predicate-report documents of all four predicates,
+# recorded while Z/n and products still had separate scans
+PINNED_REPORTS = {
+    "Z/n": "820b9c8bddad75c4e3fb0b9bd31f1a84a6992290941ef8af0347a887dec1dbc7",
+    "products": "96732301dc98357591001d534aa53c43ad70acfd38cb27e51445b5cb66032c25",
+}
+_PIN_SPECS = {"Z/n": [f"Z/{n}" for n in range(2, 41)], "products": _PRODUCTS}
+
+
+@pytest.mark.parametrize("group", sorted(PINNED_REPORTS))
+def test_predicate_reports_are_pinned(group):
+    digest = hashlib.sha256()
+    for spec in _PIN_SPECS[group]:
+        ring = parse_ring(spec)
+        for predicate in PREDICATES:
+            doc = predicate_report_to_doc(ring, check_finite_predicate(ring, predicate))
+            digest.update(dumps(doc).encode())
+    assert digest.hexdigest() == PINNED_REPORTS[group]
+
+
+def test_failure_walk_finds_the_first_tuple_in_order(monkeypatch):
+    # no finite ring fails a predicate, so failures are injected: the engine
+    # must report the first failing tuple in iteration order and its count
+    ring = parse_ring("prod(prod(Z/2,Z/3),Z/4)")
+    elements = list(ring.iter_elements())
+    fake = lambda n: [r != 1 for r in range(n)] if n == 4 else [True] * n
+    monkeypatch.setitem(
+        checkers._SCANS, "Clean", (2, lambda moduli: checkers._scan_elements(moduli, fake))
+    )
+    rep = check_finite_predicate(ring, "Clean")
+    first = next(e for e in elements if e.payload[1].payload == 1)
+    assert not rep.holds and rep.witness == (first,) and rep.elements_scanned == 24
+
+    # a failure on every tuple whose last element has the ideal class g in
+    # the Z/4 factor, against the plain nested loop over elements
+    def z4_class(e):
+        return math.gcd(e.payload[1].payload, 4)
+
+    def first_failure(predicate, g):
+        count = 0
+        for t in itertools.product(elements, repeat=2 if predicate == "StableRange1" else 3):
+            if predicate == "JStableCondition" and jacobson_member(t[0]):
+                continue
+            if pair_unimodular(t[-2], t[-1]):
+                count += 1
+                if z4_class(t[-1]) == g:
+                    return t, count
+
+    for g in (1, 2, 4):
+        monkeypatch.setattr(checkers, "_reaches", lambda xs, rs, gs, moduli: gs[2] != g)
+        for predicate in ("StableRange1", "JStableCondition"):
+            rep = check_finite_predicate(ring, predicate)
+            assert not rep.holds
+            assert (rep.witness, rep.elements_scanned) == first_failure(predicate, g)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -344,3 +345,12 @@ def test_oversized_series_order_is_refused_before_parsing_elements(capsys, tmp_p
     assert code == 2
     assert json.loads(out)["error"] == "ScaleExceeded"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("predicate", ["JStableCondition", "StableRange1", "PmRing"])
+def test_check_past_the_work_bound_is_refused_at_once(capsys, predicate):
+    # N^q > 10^8 for these clauses on 9973 elements; the scan would not end
+    start = time.monotonic()
+    code, out, _ = run(capsys, "check", "--ring", "Z/9973", "--predicate", predicate)
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and json.loads(out)["error"] == "ScaleExceeded"
