@@ -223,13 +223,11 @@ def _clean_table(n):
 
 
 def _pm_holds(a, n):
-    # some x, y with (1 - a*x)(1 - (1 - a)*y) = 0
+    # some x, y with (1 - a*x)(1 - (1 - a)*y) = 0; for a given x a y exists
+    # iff 1 - a is a unit modulo n / gcd(1 - a*x, n), which is 1 when
+    # 1 - a*x = 0
     b = 1 - a
-    for x in range(n):
-        lhs = (1 - a * x) % n
-        if lhs == 0 or any(lhs * (1 - b * y) % n == 0 for y in range(n)):
-            return True
-    return False
+    return any(math.gcd(b, n // math.gcd(1 - a * x, n)) == 1 for x in range(n))
 
 
 # each predicate's scan and the number of variables its clause quantifies

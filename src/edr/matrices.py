@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .errors import DescriptorMismatch
+from .errors import DescriptorMismatch, PostconditionFailed
 from .rings import IntegerRing, ModularRing, PayloadOps, ProductRing, Ring, RingElement
 
 __all__ = ["RingMatrix"]
@@ -161,7 +161,8 @@ def _bareiss(a, ops: PayloadOps):
 
     After step k every entry of the trailing block is the (k+1) x (k+1)
     minor on the leading pivot rows and columns bordered by that entry, so
-    the division by the previous pivot is exact."""
+    the division by the previous pivot is exact; a remainder raises
+    PostconditionFailed rather than yield a wrong determinant."""
     n = len(a)
     negate = False
     prev = None  # the previous pivot; None stands for 1
@@ -183,7 +184,10 @@ def _bareiss(a, ops: PayloadOps):
             else:
                 new = [ops.mul(pivot, row[j]) for j in range(k + 1, n)]
             if prev is not None:
-                new = [ops.quo(v, prev) for v in new]
+                qr = [ops.div(v, prev) for v in new]
+                if any(r for _, r in qr):
+                    raise PostconditionFailed("Bareiss division left a remainder")
+                new = [q for q, _ in qr]
             row[k + 1 :] = new
         prev = pivot
     d = a[n - 1][n - 1]

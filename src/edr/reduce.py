@@ -1,20 +1,25 @@
 """Diagonal reduction with invertibility certificates.
 
-The workhorse is a classical sweep: gcd row operations clear the pivot
-column and gcd column operations clear the pivot row, alternating until
-both are clear. One sweep serves Z, GF(p)[x] and Z/n (whose entries all
-have size 1, so any nonzero entry may be the pivot). A Bezout block is
-applied only when the pivot does not divide the entry, and it replaces the
-pivot by their gcd, so the pivot's ideal strictly grows; eliminations leave
-the pivot alone. Z/n has finitely many ideals and Z and GF(p)[x] are
-Noetherian, so the alternation terminates.
+The workhorse is a sweep with one elimination rule, Euclid's (Kannan &
+Bachem, SIAM J. Comput. 8(4), 1979): divide each entry below the pivot by
+the pivot with remainder, subtract the quotient times the pivot row, and
+swap the smallest nonzero remainder into the pivot slot; repeat until the
+pivot divides its column, then do the same along its row. The division is
+the ring's PayloadOps.div, whose remainder is smaller than the divisor in
+the ring's size: |a| over Z (the quotient is rounded, so |r| <= |b|/2), the
+number of coefficients over GF(p)[x], and gcd(a, n) over Z/n (r = a mod
+gcd(b, n), so gcd(r, n) <= r < gcd(b, n)). Every new pivot is a remainder
+of the one before, so the pivot's size strictly falls and the sweep
+terminates. One sweep serves Z, GF(p)[x] and Z/n with no branch on the
+ring.
 
-A final pass repairs the divisibility chain d_i | d_{i+1}. Each repair
-replaces d_i by gcd(d_i, d_{i+1}), a strictly larger ideal, and leaves
-d_1, ..., d_{i-1} as they are, so the tuple of diagonal ideals rises
-lexicographically and the pass terminates for the same reason. Then each
-diagonal entry is normalized to its canonical associate, absorbing units
-into P.
+A final pass repairs the divisibility chain d_i | d_{i+1}, the only place
+here that applies a Bezout block. Each repair replaces d_i by
+gcd(d_i, d_{i+1}), a strictly larger ideal, and leaves d_1, ..., d_{i-1} as
+they are, so the tuple of diagonal ideals rises lexicographically; Z/n has
+finitely many ideals and Z and GF(p)[x] are Noetherian, so the pass
+terminates. Then each diagonal entry is normalized to its canonical
+associate, absorbing units into P.
 
 Products reduce componentwise: a product's Smith form is the tuple of its
 components' forms. A direct sweep over prod(Z,Z/12) verifies too, but it
@@ -237,17 +242,6 @@ def _sub_cols(ops, mats, j, k, q):
             row[j] = sub(row[j], mul(q, row[k]))
 
 
-def _bezout_rows(ops, mats, k, i, bd):
-    """Rows k, i become x*row k + y*row i and a1*row i - b1*row k."""
-    _, x, y, a1, b1 = bd
-    add, sub, mul = ops.add, ops.sub, ops.mul
-    for R in mats:
-        R[k], R[i] = (
-            [add(mul(x, u), mul(y, v)) for u, v in zip(R[k], R[i])],
-            [sub(mul(a1, v), mul(b1, u)) for u, v in zip(R[k], R[i])],
-        )
-
-
 def _bezout_cols(ops, mats, k, j, bd):
     """Columns k, j become x*col k + y*col j and a1*col j - b1*col k."""
     _, x, y, a1, b1 = bd
@@ -263,56 +257,45 @@ def _swap_cols(rows, i, j):
         row[i], row[j] = row[j], row[i]
 
 
-def _clear_pivot_column(ops, A, P, k):
-    for i in range(k + 1, len(A)):
-        if A[i][k]:
-            q = ops.quo(A[i][k], A[k][k])
-            if q is not None:
-                _sub_rows(ops, (A, P), i, k, q)
-            else:
-                _bezout_rows(ops, (A, P), k, i, ops.bezout(A[k][k], A[i][k]))
-
-
-def _clear_pivot_row(ops, A, Q, k):
-    for j in range(k + 1, len(A[0])):
-        if A[k][j]:
-            q = ops.quo(A[k][j], A[k][k])
-            if q is not None:
-                _sub_cols(ops, (A, Q), j, k, q)
-            else:
-                _bezout_cols(ops, (A, Q), k, j, ops.bezout(A[k][k], A[k][j]))
-
-
 def _sweep(ring, A, P, Q):
     """Diagonalize the payload rows A in place, applying the row steps to P
     and the column steps to Q; returns the determinants of the steps,
     (det P, det Q), as ring elements.
 
-    Only the pivot swaps change them: the gcd blocks and the eliminations
-    in _clear_pivot_column and _clear_pivot_row have determinant 1."""
+    Each round swaps the smallest nonzero candidate into the pivot slot and
+    divides the entries below it by the pivot, subtracting the quotients;
+    the remainders left are the next candidates. Once the column is clear,
+    the entries to the right are divided the same way. Only the swaps change
+    det P and det Q: the eliminations have determinant 1."""
     ops = ring.ops
     m, n = len(A), len(A[0])
     detP = detQ = ring.one
     for k in range(min(m, n)):
-        nonzero = [(i, j) for i in range(k, m) for j in range(k, n) if A[i][j]]
-        if not nonzero:
+        cells = [(i, j) for i in range(k, m) for j in range(k, n) if A[i][j]]
+        if not cells:
             break  # trailing block is zero; remaining diagonal entries stay 0
-        bi, bj = min(nonzero, key=lambda ij: ops.size(A[ij[0]][ij[1]]))
-        if bi != k:
-            A[k], A[bi] = A[bi], A[k]
-            P[k], P[bi] = P[bi], P[k]
-            detP = -detP
-        if bj != k:
-            _swap_cols(A, k, bj)
-            _swap_cols(Q, k, bj)
-            detQ = -detQ
-        while True:
-            if any(A[i][k] for i in range(k + 1, m)):
-                _clear_pivot_column(ops, A, P, k)
-            if any(A[k][j] for j in range(k + 1, n)):
-                _clear_pivot_row(ops, A, Q, k)
-            if not any(A[i][k] for i in range(k + 1, m)) and not any(A[k][j] for j in range(k + 1, n)):
-                break
+        while cells:
+            bi, bj = min(cells, key=lambda ij: ops.size(A[ij[0]][ij[1]]))
+            if bi != k:
+                A[k], A[bi] = A[bi], A[k]
+                P[k], P[bi] = P[bi], P[k]
+                detP = -detP
+            if bj != k:
+                _swap_cols(A, k, bj)
+                _swap_cols(Q, k, bj)
+                detQ = -detQ
+            pivot = A[k][k]
+            for i in range(k + 1, m):
+                q = ops.div(A[i][k], pivot)[0]
+                if q:
+                    _sub_rows(ops, (A, P), i, k, q)
+            cells = [(i, k) for i in range(k + 1, m) if A[i][k]]
+            if not cells:
+                for j in range(k + 1, n):
+                    q = ops.div(A[k][j], pivot)[0]
+                    if q:
+                        _sub_cols(ops, (A, Q), j, k, q)
+                cells = [(k, j) for j in range(k + 1, n) if A[k][j]]
     return detP, detQ
 
 
@@ -326,13 +309,13 @@ def _fix_divisibility_chain(ring, A, P, Q):
         changed = False
         for i in range(r - 1):
             a, b = A[i][i], A[i + 1][i + 1]
-            if not b or ops.quo(b, a) is not None:
+            if not b or not ops.div(b, a)[1]:
                 continue  # d | 0 always
             _sub_rows(ops, (A, P), i, i + 1, ops.neg(ops.one))  # row i += row i+1
             bd = ops.bezout(a, b)
             _bezout_cols(ops, (A, Q), i, i + 1, bd)
-            q = ops.quo(A[i + 1][i], A[i][i])  # g divides y*b
-            if q is None:
+            q, rem = ops.div(A[i + 1][i], A[i][i])  # g divides y*b
+            if rem:
                 raise PostconditionFailed("chain repair left an inexact quotient")
             _sub_rows(ops, (A, P), i + 1, i, q)
             changed = True

@@ -251,19 +251,26 @@ def crt(residues, moduli) -> int:
 
 # A ring's arithmetic on raw payloads, for loops that would otherwise wrap
 # every intermediate value in a RingElement. Zero payloads are falsy and
-# every result is canonical. `size` ranks pivot candidates; `quo(a, b)` is
-# exact_quotient's payload, or None when b does not divide a; `bezout(a, b)`
-# is the payloads (g, x, y, a1, b1) of gcd_bezout's BezoutData; `normal(a)`
-# is the inverse of the unit canonical_associate splits off, so
-# normal(a) * a is canonical.
-PayloadOps = namedtuple("PayloadOps", "zero one add sub mul neg size quo bezout normal")
+# every result is canonical. `div(a, b)` is a division with remainder,
+# (q, r) with a = q*b + r, r zero iff b divides a (and then q is
+# exact_quotient's payload), size(r) < size(b) for b != 0, and
+# div(a, 0) = (0, a); `size` ranks pivot candidates: |a| over Z (the quotient
+# is rounded, so |r| <= |b|/2), the number of coefficients over GF(p)[x], and
+# gcd(a, n) over Z/n, 0 for a = 0 (r = a mod gcd(b, n), so
+# gcd(r, n) <= r < gcd(b, n)).
+# `bezout(a, b)` is the payloads (g, x, y, a1, b1) of gcd_bezout's
+# BezoutData; `normal(a)` is the inverse of the unit canonical_associate
+# splits off, so normal(a) * a is canonical.
+PayloadOps = namedtuple("PayloadOps", "zero one add sub mul neg size div bezout normal")
 
 
-def _int_quo(a, b):
+def _int_div(a, b):
     if not b:
-        return None if a else 0
+        return 0, a
     q, r = divmod(a, b)
-    return None if r else q
+    if 2 * abs(r) > abs(b):  # round to the nearest quotient
+        return q + 1, r - b
+    return q, r
 
 
 def _int_bezout(a, b):
@@ -275,19 +282,19 @@ def _int_bezout(a, b):
 
 _INT_OPS = PayloadOps(
     0, 1, operator.add, operator.sub, operator.mul, operator.neg, abs,
-    _int_quo, _int_bezout, lambda a: -1 if a < 0 else 1,
+    _int_div, _int_bezout, lambda a: -1 if a < 0 else 1,
 )
 
 
-def _zn_quo(n, a, b):
-    """The smallest residue q with b*q = a (mod n), or None."""
+def _zn_div(n, a, b):
+    """(q, r) with r = a mod gcd(b, n) and q the smallest residue with
+    b*q = a - r (mod n)."""
     g = math.gcd(b, n)
-    if a % g:
-        return None
+    r = a % g
     m = n // g
     if m == 1:
-        return 0  # every residue works; 0 is the smallest
-    return (a // g) * pow(b // g, -1, m) % m
+        return 0, r  # every residue works; 0 is the smallest
+    return (a - r) // g * pow(b // g, -1, m) % m, r
 
 
 def _zn_bezout(n, a, b):
@@ -368,13 +375,6 @@ def _pdivmod(a, b, p):
             for j, bj in enumerate(b):
                 a[i + j] = (a[i + j] - c * bj) % p
     return _ptrim(q), _ptrim(a)
-
-
-def _pquo(a, b, p):
-    if not b:
-        return None if a else ()
-    q, r = _pdivmod(a, b, p)
-    return None if r else q
 
 
 def _pbezout(a, b, p):
@@ -580,8 +580,8 @@ class Ring:
 
     def exact_quotient(self, a: RingElement, b: RingElement) -> RingElement | None:
         """A q with b*q = a, or None when b does not divide a."""
-        q = self.ops.quo(a.payload, b.payload)
-        return None if q is None else RingElement(self, q)
+        q, r = self.ops.div(a.payload, b.payload)
+        return None if r else RingElement(self, q)
 
     def divide_exact(self, a: RingElement, b: RingElement) -> RingElement:
         q = self.exact_quotient(a, b)
@@ -683,8 +683,8 @@ class ModularRing(Ring):
         n = self.n
         return PayloadOps(
             0, 1, lambda a, b: (a + b) % n, lambda a, b: (a - b) % n, lambda a, b: a * b % n,
-            lambda a: -a % n, lambda a: 1, partial(_zn_quo, n), partial(_zn_bezout, n),
-            lambda a: pow(_zn_unit(n, a)[0], -1, n),
+            lambda a: -a % n, lambda a: a and math.gcd(a, n), partial(_zn_div, n),
+            partial(_zn_bezout, n), lambda a: pow(_zn_unit(n, a)[0], -1, n),
         )
 
     def jacobson_member(self, a):
@@ -737,7 +737,7 @@ class PrimeFieldPolynomialRing(Ring):
         return PayloadOps(
             (), (1,), lambda a, b: _padd(a, b, p), lambda a, b: _psub(a, b, p),
             lambda a, b: _pmul(a, b, p), lambda a: _pneg(a, p), len,
-            lambda a, b: _pquo(a, b, p), lambda a, b: _pbezout(a, b, p),
+            lambda a, b: _pdivmod(a, b, p) if b else ((), a), lambda a, b: _pbezout(a, b, p),
             lambda a: (pow(a[-1], -1, p),) if a else (1,),
         )
 

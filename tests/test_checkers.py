@@ -86,6 +86,14 @@ def test_fast_ideal_test_agrees_with_scan():
             assert pair_unimodular(a, b) == pair_unimodular_by_scan(a, b)
 
 
+def test_pm_gcd_test_agrees_with_the_double_loop():
+    for n in range(2, 121):
+        for a in range(n):
+            b = 1 - a
+            loop = any((1 - a * x) * (1 - b * y) % n == 0 for x in range(n) for y in range(n))
+            assert checkers._pm_holds(a, n) == loop, (a, n)
+
+
 def test_clean_quotient_examples():
     assert check_clean_quotient(Z.from_int(12)).holds
     rep = check_clean_quotient(Z.one)

@@ -287,18 +287,22 @@ def test_verify_non_square_completion_is_a_failed_check(capsys, tmp_path):
 
 
 def test_reduce_and_verify_integers_beyond_the_digit_limit(capsys, tmp_path):
-    # the 24x24 Z certificate carries entries of about 94000 bits
+    # entries of 4401 digits, past Python's 4300-digit int<->str limit, both
+    # in the matrix read and in the certificate written
     import random
 
     rng = random.Random(24)
-    rows = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
-    mat = tmp_path / "m24.txt"
-    mat.write_text("ring: Z\nshape: 24 24\n" + "\n".join(" ".join(map(str, r)) for r in rows) + "\n",
-                   encoding="utf-8")
-    cert = tmp_path / "c24.json"
+    digits = "0123456789"
+    rows = [
+        [rng.choice(("", "-")) + rng.choice(digits[1:]) + "".join(rng.choices(digits, k=4400)) for _ in range(3)]
+        for _ in range(3)
+    ]
+    mat = tmp_path / "m3.txt"
+    mat.write_text("ring: Z\nshape: 3 3\n" + "\n".join(map(" ".join, rows)) + "\n", encoding="utf-8")
+    cert = tmp_path / "c3.json"
     assert run(capsys, "reduce", "--matrix", str(mat), "--out", str(cert))[0] == 0
     doc = json.loads(cert.read_text())
-    assert max(len(lit) for row in doc["P"]["rows"] for lit in row) > 4300
+    assert max(len(lit) for key in "PDQ" for row in doc[key]["rows"] for lit in row) > 4300
     code, out, _ = run(capsys, "verify", "--matrix", str(mat), "--cert", str(cert))
     assert code == 0 and json.loads(out)["ok"] is True
 

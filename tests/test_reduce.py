@@ -338,15 +338,14 @@ def test_matrix_det_against_leibniz():
 
 # sha256 over the certificate documents of the seeded matrices below, joined
 # in order, so any change to P, D, Q or the recorded determinants shows up
-# here. Z and GF(5)[x] were recorded before the sweep moved to payload
-# arithmetic. Z/360 and prod(Z,Z/12) were re-recorded when Z/n stopped
-# reducing through a lift to Z and went through the sweep directly: P and Q
-# changed by design, and PINNED_DIAGONALS below shows that D did not.
+# here. All four were re-recorded when the sweep's Bezout-block fallback gave
+# way to division with remainder: P and Q changed by design, and
+# PINNED_DIAGONALS below shows that D did not.
 PINNED_DOCUMENTS = {
-    "Z": "2786557ca9310fff4bacb5f74234327f7864d1fa04cc11d01c9a82a980659113",
-    "Z/360": "be1c206385b8c1ab9165072f3ab1063b065acb2a53d048b77b8c280c8bb53dd7",
-    "GF(5)[x]": "10efc66bcf5cb68f703cbdff4c18123e1aa37697f516ce3d7d24113ded414b34",
-    "prod(Z,Z/12)": "5386acfb83da3e885b4e3715e332c6789145dbc8ce5cd5a606c26212cdac3d00",
+    "Z": "7e691fc5ad6e08246722b0615d4d9e2e96d02528fe45a88ddee98cce090527a4",
+    "Z/360": "59f8fada43a493a99722e5a1927b1f33955229886acfbfc34791f14a5043b6f1",
+    "GF(5)[x]": "c1aa2e898b7b0a56d8d797089321bccce32832868ab98faba62af1c7205e86a1",
+    "prod(Z,Z/12)": "ebb0fc2583d84b70b8eccba1c6490c61be37d0f930b1f60890d09c9315ef78cb",
 }
 _PIN_SHAPES = [(1, 1), (1, 4), (4, 1), (3, 5), (5, 3), (6, 6), (7, 7), (8, 8)]
 
@@ -373,9 +372,13 @@ def test_certificate_documents_are_pinned(spec):
     assert digest.hexdigest() == PINNED_DOCUMENTS[spec]
 
 
-# sha256 over D alone for the same seeded matrices, recorded while Z/n still
-# reduced through a lift to Z; D must not depend on the reduction path
+# sha256 over D alone for the same seeded matrices; D must not depend on the
+# reduction path. Z/360, Z/12 and prod(Z,Z/12) were recorded while Z/n still
+# reduced through a lift to Z, Z and GF(5)[x] while the sweep still fell back
+# to a Bezout block whenever the pivot did not divide an entry.
 PINNED_DIAGONALS = {
+    "Z": "39d118dc9d35789958fef6b4f229722d2e8206c49158fb3eb6f6346dd4b30986",
+    "GF(5)[x]": "5c74c6d7c9c666a02ff657fc17d33de262694c6f838bec51df09e0f0e36d1c41",
     "Z/360": "010a587c4bea07c466dfaf470a68c66284d5ec7ad0bbc712538b061c87d24f0d",
     "Z/12": "ccef12cc14f4e3a92786c9bd0a443309a160276fb6be67f2c454afddf23d219b",
     "prod(Z,Z/12)": "e20b33ae879c107d04ee293eacf53da28ad9881196eee20307a74dd91e2c83cc",
@@ -404,3 +407,58 @@ def test_reduce_modular_30x30_is_fast(seed):
     cert = diagonal_reduce(A)
     assert verify_reduction(A, cert).ok
     assert time.monotonic() - start < 1.0
+
+
+# P and Q stay small only while the sweep eliminates by division with
+# remainder: a Bezout block on every inexact entry left P/Q entries of
+# millions of bits on dense Z 40x40 and up to 1541 coefficients on
+# GF(5)[x] 12x12.
+
+
+def _dense_entry(ring, rng):
+    """The benchmark's dense entries: Z in [-9, 9], Z/n uniform, GF(p)[x]
+    of exact degree 3."""
+    if isinstance(ring, IntegerRing):
+        return ring.from_int(rng.randint(-9, 9))
+    if isinstance(ring, ModularRing):
+        return ring.from_int(rng.randrange(ring.n))
+    return ring.element([rng.randrange(ring.p) for _ in range(3)] + [rng.randrange(1, ring.p)])
+
+
+def _dense(ring, rng, n):
+    return RingMatrix(ring, [[_dense_entry(ring, rng) for _ in range(n)] for _ in range(n)])
+
+
+def _largest_transform_entry(cert, size):
+    return max(size(e.payload) for M in (cert.P, cert.Q) for row in M.entries for e in row)
+
+
+def test_dense_integer_40x40_stays_small_and_fast():
+    A = _dense(Z, random.Random(40), 40)
+    start = time.monotonic()
+    cert = diagonal_reduce(A)
+    assert verify_reduction(A, cert).ok
+    assert time.monotonic() - start < 5.0
+    assert _largest_transform_entry(cert, lambda v: abs(v).bit_length()) < 4000
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_dense_gf5_12x12_transforms_stay_short(seed):
+    A = _dense(GF5, random.Random(seed), 12)
+    cert = diagonal_reduce(A)
+    assert verify_reduction(A, cert).ok
+    assert _largest_transform_entry(cert, len) < 200
+
+
+def test_gf5_8x8_that_once_grew_to_394_coefficients():
+    # the ninth GF(5)[x] 8x8 matrix drawn from this stream after the Z,
+    # Z/360 and smaller GF(5)[x] matrices of the certify-dense mix
+    rng = random.Random("certify-dense/14")
+    for ring, n, count in ((Z, 12, 16), (ModularRing(360), 10, 12), (ModularRing(360), 12, 6), (GF5, 6, 6),
+                           (GF5, 7, 6), (GF5, 8, 8)):
+        for _ in range(count):
+            _dense(ring, rng, n)
+    A = _dense(GF5, rng, 8)
+    cert = diagonal_reduce(A)
+    assert verify_reduction(A, cert).ok
+    assert _largest_transform_entry(cert, len) < 120
