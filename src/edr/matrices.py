@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import partial
+from operator import mul
 
 from .errors import DescriptorMismatch, PostconditionFailed
 from .rings import IntegerRing, ModularRing, PayloadOps, ProductRing, Ring, RingElement
+from .rings import PrimeFieldPolynomialRing, _kpack, _kslot, _kunpack
 
 __all__ = ["RingMatrix"]
 
@@ -120,8 +122,9 @@ class RingMatrix:
 
 
 # ---------------------------------------------------------------------------
-# kernels on rows of entries: payload arithmetic through the ring's op table,
-# componentwise over products, element arithmetic where there is no table
+# kernels on rows of entries: payload arithmetic (the op table, and the
+# integer lift for the matrix product), componentwise over products, element
+# arithmetic where there is no table
 
 
 def _component(rows, idx):
@@ -130,19 +133,28 @@ def _component(rows, idx):
 
 
 def _matmul(ring: Ring, a, b):
-    """Rows of the elements of the product of the entry rows a and b."""
+    """Rows of the elements of the product of the entry rows a and b. Over
+    a ring with an op table each entry is one dot product of ints, mapped
+    back once: Z as it is, Z/n on its integer lift, GF(p)[x] by Kronecker
+    packing (rings._kpack)."""
     if isinstance(ring, ProductRing):
         parts = [_matmul(f, _component(a, i), _component(b, i)) for i, f in enumerate(ring.factors)]
         return [[RingElement(ring, comps) for comps in zip(*rows)] for rows in zip(*parts)]
-    ops, cols = ring.ops, list(zip(*b))
-    if ops is None:  # Zser<k>
+    cols = list(zip(*b))
+    if ring.ops is None:  # Zser<k>
         return [[_dot(row, col, ring.zero) for col in cols] for row in a]
-    add, mul, zero = ops.add, ops.mul, ops.zero
+    rows = [[e.payload for e in row] for row in a]
     cols = [[e.payload for e in col] for col in cols]
-    return [
-        [RingElement(ring, reduce(add, map(mul, prow, col), zero)) for col in cols]
-        for prow in ([e.payload for e in row] for row in a)
-    ]
+    if isinstance(ring, PrimeFieldPolynomialRing):
+        la = max(len(cs) for row in rows for cs in row)
+        lb = max(len(cs) for col in cols for cs in col)
+        w = _kslot(ring.p, len(cols[0]) * min(la, lb))
+        rows = [[_kpack(cs, w) for cs in row] for row in rows]
+        cols = [[_kpack(cs, w) for cs in col] for col in cols]
+        back = partial(_kunpack, w=w, p=ring.p)
+    else:  # Z/n reduces each entry once: v -> v % n
+        back = ring.n.__rmod__ if isinstance(ring, ModularRing) else int
+    return [[RingElement(ring, back(sum(map(mul, row, col)))) for col in cols] for row in rows]
 
 
 def _det(ring: Ring, rows) -> RingElement:

@@ -17,10 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import struct
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from .errors import (
     DescriptorMismatch,
@@ -260,7 +261,8 @@ def crt(residues, moduli) -> int:
 # gcd(r, n) <= r < gcd(b, n)).
 # `bezout(a, b)` is the payloads (g, x, y, a1, b1) of gcd_bezout's
 # BezoutData; `normal(a)` is the inverse of the unit canonical_associate
-# splits off, so normal(a) * a is canonical.
+# splits off, so normal(a) * a is canonical. Matrix products bypass add and
+# mul: they take whole dot products on the integer lift (matrices._matmul).
 PayloadOps = namedtuple("PayloadOps", "zero one add sub mul neg size div bezout normal")
 
 
@@ -352,14 +354,50 @@ def _pneg(a, p):
 
 
 def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                out[j] += ai * bj
-    return _ptrim([c % p for c in out])
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) <= 1:  # zero or a constant, the sweep's commonest factors
+        return tuple(a[0] * c % p for c in b) if a else ()
+    w = _kslot(p, len(a))
+    return _kunpack(_kpack(a, w) * _kpack(b, w), w, p)
+
+
+# Kronecker substitution: coefficients below 2^(8w) pack into the int
+# sum(c_i * 2^(8*w*i)), so a product or a dot product of polynomials is one
+# int multiply-and-add, exact while no coefficient of it reaches 2^(8w).
+# Slots of 1, 2, 4 or 8 bytes go through struct (little-endian standard
+# sizes, whatever the host's byte order), wider ones through int.to_bytes.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _kslot(p, terms):
+    """Bytes per slot for sums of `terms` products of coefficients below p,
+    and for p - 1 itself, so that the packed factors fit too."""
+    w = (max(p - 1, terms * (p - 1) ** 2).bit_length() + 7) // 8
+    return w if w > 8 else 1 << (w - 1).bit_length()
+
+
+def _kpack(cs, w):
+    """The coefficients cs, each below 2^(8w), as one int, w bytes a slot."""
+    if w in _SLOT_FORMATS:
+        return int.from_bytes(struct.pack(f"<{len(cs)}{_SLOT_FORMATS[w]}", *cs), "little")
+    return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
+
+
+def _kunpack(v, w, p):
+    """The GF(p)[x] payload of the w-byte slots of v >= 0, each taken mod p."""
+    raw = v.to_bytes(-(-v.bit_length() // (8 * w)) * w, "little")
+    if w == 1:
+        return tuple(raw.translate(_byte_residues(p)).rstrip(b"\0"))
+    if w in _SLOT_FORMATS:
+        return _ptrim([c % p for c in struct.unpack(f"<{len(raw) // w}{_SLOT_FORMATS[w]}", raw)])
+    return _ptrim([int.from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)])
+
+
+@cache
+def _byte_residues(p):
+    """The translation table byte -> byte % p, for primes p below 256."""
+    return bytes(i % p for i in range(256))
 
 
 def _pdivmod(a, b, p):

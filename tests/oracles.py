@@ -186,3 +186,22 @@ def brute_predicate_scan(ring, predicate):
                             return False, scanned
         return True, scanned
     raise ValueError(f"unknown predicate {predicate!r}")
+
+
+def poly_dot(xs, ys, p):
+    """sum(x * y) over GF(p)[x] for little-endian coefficient lists, by the
+    schoolbook double loop, reduced mod p once and trimmed of trailing zeros."""
+    out = [0] * max((len(x) + len(y) for x, y in zip(xs, ys)), default=0)
+    for x, y in zip(xs, ys):
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                out[i + j] += xi * yj
+    out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def poly_mul(a, b, p):
+    """The product of two polynomials over GF(p), schoolbook."""
+    return poly_dot([a], [b], p)

@@ -26,7 +26,11 @@ GF5 = PrimeFieldPolynomialRing(5)
 # a 128-bit p*q with p = 2^64 - 59 and q = 2^64 - 83, both prime
 BIG = ModularRing((2**64 - 59) * (2**64 - 83))
 
-TABLE_RINGS = [Z, ModularRing(12), ModularRing(360), BIG, GF5, PrimeFieldPolynomialRing(2)]
+# with up to 40 coefficients, GF(257)[x] and GF(2^61 - 1)[x] send the matrix
+# product through Kronecker slots of 2 or 4 and of 8, 16 or 17 bytes (the
+# narrow ones when a factor is zero); GF(2)[x] and GF(5)[x] use 1 and 2
+WIDE = [PrimeFieldPolynomialRing(257), PrimeFieldPolynomialRing(2**61 - 1)]
+TABLE_RINGS = [Z, ModularRing(12), ModularRing(360), BIG, GF5, PrimeFieldPolynomialRing(2), *WIDE]
 PRODUCT_RINGS = TABLE_RINGS + [
     TruncatedSeriesRing(3),
     ProductRing([Z, ModularRing(12), GF5]),
@@ -39,7 +43,8 @@ def elements(ring):
     if isinstance(ring, ModularRing):
         return st.integers(0, ring.n - 1).map(ring.from_int)
     if isinstance(ring, PrimeFieldPolynomialRing):
-        return st.lists(st.integers(0, ring.p - 1), max_size=6).map(ring.element)
+        size = 40 if ring in WIDE else 6
+        return st.lists(st.integers(0, ring.p - 1), max_size=size).map(ring.element)
     if isinstance(ring, TruncatedSeriesRing):
         rest = st.lists(st.fractions(max_denominator=6), min_size=ring.order - 1, max_size=ring.order - 1)
         return st.tuples(st.integers(-9, 9), rest).map(lambda t: ring.element([t[0], *t[1]]))
