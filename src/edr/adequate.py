@@ -255,7 +255,7 @@ def verify_adequate(
                 failures.append("divisor condition")
         else:
             if abs(sv) > _VERIFY_INT_BOUND:
-                raise ScaleExceeded(f"|s| = {abs(sv)} exceeds {_VERIFY_INT_BOUND}")
+                raise ScaleExceeded(f"|s| exceeds {_VERIFY_INT_BOUND}")
             for dv in _int_divisors(sv):
                 if dv != 1 and math.gcd(dv, bv) == 1:
                     failures.append("divisor condition")
@@ -291,7 +291,7 @@ def verify_adequate(
     elif isinstance(ring, ModularRing):
         n = ring.n
         if n > _VERIFY_MOD_BOUND:
-            raise ScaleExceeded(f"modulus {n} exceeds {_VERIFY_MOD_BOUND}")
+            raise ScaleExceeded(f"modulus exceeds {_VERIFY_MOD_BOUND}")
         sv, bv = s.payload, b.payload
         gb = math.gcd(bv, n)
         for dv in range(n):

@@ -250,7 +250,7 @@ def check_finite_predicate(ring: Ring, predicate: str) -> PredicateReport:
         raise UnsupportedRing(f"{ring} is not finite")
     q, scan = _SCANS[predicate]
     if card**q > 10**8:
-        raise ScaleExceeded(f"{predicate} on {card} elements: {card}^{q} exceeds the bound 10^8")
+        raise ScaleExceeded(f"{predicate} on N elements: N^{q} exceeds the bound 10^8")
     holds, witness, scanned = scan(_moduli(ring))
     if witness is not None:
         elements = list(ring.iter_elements())

@@ -5,19 +5,32 @@ from __future__ import annotations
 from functools import partial
 from operator import mul
 
-from .errors import DescriptorMismatch, PostconditionFailed
+from .errors import DescriptorMismatch, PostconditionFailed, UnsupportedRing
 from .rings import IntegerRing, ModularRing, PayloadOps, ProductRing, Ring, RingElement
 from .rings import PrimeFieldPolynomialRing, _kpack, _kslot, _kunpack
 
 __all__ = ["RingMatrix"]
 
 
+def _has_tables(ring: Ring) -> bool:
+    """True when every component of `ring` has a PayloadOps table."""
+    if isinstance(ring, ProductRing):
+        return all(map(_has_tables, ring.factors))
+    return ring.ops is not None
+
+
 class RingMatrix:
-    """An immutable m x n matrix of ring elements sharing one descriptor."""
+    """An immutable m x n matrix of ring elements sharing one descriptor.
+
+    Only rings with a PayloadOps table in every component carry matrices
+    (Z, Z/n, GF(p)[x] and their products); any other ring, such as the
+    truncated series Zser<k>, is refused with UnsupportedRing."""
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: Ring, entries):
+        if not _has_tables(ring):
+            raise UnsupportedRing(f"no matrix arithmetic over {ring}")
         rows = tuple(tuple(row) for row in entries)
         if not rows or not rows[0]:
             raise ValueError("matrices must have at least one row and column")
@@ -104,11 +117,9 @@ class RingMatrix:
         Gaussian elimination (Bareiss, Math. Comp. 22, 1968) on payloads,
         through the ring's op table: O(n^3) operations, every entry it forms
         is a minor of the input, every division is exact, and the pivot is
-        the smallest nonzero entry of its column. Over Z/n the same elimination runs on the integer lift
-        and the result is reduced mod n, since the determinant commutes with
-        Z -> Z/n. Rings with none of these (the truncated series Zser<k>)
-        take Berkowitz's division-free algorithm (IPL 18, 1984), O(n^4) ring
-        operations.
+        the smallest nonzero entry of its column. Over Z/n the same
+        elimination runs on the integer lift and the result is reduced mod
+        n, since the determinant commutes with Z -> Z/n.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -123,8 +134,7 @@ class RingMatrix:
 
 # ---------------------------------------------------------------------------
 # kernels on rows of entries: payload arithmetic (the op table, and the
-# integer lift for the matrix product), componentwise over products, element
-# arithmetic where there is no table
+# integer lift for the matrix product), componentwise over products
 
 
 def _component(rows, idx):
@@ -140,11 +150,8 @@ def _matmul(ring: Ring, a, b):
     if isinstance(ring, ProductRing):
         parts = [_matmul(f, _component(a, i), _component(b, i)) for i, f in enumerate(ring.factors)]
         return [[RingElement(ring, comps) for comps in zip(*rows)] for rows in zip(*parts)]
-    cols = list(zip(*b))
-    if ring.ops is None:  # Zser<k>
-        return [[_dot(row, col, ring.zero) for col in cols] for row in a]
     rows = [[e.payload for e in row] for row in a]
-    cols = [[e.payload for e in col] for col in cols]
+    cols = [[e.payload for e in col] for col in zip(*b)]
     if isinstance(ring, PrimeFieldPolynomialRing):
         la = max(len(cs) for row in rows for cs in row)
         lb = max(len(cs) for col in cols for cs in col)
@@ -160,8 +167,6 @@ def _matmul(ring: Ring, a, b):
 def _det(ring: Ring, rows) -> RingElement:
     if isinstance(ring, ProductRing):
         return RingElement(ring, tuple(_det(f, _component(rows, i)) for i, f in enumerate(ring.factors)))
-    if ring.ops is None:
-        return _berkowitz(ring, rows)
     payloads = [[e.payload for e in row] for row in rows]
     if isinstance(ring, ModularRing):  # on the integer lift, reduced mod n
         return ring.from_int(_bareiss(payloads, IntegerRing.ops))
@@ -204,31 +209,3 @@ def _bareiss(a, ops: PayloadOps):
         prev = pivot
     d = a[n - 1][n - 1]
     return ops.neg(d) if negate else d
-
-
-def _dot(xs, ys, zero):
-    acc = zero
-    for x, y in zip(xs, ys):
-        acc = acc + x * y
-    return acc
-
-
-def _berkowitz(ring: Ring, a) -> RingElement:
-    """Division-free determinant over any commutative ring.
-
-    `poly` holds the coefficients of det(x*I - A_r), leading first, for the
-    leading r x r block A_r; each step multiplies it by the Toeplitz matrix
-    with first column (1, -a_rr, -R*C, -R*A_r*C, ..., -R*A_r^(r-1)*C),
-    R and C being the new row and column."""
-    n = len(a)
-    zero, one = ring.zero, ring.one
-    poly = [one, -a[0][0]]
-    for r in range(1, n):
-        row = a[r][:r]
-        col = [a[i][r] for i in range(r)]
-        t = [one, -a[r][r]]
-        for _ in range(r):
-            t.append(-_dot(row, col, zero))
-            col = [_dot(a[i][:r], col, zero) for i in range(r)]
-        poly = [_dot(t[i::-1], poly, zero) for i in range(r + 2)]
-    return poly[n] if n % 2 == 0 else -poly[n]

@@ -1,7 +1,8 @@
 """Text grammar for ring descriptors and element literals.
 
 Descriptors:  Z | Z/<n> | GF(<p>)[x] | Zser<k> | prod(<desc>,<desc>[,...])
-              (Zser orders above 256 are refused with ScaleExceeded)
+              (Zser orders above 256 and primes p >= psi_13 are refused
+              with ScaleExceeded)
 Elements:     decimal integers; polynomials as [c0,c1,...]; truncated series
               as {z0;c1,c2,...} with rationals p/q; product tuples as
               (<el>,<el>,...).
@@ -24,6 +25,7 @@ from .rings import (
     Ring,
     RingElement,
     TruncatedSeriesRing,
+    _MR_BOUND,
     int_from_decimal,
     is_prime,
 )
@@ -114,8 +116,12 @@ def _parse_ring_at(c: _Cursor) -> Ring:
         p = c.integer()
         c.expect(")")
         c.expect("[x]")
+        # checked first: is_prime is proved only below the bound, and it
+        # takes seconds on a modulus of a few thousand digits
+        if p >= _MR_BOUND:
+            raise ScaleExceeded(f"GF(p)[x] needs p below psi_13 = {_MR_BOUND}")
         if not is_prime(p):
-            raise ParseError(f"{p} is not prime", ppos)
+            raise ParseError("the characteristic is not prime", ppos)
         return PrimeFieldPolynomialRing(p)
     if c.match("Zser"):
         kpos = c.pos
@@ -123,7 +129,7 @@ def _parse_ring_at(c: _Cursor) -> Ring:
         if k < 1:
             raise ParseError("truncation order must be >= 1", kpos)
         if k > _SERIES_ORDER_BOUND:
-            raise ScaleExceeded(f"truncation order {k} exceeds {_SERIES_ORDER_BOUND}")
+            raise ScaleExceeded(f"truncation order exceeds {_SERIES_ORDER_BOUND}")
         return TruncatedSeriesRing(k)
     if c.match("Z/"):
         npos = c.pos

@@ -85,10 +85,12 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 # the first 13 primes: no composite below psi_13 ~ 3.317e24 passes them all
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13 = 1287836182261 * 2575672364521, the least composite passing them all
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid far beyond desk scale (< 3.3e24)."""
+    """Deterministic Miller-Rabin, proved for n < _MR_BOUND (psi_13)."""
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -564,7 +566,8 @@ class Ring:
     `ops` is the ring's PayloadOps table, or None where it has none (the
     truncated series and products, which work elementwise and
     componentwise); gcd_bezout and exact_quotient wrap the table's entries
-    unless a ring defines its own."""
+    unless a ring defines its own. Matrices need a table in every
+    component: RingMatrix refuses any other ring."""
 
     ops = None
 
@@ -701,7 +704,7 @@ class ModularRing(Ring):
         return ("Zmod", self.n)
 
     def __str__(self):
-        return f"Z/{self.n}"
+        return "Z/" + int_to_decimal(self.n)
 
     def element(self, payload):
         if not isinstance(payload, int) or isinstance(payload, bool):

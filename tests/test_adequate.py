@@ -89,9 +89,13 @@ def test_verify_examples():
 def test_verify_scale_guards():
     with pytest.raises(ScaleExceeded):
         verify_adequate(Z.from_int(10**7), Z.from_int(3), Z.one, Z.from_int(10**7))
-    big = ModularRing(10**4 + 1)
+    for n in (10**4 + 1, 10**5000 + 1):  # the second is past the 4300-digit str() limit
+        big = ModularRing(n)
+        with pytest.raises(ScaleExceeded):
+            verify_adequate(big.one, big.one, big.one, big.one)
+    huge = Z.from_int(10**5000)
     with pytest.raises(ScaleExceeded):
-        verify_adequate(big.one, big.one, big.one, big.one)
+        verify_adequate(huge, Z.from_int(3), Z.one, huge)
 
 
 def test_verify_polynomial_divisor_condition():

@@ -1,8 +1,16 @@
+import io
 import json
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from edr import errors
+from edr.checkers import PREDICATES
 from edr.cli import main
 
 MATRIX = "ring: Z\nshape: 2 2\n2 4\n6 8\n"
@@ -358,3 +366,205 @@ def test_check_past_the_work_bound_is_refused_at_once(capsys, predicate):
     code, out, _ = run(capsys, "check", "--ring", "Z/9973", "--predicate", predicate)
     assert time.monotonic() - start < 1.0
     assert code == 2 and json.loads(out)["error"] == "ScaleExceeded"
+
+
+# psi_13 = P13 * Q13 passes every Miller-Rabin base is_prime uses; GF(p)[x]
+# is refused from psi_13 up and accepted for the largest prime below it
+P13, Q13 = 1287836182261, 2575672364521
+PSI13 = P13 * Q13
+BELOW_PSI13 = 3317044064679887385961813
+
+
+def _gf_commands(tmp_path, p):
+    ring = f"GF({p})[x]"
+    mat = tmp_path / "gf.txt"
+    mat.write_text(f"ring: {ring}\nshape: 2 2\n[{P13}] [1]\n[0] [{P13}]\n", encoding="utf-8")
+    cert = {"kind": "reduction-certificate", "ring": ring, "detP": "[1]", "detQ": "[1]",
+            **{key: {"rows": [["[1]", "[0]"], ["[0]", "[1]"]]} for key in "PDQ"}}
+    cert_path = tmp_path / "gf.json"
+    cert_path.write_text(json.dumps(cert), encoding="utf-8")
+    return {
+        "reduce": ("reduce", "--matrix", str(mat)),
+        "lift": ("lift", "--ring", ring, "--a", f"[{P13}]", "--b", "[0,1]", "--c", "[1]"),
+        "split": ("split", "--ring", ring, "--a", f"[{P13}]", "--b", f"[0,{Q13}]"),
+        "complete": ("complete", "--ring", ring, "--row", f"[{P13}],[1]", "--det", "[1]"),
+        "verify": ("verify", "--matrix", str(mat), "--cert", str(cert_path)),
+    }
+
+
+@pytest.mark.parametrize("command", ["reduce", "lift", "split", "complete", "verify"])
+def test_gf_of_psi13_is_refused_and_the_prime_below_it_accepted(capsys, tmp_path, command):
+    code, out, err = run(capsys, *_gf_commands(tmp_path, PSI13)[command])
+    assert code == 2 and json.loads(out)["error"] == "ScaleExceeded"
+    assert "Traceback" not in err
+    code, out, _ = run(capsys, *_gf_commands(tmp_path, BELOW_PSI13)[command])
+    doc = json.loads(out)
+    # the hand-made certificate claims D = I, which P*A*Q does not give
+    assert (code, doc.get("failures")) == ((2, ["PAQ=D"]) if command == "verify" else (0, None))
+
+
+NINES = "9" * 5000
+
+
+@pytest.mark.parametrize("ring", [f"Zser{NINES}", f"GF({NINES})[x]", f"Z/{NINES}"], ids=["Zser", "GF", "Zmod"])
+def test_descriptors_past_the_digit_limit_are_refused_by_check(capsys, ring):
+    start = time.monotonic()
+    code, out, err = run(capsys, "check", "--ring", ring, "--predicate", "Clean")
+    assert time.monotonic() - start < 1.0
+    assert code == 2 and json.loads(out)["error"] == "ScaleExceeded"
+    assert "Traceback" not in err
+
+
+def test_commands_over_a_modulus_past_the_digit_limit(capsys, tmp_path):
+    ring = f"Z/{NINES}"
+    mat = tmp_path / "m.txt"
+    mat.write_text(f"ring: {ring}\nshape: 2 2\n6 4\n{NINES[1:]} 10\n", encoding="utf-8")
+    cert = tmp_path / "c.json"
+    for argv in (
+        ("reduce", "--matrix", str(mat), "--out", str(cert)),
+        ("verify", "--matrix", str(mat), "--cert", str(cert)),
+        ("lift", "--ring", ring, "--a", "2", "--b", "3", "--c", "5"),
+        ("complete", "--ring", ring, "--row", "3,5", "--det", "1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", argv[0]
+    assert json.loads(cert.read_text())["ring"] == ring
+    assert json.loads(out)["ring"] == ring
+    # adequate_split has no Z/n case; its refusal names the ring in full
+    code, out, _ = run(capsys, "split", "--ring", ring, "--a", "6", "--b", "4")
+    assert code == 2 and json.loads(out)["error"] == "UnsupportedRing"
+    assert ring in json.loads(out)["message"]
+
+
+def _series_literal(rng, k):
+    tail = ",".join(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(k - 1))
+    return f"{{{rng.randint(-9, 9)};{tail}}}"
+
+
+def test_series_certificates_are_refused_at_once(capsys, tmp_path):
+    # verifying these took Berkowitz's O(n^4) series products: 10 s for the
+    # 10x10 Zser32 completion certificate; no matrix exists over Zser now
+    import random
+
+    rng = random.Random(32)
+    rows = [[_series_literal(rng, 32) for _ in range(10)] for _ in range(10)]
+    completion = {"kind": "completion-certificate", "ring": "Zser32", "A": {"rows": rows},
+                  "first_row": rows[0], "det": "{1;}"}
+    reduction = {"kind": "reduction-certificate", "ring": "Zser32", "detP": "{1;}", "detQ": "{1;}",
+                 **{key: {"rows": rows} for key in "PDQ"}}
+    mat = tmp_path / "s.txt"
+    mat.write_text("ring: Zser32\nshape: 10 10\n" + "\n".join(map(" ".join, rows)) + "\n", encoding="utf-8")
+    for doc, extra in ((completion, ()), (reduction, ("--matrix", str(mat)))):
+        start = time.monotonic()
+        code, out, err = _verify_doc(capsys, tmp_path, doc, *extra)
+        assert time.monotonic() - start < 1.0
+        assert code == 2 and json.loads(out)["error"] == "UnsupportedRing"
+        assert "Traceback" not in err
+    code, out, _ = run(capsys, "reduce", "--matrix", str(mat))
+    assert code == 2 and json.loads(out)["error"] == "UnsupportedRing"
+
+
+# ---------------------------------------------------------------------------
+# property: whatever the descriptor, command and literals, one JSON object
+# and a documented exit code
+
+
+ERROR_CODES = {
+    cls.code for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, errors.EdrError)
+} - {"EdrError"} | {"UsageError", "IOError"}
+EXIT_1_CODES = {"UsageError", "ParseError", "IOError"}
+
+# descriptor specs (kind, text); the kind picks the literal grammar
+LEAF_RINGS = [("int", "Z"), ("int", "Z/12"), ("int", f"Z/{NINES}"), ("ser", "Zser3")] + [
+    ("gf", f"GF({p})[x]") for p in (5, 2**61 - 1, BELOW_PSI13, PSI13)
+]
+RING_SPECS = st.recursive(
+    st.sampled_from(LEAF_RINGS), lambda kids: st.lists(kids, min_size=2, max_size=3).map(lambda fs: ("prod", fs)),
+    max_leaves=4,
+)
+SMALL = [0, 1, 2, 3, 4, 6, -5, 12, P13, Q13]
+
+
+def _ring_text(spec):
+    kind, body = spec
+    return "prod(" + ",".join(map(_ring_text, body)) + ")" if kind == "prod" else body
+
+
+def _literals(spec):
+    kind, body = spec
+    ints = st.sampled_from(SMALL)
+    if kind == "int":
+        return ints.map(str)
+    if kind == "gf":
+        return st.lists(ints.map(abs), max_size=3).map(lambda cs: "[" + ",".join(map(str, cs)) + "]")
+    if kind == "ser":
+        return st.tuples(ints, st.sampled_from(["", "1/2", "0,-3"])).map(lambda t: f"{{{t[0]};{t[1]}}}")
+    return st.tuples(*map(_literals, body)).map(lambda parts: "(" + ",".join(parts) + ")")
+
+
+@st.composite
+def cli_runs(draw):
+    """(argv of the first run, a follow-up verify argv or None, files to
+    write); the file names stand for paths in a fresh directory."""
+    spec = draw(RING_SPECS)
+    ring, lit = _ring_text(spec), _literals(spec)
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rows = [" ".join(draw(lit) for _ in range(n)) for _ in range(m)]
+    files = {"m.txt": f"ring: {ring}\nshape: {m} {n}\n" + "\n".join(rows) + "\n"}
+    follow_up = None
+    command = draw(st.sampled_from(["reduce", "complete", "split", "lift", "check", "verify"]))
+    if command == "reduce":
+        argv = ["reduce", "--matrix", "m.txt", "--out", "c.json"]
+        follow_up = ["verify", "--matrix", "m.txt", "--cert", "c.json"]
+    elif command == "complete":
+        row = ",".join(draw(lit) for _ in range(draw(st.integers(2, 4))))
+        argv = ["complete", "--ring", ring, "--row", row, "--det", draw(lit), "--out", "c.json"]
+        follow_up = ["verify", "--cert", "c.json"]
+    elif command == "split":
+        argv = ["split", "--ring", ring, "--a", draw(lit), "--b", draw(lit)] + draw(st.sampled_from([[], ["--pi"]]))
+    elif command == "lift":
+        argv = ["lift", "--ring", ring, "--a", draw(lit), "--b", draw(lit), "--c", draw(lit)]
+        argv += draw(st.sampled_from([[], ["--sr2"]]))
+    elif command == "check":
+        argv = ["check", "--ring", ring, "--predicate", draw(st.sampled_from(PREDICATES))]
+    else:  # a certificate written by hand: a square matrix claimed as its own completion
+        k = draw(st.integers(1, 4))
+        square = [[draw(lit) for _ in range(k)] for _ in range(k)]
+        files["c.json"] = json.dumps({"kind": "completion-certificate", "ring": ring, "A": {"rows": square},
+                                      "first_row": square[0], "det": draw(lit)})
+        argv = ["verify", "--cert", "c.json"]
+    return argv, follow_up, files
+
+
+def _one_document(argv, cwd):
+    argv = [str(cwd / a) if a in ("m.txt", "c.json") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    if "--out" in argv and code == 0:
+        assert text == ""
+        text = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+    doc = json.loads(text)  # exactly one JSON value, or this raises
+    assert isinstance(doc, dict) and code in (0, 1, 2), (argv, code, text[:200])
+    assert "Traceback" not in err.getvalue()
+    if "error" in doc:
+        assert doc["error"] in ERROR_CODES, doc["error"]
+        assert code == (1 if doc["error"] in EXIT_1_CODES else 2), (doc["error"], code)
+    elif doc.get("kind") == "verification-report":
+        assert code == (0 if doc["ok"] else 2)
+    else:
+        assert code == 0
+    return code
+
+
+@settings(max_examples=150, deadline=3000)
+@given(case=cli_runs())
+def test_every_cli_run_prints_one_json_object_and_a_documented_exit_code(case):
+    argv, follow_up, files = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp)
+        for name, text in files.items():
+            (cwd / name).write_text(text, encoding="utf-8")
+        if _one_document(argv, cwd) == 0 and follow_up:
+            assert _one_document(follow_up, cwd) == 0  # what edr writes, edr verifies

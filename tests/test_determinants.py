@@ -4,7 +4,6 @@ records, and verifier cost on large certificates."""
 import math
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -26,7 +25,6 @@ from oracles import perm_det
 Z = IntegerRing()
 Z360 = ModularRing(360)
 GF5 = PrimeFieldPolynomialRing(5)
-ZSER3 = TruncatedSeriesRing(3)
 
 
 def _element(ring, rng):
@@ -36,10 +34,6 @@ def _element(ring, rng):
         return ring.from_int(rng.randrange(ring.n))
     if isinstance(ring, PrimeFieldPolynomialRing):
         return ring.element([rng.randrange(ring.p) for _ in range(rng.randint(0, 3))])
-    if isinstance(ring, TruncatedSeriesRing):
-        return ring.element(
-            [rng.randint(-3, 3)] + [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ring.order - 1)]
-        )
     return ring.element([_element(f, rng) for f in ring.factors])
 
 
@@ -53,8 +47,6 @@ DET_RINGS = [
     ModularRing(7),
     GF5,
     PrimeFieldPolynomialRing(2),
-    ZSER3,
-    ProductRing([Z, ZSER3]),
     ProductRing([Z, ModularRing(12)]),
     ProductRing([GF5, ModularRing(8), Z]),
 ]
@@ -90,6 +82,14 @@ def test_det_zero_pivots_singular_and_1x1(ring):
     for _ in range(5):
         e = _element(ring, rng)
         assert RingMatrix(ring, [[e]]).det() == e
+
+
+@pytest.mark.parametrize("ring", [TruncatedSeriesRing(3), ProductRing([Z, TruncatedSeriesRing(3)])], ids=str)
+def test_no_matrices_without_an_op_table_in_every_component(ring):
+    with pytest.raises(UnsupportedRing):
+        RingMatrix(ring, [[ring.one]])
+    with pytest.raises(UnsupportedRing):
+        RingMatrix.identity(ring, 2)
 
 
 def test_det_swap_sign_and_non_square():

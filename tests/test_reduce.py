@@ -322,9 +322,8 @@ def test_reduce_is_idempotent_on_its_output():
 
 def test_reduce_unsupported_over_series():
     S = TruncatedSeriesRing(3)
-    A = RingMatrix(S, [[S.one]])
     with pytest.raises(UnsupportedRing):
-        diagonal_reduce(A)
+        diagonal_reduce(RingMatrix(S, [[S.one]]))
 
 
 def test_matrix_det_against_leibniz():
