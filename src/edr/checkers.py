@@ -74,10 +74,6 @@ def pair_unimodular(a: RingElement, b: RingElement) -> bool:
         return math.gcd(a.payload, b.payload, ring.n) == 1
     if isinstance(ring, IntegerRing):
         return math.gcd(a.payload, b.payload) == 1
-    if isinstance(ring, ProductRing):
-        return all(
-            pair_unimodular(x, y) for x, y in zip(a.payload, b.payload)
-        )
     return is_unit(gcd_bezout(a, b).g)
 
 
@@ -285,10 +281,7 @@ def bounded_refute_sr1(ring: ProductRing, triple, bound: int) -> PredicateReport
     a, b, c = triple
     if a.ring != ring or b.ring != ring or c.ring != ring:
         raise PreconditionFailed("triple must live in the given product ring")
-    if not all(
-        math.gcd(x.payload, y.payload, z.payload) == 1
-        for x, y, z in zip(a.payload, b.payload, c.payload)
-    ):
+    if not all(math.gcd(x, y, z) == 1 for x, y, z in zip(a.payload, b.payload, c.payload)):
         raise PreconditionFailed("triple is not unimodular")
     if jacobson_member(a):
         raise PreconditionFailed("a lies in the radical")
@@ -299,7 +292,7 @@ def bounded_refute_sr1(ring: ProductRing, triple, bound: int) -> PredicateReport
         hit = None
         for y in range(-bound, bound + 1):
             scanned += 1
-            if math.gcd(ai.payload, bi.payload + ci.payload * y) == 1:
+            if math.gcd(ai, bi + ci * y) == 1:
                 hit = y
                 break
         if hit is None:

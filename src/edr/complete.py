@@ -303,11 +303,11 @@ def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
     if isinstance(ring, ProductRing):
         parts = []
         for idx, factor in enumerate(ring.factors):
-            comp_row = [a.payload[idx] for a in row]
-            parts.append(_component_complete(factor, comp_row, e.payload[idx]))
+            comp_row = [RingElement(factor, a.payload[idx]) for a in row]
+            parts.append(_component_complete(factor, comp_row, RingElement(factor, e.payload[idx])))
         n = len(row)
         rows = [
-            [RingElement(ring, tuple(p[i][j] for p in parts)) for j in range(n)]
+            [RingElement(ring, tuple(p[i][j].payload for p in parts)) for j in range(n)]
             for i in range(n)
         ]
         return _certify(ring, rows, row, e)

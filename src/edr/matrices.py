@@ -12,24 +12,17 @@ from .rings import PrimeFieldPolynomialRing, _kpack, _kslot, _kunpack
 __all__ = ["RingMatrix"]
 
 
-def _has_tables(ring: Ring) -> bool:
-    """True when every component of `ring` has a PayloadOps table."""
-    if isinstance(ring, ProductRing):
-        return all(map(_has_tables, ring.factors))
-    return ring.ops is not None
-
-
 class RingMatrix:
     """An immutable m x n matrix of ring elements sharing one descriptor.
 
-    Only rings with a PayloadOps table in every component carry matrices
-    (Z, Z/n, GF(p)[x] and their products); any other ring, such as the
-    truncated series Zser<k>, is refused with UnsupportedRing."""
+    Only rings with a PayloadOps table carry matrices (Z, Z/n, GF(p)[x] and
+    their products); the truncated series Zser<k>, the one ring without a
+    table, is refused with UnsupportedRing."""
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: Ring, entries):
-        if not _has_tables(ring):
+        if ring.ops is None:
             raise UnsupportedRing(f"no matrix arithmetic over {ring}")
         rows = tuple(tuple(row) for row in entries)
         if not rows or not rows[0]:
@@ -81,9 +74,6 @@ class RingMatrix:
         one, zero = ring.one, ring.zero
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    def entry(self, i: int, j: int) -> RingElement:
-        return self.entries[i][j]
-
     def to_lists(self):
         return [list(row) for row in self.entries]
 
@@ -108,7 +98,7 @@ class RingMatrix:
             raise DescriptorMismatch("matrix rings differ")
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        return RingMatrix(self.ring, _matmul(self.ring, self.entries, other.entries))
+        return RingMatrix.wrap(self.ring, _matmul(self.ring, self.payload_lists(), other.payload_lists()))
 
     def det(self) -> RingElement:
         """Exact determinant in polynomial time, chosen by the ring.
@@ -123,7 +113,7 @@ class RingMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return _det(self.ring, self.entries)
+        return RingElement(self.ring, _det(self.ring, self.payload_lists()))
 
     def __repr__(self):
         body = "; ".join(
@@ -133,44 +123,39 @@ class RingMatrix:
 
 
 # ---------------------------------------------------------------------------
-# kernels on rows of entries: payload arithmetic (the op table, and the
-# integer lift for the matrix product), componentwise over products
-
-
-def _component(rows, idx):
-    """The idx-th component elements of rows of product elements."""
-    return [[e.payload[idx] for e in row] for row in rows]
+# kernels on payload rows: the op table, and the integer lift for the matrix
+# product; products split into their components by indexing the payloads
 
 
 def _matmul(ring: Ring, a, b):
-    """Rows of the elements of the product of the entry rows a and b. Over
-    a ring with an op table each entry is one dot product of ints, mapped
-    back once: Z as it is, Z/n on its integer lift, GF(p)[x] by Kronecker
-    packing (rings._kpack)."""
+    """Payload rows of the product of the payload rows a and b. Each entry
+    is one dot product of ints, mapped back once: Z as it is, Z/n on its
+    integer lift, GF(p)[x] by Kronecker packing (rings._kpack)."""
     if isinstance(ring, ProductRing):
-        parts = [_matmul(f, _component(a, i), _component(b, i)) for i, f in enumerate(ring.factors)]
-        return [[RingElement(ring, comps) for comps in zip(*rows)] for rows in zip(*parts)]
-    rows = [[e.payload for e in row] for row in a]
-    cols = [[e.payload for e in col] for col in zip(*b)]
+        parts = [
+            _matmul(f, *([[v[i] for v in row] for row in m] for m in (a, b))) for i, f in enumerate(ring.factors)
+        ]
+        return [list(zip(*rows)) for rows in zip(*parts)]
+    cols = list(zip(*b))
     if isinstance(ring, PrimeFieldPolynomialRing):
-        la = max(len(cs) for row in rows for cs in row)
+        la = max(len(cs) for row in a for cs in row)
         lb = max(len(cs) for col in cols for cs in col)
         w = _kslot(ring.p, len(cols[0]) * min(la, lb))
-        rows = [[_kpack(cs, w) for cs in row] for row in rows]
+        a = [[_kpack(cs, w) for cs in row] for row in a]
         cols = [[_kpack(cs, w) for cs in col] for col in cols]
         back = partial(_kunpack, w=w, p=ring.p)
     else:  # Z/n reduces each entry once: v -> v % n
         back = ring.n.__rmod__ if isinstance(ring, ModularRing) else int
-    return [[RingElement(ring, back(sum(map(mul, row, col)))) for col in cols] for row in rows]
+    return [[back(sum(map(mul, row, col))) for col in cols] for row in a]
 
 
-def _det(ring: Ring, rows) -> RingElement:
+def _det(ring: Ring, rows):
+    """The determinant's payload, from square payload rows (overwritten)."""
     if isinstance(ring, ProductRing):
-        return RingElement(ring, tuple(_det(f, _component(rows, i)) for i, f in enumerate(ring.factors)))
-    payloads = [[e.payload for e in row] for row in rows]
+        return tuple(_det(f, [[v[i] for v in row] for row in rows]) for i, f in enumerate(ring.factors))
     if isinstance(ring, ModularRing):  # on the integer lift, reduced mod n
-        return ring.from_int(_bareiss(payloads, IntegerRing.ops))
-    return RingElement(ring, _bareiss(payloads, ring.ops))
+        return _bareiss(rows, IntegerRing.ops) % ring.n
+    return _bareiss(rows, ring.ops)
 
 
 def _bareiss(a, ops: PayloadOps):

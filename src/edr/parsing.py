@@ -116,11 +116,9 @@ def _parse_ring_at(c: _Cursor) -> Ring:
         p = c.integer()
         c.expect(")")
         c.expect("[x]")
-        # checked first: is_prime is proved only below the bound, and it
-        # takes seconds on a modulus of a few thousand digits
-        if p >= _MR_BOUND:
-            raise ScaleExceeded(f"GF(p)[x] needs p below psi_13 = {_MR_BOUND}")
-        if not is_prime(p):
+        # from psi_13 up the constructor raises ScaleExceeded before any
+        # primality test, which is unproved there and slow on long moduli
+        if p < _MR_BOUND and not is_prime(p):
             raise ParseError("the characteristic is not prime", ppos)
         return PrimeFieldPolynomialRing(p)
     if c.match("Zser"):

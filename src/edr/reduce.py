@@ -356,19 +356,20 @@ def diagonal_reduce(A: RingMatrix) -> ReductionCertificate:
 
 def _reduce_product(A: RingMatrix) -> ReductionCertificate:
     ring = A.ring
-    parts = []
-    for idx, factor in enumerate(ring.factors):
-        comp = RingMatrix(factor, [[e.payload[idx] for e in row] for row in A.entries])
-        parts.append(diagonal_reduce(comp))
+    rows = A.payload_lists()
+    parts = [
+        diagonal_reduce(RingMatrix.wrap(factor, [[v[idx] for v in row] for row in rows]))
+        for idx, factor in enumerate(ring.factors)
+    ]
 
-    def merge(mats):  # payload rows: tuples of component elements
-        return [list(zip(*rows)) for rows in zip(*(m.entries for m in mats))]
+    def merge(mats):  # payload rows: tuples of component payloads
+        return [list(zip(*rows)) for rows in zip(*(m.payload_lists() for m in mats))]
 
     P = merge([c.P for c in parts])
     D = merge([c.D for c in parts])
     Q = merge([c.Q for c in parts])
-    detP = RingElement(ring, tuple(c.detP_unit for c in parts))
-    detQ = RingElement(ring, tuple(c.detQ_unit for c in parts))
+    detP = RingElement(ring, tuple(c.detP_unit.payload for c in parts))
+    detQ = RingElement(ring, tuple(c.detQ_unit.payload for c in parts))
     return _make_certificate(ring, P, D, Q, detP, detQ)
 
 

@@ -3,8 +3,9 @@
 Supported rings: the integers Z; residue rings Z/n; univariate polynomials
 over a prime field GF(p)[x]; truncated series with integer constant term and
 rational higher coefficients (Z + xQ[x], cut at x^k); and finite direct
-products of the above. Every value is immutable and every operation is a
-pure function, so elements and descriptors are safely shareable.
+products of the others, the series excepted. Every value is immutable and
+every operation is a pure function, so elements and descriptors are safely
+shareable.
 
 A ring object doubles as the descriptor: two rings compare equal iff they
 describe the same structure, and elements of distinct descriptors never mix.
@@ -253,14 +254,17 @@ def crt(residues, moduli) -> int:
 
 
 # A ring's arithmetic on raw payloads, for loops that would otherwise wrap
-# every intermediate value in a RingElement. Zero payloads are falsy and
-# every result is canonical. `div(a, b)` is a division with remainder,
-# (q, r) with a = q*b + r, r zero iff b divides a (and then q is
-# exact_quotient's payload), size(r) < size(b) for b != 0, and
-# div(a, 0) = (0, a); `size` ranks pivot candidates: |a| over Z (the quotient
-# is rounded, so |r| <= |b|/2), the number of coefficients over GF(p)[x], and
-# gcd(a, n) over Z/n, 0 for a = 0 (r = a mod gcd(b, n), so
-# gcd(r, n) <= r < gcd(b, n)).
+# every intermediate value in a RingElement, and the ground the element API
+# of Ring is written on. Every result is canonical. In the base tables (Z,
+# Z/n, GF(p)[x]) zero payloads are falsy; a product's zero is a tuple of
+# component zeros, so code that takes products compares with `zero`.
+# `div(a, b)` is a division with remainder, (q, r) with a = q*b + r, r zero
+# iff b divides a (and then q is exact_quotient's payload), size(r) <
+# size(b) for b != 0, and div(a, 0) = (0, a); `size` ranks pivot candidates:
+# |a| over Z (the quotient is rounded, so |r| <= |b|/2), the number of
+# coefficients over GF(p)[x], and gcd(a, n) over Z/n, 0 for a = 0 (r = a mod
+# gcd(b, n), so gcd(r, n) <= r < gcd(b, n)); it is None for products, which
+# reduce componentwise and never pivot.
 # `bezout(a, b)` is the payloads (g, x, y, a1, b1) of gcd_bezout's
 # BezoutData; `normal(a)` is the inverse of the unit canonical_associate
 # splits off, so normal(a) * a is canonical. Matrix products bypass add and
@@ -443,8 +447,8 @@ def _pxgcd(a, b, p):
     while r1:
         q, r = _pdivmod(r0, r1, p)
         r0, r1 = r1, r
-        x0, x1 = x1, _padd(x0, _pneg(_pmul(q, x1, p), p), p)
-        y0, y1 = y1, _padd(y0, _pneg(_pmul(q, y1, p), p), p)
+        x0, x1 = x1, _psub(x0, _pmul(q, x1, p), p)
+        y0, y1 = y1, _psub(y0, _pmul(q, y1, p), p)
     if r0:
         (u,), g = _pmonic(r0, p)
         if u != 1:
@@ -463,8 +467,8 @@ class RingElement:
 
     Payloads are canonical: residues reduced into [0, n); polynomials carry
     no trailing zero coefficients; truncated series store an int constant
-    term followed by exact Fractions; product elements are tuples of
-    component elements.
+    term followed by exact Fractions; product payloads are tuples of
+    component payloads.
     """
 
     __slots__ = ("ring", "payload")
@@ -563,11 +567,11 @@ class BezoutData:
 class Ring:
     """Common interface of the ring descriptors.
 
-    `ops` is the ring's PayloadOps table, or None where it has none (the
-    truncated series and products, which work elementwise and
-    componentwise); gcd_bezout and exact_quotient wrap the table's entries
-    unless a ring defines its own. Matrices need a table in every
-    component: RingMatrix refuses any other ring."""
+    `ops` is the ring's PayloadOps table. The element API (arithmetic,
+    inverse, gcd_bezout, exact_quotient, canonical_associate) is written
+    once here over that table. Only the truncated series has no table
+    (ops is None) and defines its own element methods; it has no Bezout
+    gcds, and RingMatrix and ProductRing refuse it."""
 
     ops = None
 
@@ -597,7 +601,7 @@ class Ring:
     def one(self) -> RingElement:
         return self.from_int(1)
 
-    # --- arithmetic (the op table unless overridden; RingElement wraps) --
+    # --- arithmetic (RingElement's operators land here) ------------------
 
     def _add(self, a, b):
         return RingElement(self, self.ops.add(a.payload, b.payload))
@@ -611,8 +615,9 @@ class Ring:
     # --- structure --------------------------------------------------------
 
     def inverse(self, a: RingElement):
-        """Multiplicative inverse, or None when a is not a unit."""
-        raise NotImplementedError
+        """Multiplicative inverse, or None when a is not a unit: a is a unit
+        iff it divides one, and then the exact quotient is its inverse."""
+        return self.exact_quotient(self.one, a)
 
     def gcd_bezout(self, a: RingElement, b: RingElement) -> BezoutData:
         if self.ops is None:
@@ -622,7 +627,7 @@ class Ring:
     def exact_quotient(self, a: RingElement, b: RingElement) -> RingElement | None:
         """A q with b*q = a, or None when b does not divide a."""
         q, r = self.ops.div(a.payload, b.payload)
-        return None if r else RingElement(self, q)
+        return None if r != self.ops.zero else RingElement(self, q)
 
     def divide_exact(self, a: RingElement, b: RingElement) -> RingElement:
         q = self.exact_quotient(a, b)
@@ -634,7 +639,9 @@ class Ring:
         raise NotImplementedError
 
     def canonical_associate(self, a: RingElement):
-        raise NotImplementedError
+        """(u, a_norm) with a = u * a_norm; the table's normal(a) is u^-1."""
+        u_inv = self.ops.normal(a.payload)
+        return self.inverse(RingElement(self, u_inv)), RingElement(self, self.ops.mul(u_inv, a.payload))
 
     def cardinality(self):
         """Number of elements, or None when infinite."""
@@ -669,18 +676,8 @@ class IntegerRing(Ring):
     def from_int(self, k):
         return RingElement(self, k)
 
-    def inverse(self, a):
-        if a.payload in (1, -1):
-            return a
-        return None
-
     def jacobson_member(self, a):
         return a.payload == 0
-
-    def canonical_associate(self, a):
-        if a.payload < 0:
-            return self.from_int(-1), self.from_int(-a.payload)
-        return self.one, a
 
     def element_str(self, a):
         return int_to_decimal(a.payload)
@@ -714,11 +711,6 @@ class ModularRing(Ring):
     def from_int(self, k):
         return RingElement(self, k % self.n)
 
-    def inverse(self, a):
-        if math.gcd(a.payload, self.n) != 1:
-            return None
-        return RingElement(self, pow(a.payload, -1, self.n))
-
     @cached_property
     def ops(self):
         n = self.n
@@ -730,10 +722,6 @@ class ModularRing(Ring):
 
     def jacobson_member(self, a):
         return coprime_divisor(self.n, a.payload) == 1  # every prime divides a
-
-    def canonical_associate(self, a):
-        u, g = _zn_unit(self.n, a.payload)
-        return self.from_int(u), self.from_int(g)
 
     def cardinality(self):
         return self.n
@@ -754,6 +742,10 @@ class PrimeFieldPolynomialRing(Ring):
     """
 
     def __init__(self, p: int):
+        # checked first: is_prime is proved only below the bound, and it
+        # takes seconds on a modulus of a few thousand digits
+        if p >= _MR_BOUND:
+            raise ScaleExceeded(f"GF(p)[x] needs p below psi_13 = {_MR_BOUND}")
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
@@ -782,25 +774,11 @@ class PrimeFieldPolynomialRing(Ring):
             lambda a: (pow(a[-1], -1, p),) if a else (1,),
         )
 
-    def inverse(self, a):
-        if len(a.payload) != 1:
-            return None
-        return self.from_int(pow(a.payload[0], -1, self.p))
-
     def jacobson_member(self, a):
         return not a.payload
 
-    def canonical_associate(self, a):
-        if not a.payload:
-            return self.one, a
-        u, monic = _pmonic(a.payload, self.p)
-        return RingElement(self, u), RingElement(self, monic)
-
     def element_str(self, a):
         return "[" + ",".join(str(c) for c in a.payload) + "]"
-
-    def degree(self, a) -> int:
-        return len(a.payload) - 1  # zero polynomial gets -1
 
 
 class TruncatedSeriesRing(Ring):
@@ -910,7 +888,10 @@ class TruncatedSeriesRing(Ring):
 
 
 class ProductRing(Ring):
-    """A finite direct product; every operation acts componentwise."""
+    """A finite direct product of rings with op tables (Z, Z/n, GF(p)[x]
+    and their products); a factor without one, the truncated series, is
+    refused with UnsupportedRing. A payload is the tuple of its component
+    payloads, and the op table acts componentwise."""
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -918,6 +899,9 @@ class ProductRing(Ring):
             raise ValueError("a product ring needs at least two factors")
         if not all(isinstance(f, Ring) for f in factors):
             raise TypeError("factors must be ring descriptors")
+        for f in factors:
+            if f.ops is None:
+                raise UnsupportedRing(f"no product with {f}: factors must be Z, Z/n, GF(p)[x] or products")
         self.factors = factors
 
     def _key(self):
@@ -935,54 +919,33 @@ class ProductRing(Ring):
             if isinstance(c, RingElement):
                 if c.ring != f:
                     raise DescriptorMismatch("component belongs to a different ring")
-                out.append(c)
             else:
-                out.append(f.element(c) if not isinstance(c, int) else f.from_int(c))
+                c = f.element(c) if not isinstance(c, int) else f.from_int(c)
+            out.append(c.payload)
         return RingElement(self, tuple(out))
 
     def from_int(self, k):
-        return RingElement(self, tuple(f.from_int(k) for f in self.factors))
+        return RingElement(self, tuple(f.from_int(k).payload for f in self.factors))
 
-    def _add(self, a, b):
-        return RingElement(self, tuple(x + y for x, y in zip(a.payload, b.payload)))
+    @cached_property
+    def ops(self):
+        tables = [f.ops for f in self.factors]
 
-    def _neg(self, a):
-        return RingElement(self, tuple(-x for x in a.payload))
+        def each(name):  # the factors' entries `name`, one per component
+            fns = [getattr(t, name) for t in tables]
+            return lambda *args: tuple(fn(*xs) for fn, *xs in zip(fns, *args))
 
-    def _mul(self, a, b):
-        return RingElement(self, tuple(x * y for x, y in zip(a.payload, b.payload)))
+        def transposed(name):  # an entry returning a tuple, regrouped by field
+            fn = each(name)
+            return lambda *args: tuple(zip(*fn(*args)))
 
-    def inverse(self, a):
-        invs = []
-        for comp in a.payload:
-            i = comp.ring.inverse(comp)
-            if i is None:
-                return None
-            invs.append(i)
-        return RingElement(self, tuple(invs))
-
-    def gcd_bezout(self, a, b):
-        datas = [f.gcd_bezout(x, y) for f, x, y in zip(self.factors, a.payload, b.payload)]
-        pack = lambda attr: RingElement(self, tuple(getattr(d, attr) for d in datas))
-        return BezoutData(pack("g"), pack("x"), pack("y"), pack("a1"), pack("b1"))
-
-    def exact_quotient(self, a, b):
-        comps = []
-        for f, x, y in zip(self.factors, a.payload, b.payload):
-            q = f.exact_quotient(x, y)
-            if q is None:
-                return None
-            comps.append(q)
-        return RingElement(self, tuple(comps))
+        return PayloadOps(
+            tuple(t.zero for t in tables), tuple(t.one for t in tables), each("add"), each("sub"),
+            each("mul"), each("neg"), None, transposed("div"), transposed("bezout"), each("normal"),
+        )
 
     def jacobson_member(self, a):
-        return all(f.jacobson_member(c) for f, c in zip(self.factors, a.payload))
-
-    def canonical_associate(self, a):
-        pairs = [f.canonical_associate(c) for f, c in zip(self.factors, a.payload)]
-        u = RingElement(self, tuple(p[0] for p in pairs))
-        norm = RingElement(self, tuple(p[1] for p in pairs))
-        return u, norm
+        return all(f.jacobson_member(RingElement(f, c)) for f, c in zip(self.factors, a.payload))
 
     def cardinality(self):
         total = 1
@@ -995,10 +958,10 @@ class ProductRing(Ring):
 
     def iter_elements(self):
         for combo in itertools.product(*(f.iter_elements() for f in self.factors)):
-            yield RingElement(self, combo)
+            yield RingElement(self, tuple(e.payload for e in combo))
 
     def element_str(self, a):
-        return "(" + ",".join(f.element_str(c) for f, c in zip(self.factors, a.payload)) + ")"
+        return "(" + ",".join(f.element_str(RingElement(f, c)) for f, c in zip(self.factors, a.payload)) + ")"
 
 
 # ---------------------------------------------------------------------------

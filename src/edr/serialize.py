@@ -55,7 +55,7 @@ def matrix_to_text(M: RingMatrix) -> str:
 
 
 def matrix_from_text(text: str) -> RingMatrix:
-    lines = [ln for ln in text.splitlines()]
+    lines = text.splitlines()
     pos = 0
     if not lines or not lines[0].startswith("ring:"):
         raise ParseError("first line must be 'ring: <descriptor>'", 0)
@@ -70,10 +70,9 @@ def matrix_from_text(text: str) -> RingMatrix:
     if m < 1 or n < 1:
         raise ParseError("shape needs two positive integers", pos)
     pos += len(lines[1]) + 1
-    body = [ln for ln in lines[2:]]
     rows = []
     taken = 0
-    for ln in body:
+    for ln in lines[2:]:
         if not ln.strip():
             pos += len(ln) + 1
             continue

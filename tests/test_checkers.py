@@ -134,7 +134,7 @@ def test_bounded_refuter_finds_failing_triple_by_search():
     assert "bounded evidence" in rep.note
     assert rep.witness == (a, b, c)
     # replay: the second component really admits no bounded lift
-    a2, b2, c2 = a.payload[1].payload, b.payload[1].payload, c.payload[1].payload
+    a2, b2, c2 = a.payload[1], b.payload[1], c.payload[1]
     assert all(math.gcd(a2, b2 + c2 * y) != 1 for y in range(-bound, bound + 1))
 
 
@@ -232,13 +232,13 @@ def test_failure_walk_finds_the_first_tuple_in_order(monkeypatch):
         checkers._SCANS, "Clean", (2, lambda moduli: checkers._scan_elements(moduli, fake))
     )
     rep = check_finite_predicate(ring, "Clean")
-    first = next(e for e in elements if e.payload[1].payload == 1)
+    first = next(e for e in elements if e.payload[1] == 1)
     assert not rep.holds and rep.witness == (first,) and rep.elements_scanned == 24
 
     # a failure on every tuple whose last element has the ideal class g in
     # the Z/4 factor, against the plain nested loop over elements
     def z4_class(e):
-        return math.gcd(e.payload[1].payload, 4)
+        return math.gcd(e.payload[1], 4)
 
     def first_failure(predicate, g):
         count = 0

@@ -464,6 +464,23 @@ def test_series_certificates_are_refused_at_once(capsys, tmp_path):
     assert code == 2 and json.loads(out)["error"] == "UnsupportedRing"
 
 
+def test_products_with_a_series_factor_are_unsupported(capsys, tmp_path):
+    mat = tmp_path / "p.txt"
+    mat.write_text("ring: prod(Z,Zser2)\nshape: 1 1\n(1,{1;0})\n", encoding="utf-8")
+    ring = "prod(Z,Zser2)"
+    for argv in (
+        ("reduce", "--matrix", str(mat)),
+        ("split", "--ring", ring, "--a", "(2,{1;0})", "--b", "(3,{1;0})", "--pi"),
+        ("split", "--ring", ring, "--a", "(2,{1;0})", "--b", "(3,{1;0})"),
+        ("lift", "--ring", ring, "--a", "(1,{1;0})", "--b", "(0,{0;})", "--c", "(0,{0;})"),
+        ("complete", "--ring", ring, "--row", "(1,{1;0}),(0,{0;})", "--det", "(1,{1;0})"),
+        ("check", "--ring", "prod(Z/2,Zser1)", "--predicate", "Clean"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and json.loads(out)["error"] == "UnsupportedRing", argv
+        assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # property: whatever the descriptor, command and literals, one JSON object
 # and a documented exit code

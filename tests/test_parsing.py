@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from edr.errors import ParseError
+from edr.errors import ParseError, UnsupportedRing
 from edr.matrices import RingMatrix
 from edr.parsing import (
     element_to_str,
@@ -51,6 +51,12 @@ def test_ring_rejects(bad):
     with pytest.raises(ParseError) as exc:
         parse_ring(bad)
     assert exc.value.position >= 0
+
+
+@pytest.mark.parametrize("text", ["prod(Z,Zser3)", "prod(GF(2)[x],Zser2)", "prod(Z/4,prod(Z,Zser1))"])
+def test_products_with_a_series_factor_are_unsupported(text):
+    with pytest.raises(UnsupportedRing):
+        parse_ring(text)
 
 
 def test_element_round_trips():

@@ -1,5 +1,7 @@
 """Properties of the payload op tables against the element-level surface."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,8 @@ BIG = ModularRing((2**64 - 59) * (2**64 - 83))
 WIDE = [PrimeFieldPolynomialRing(257), PrimeFieldPolynomialRing(2**61 - 1)]
 TABLE_RINGS = [Z, ModularRing(12), ModularRing(360), BIG, GF5, PrimeFieldPolynomialRing(2), *WIDE]
 PRODUCT_RINGS = TABLE_RINGS + [ProductRing([Z, ModularRing(12), GF5])]
+# product tables are composed from the factor tables, one of them nested
+PRODUCT_TABLES = [PRODUCT_RINGS[-1], ProductRing([ModularRing(4), ProductRing([Z, GF5])])]
 
 
 def elements(ring):
@@ -62,13 +66,6 @@ def element_product(A, B):
     ]
 
 
-def plain(ring, e):
-    """e as plain Python values: ints, coefficient tuples, component tuples."""
-    if isinstance(ring, ProductRing):
-        return tuple(plain(f, c) for f, c in zip(ring.factors, e.payload))
-    return e.payload
-
-
 def plain_dot(ring, xs, ys):
     """sum(x * y) computed on plain values, apart from edr's arithmetic."""
     if isinstance(ring, ProductRing):
@@ -97,11 +94,10 @@ def test_matrix_product_matches_the_element_triple_loop(case):
     C = A * B
     assert (C.rows, C.cols) == (A.rows, B.cols)
     assert C == RingMatrix(ring, element_product(A, B))
-    a = [[plain(ring, e) for e in row] for row in A.entries]
-    b_cols = [[plain(ring, e) for e in col] for col in zip(*B.entries)]
-    assert [[plain(ring, e) for e in row] for row in C.entries] == [
-        [plain_dot(ring, row, col) for col in b_cols] for row in a
-    ]
+    # payloads are plain values: ints, coefficient tuples, component tuples
+    a = A.payload_lists()
+    b_cols = [list(col) for col in zip(*B.payload_lists())]
+    assert C.payload_lists() == [[plain_dot(ring, row, col) for col in b_cols] for row in a]
 
 
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
@@ -113,9 +109,20 @@ def test_one_by_one_and_zero_products(ring):
     assert zeros * col == RingMatrix(ring, [[ring.zero]])
 
 
+def unit_by_definition(ring, v):
+    """Whether the payload v is a unit, read off the ring's structure."""
+    if isinstance(ring, ProductRing):
+        return all(unit_by_definition(f, c) for f, c in zip(ring.factors, v))
+    if isinstance(ring, IntegerRing):
+        return v in (1, -1)
+    if isinstance(ring, ModularRing):
+        return math.gcd(v, ring.n) == 1
+    return len(v) == 1  # a nonzero constant of GF(p)[x]
+
+
 @st.composite
 def table_pairs(draw):
-    ring = draw(st.sampled_from(TABLE_RINGS))
+    ring = draw(st.sampled_from(TABLE_RINGS + PRODUCT_TABLES))
     a, b = draw(elements(ring)), draw(elements(ring))
     if draw(st.booleans()):  # b | a, which random pairs rarely give
         a = a * b
@@ -138,7 +145,7 @@ def test_table_quotient_bezout_and_normal_agree_with_the_ring(case):
         assert q == expected
     if b.is_zero():
         assert (q, r) == (ring.zero, a)
-    else:
+    elif ops.size is not None:  # products never pivot, so they rank nothing
         assert ops.size(r.payload) < ops.size(b.payload)
 
     g, x, y, a1, b1 = map(wrap, ops.bezout(a.payload, b.payload))
@@ -149,11 +156,19 @@ def test_table_quotient_bezout_and_normal_agree_with_the_ring(case):
     u, canonical = canonical_associate(a)
     u_inv = wrap(ops.normal(a.payload))
     assert is_unit(u_inv) and u_inv == unit_inverse(u)
-    assert u_inv * a == canonical
+    assert unit_by_definition(ring, u.payload)
+    assert u_inv * a == canonical and u * canonical == a
+    assert canonical_associate(canonical) == (ring.one, canonical)
+    for v in (a, b, u):
+        inv = unit_inverse(v)
+        assert (inv is not None) == unit_by_definition(ring, v.payload)
+        assert inv is None or inv * v == ring.one
     assert wrap(ops.mul(a.payload, b.payload)) == a * b
     assert wrap(ops.sub(a.payload, b.payload)) == a - b
     assert wrap(ops.add(a.payload, ops.neg(b.payload))) == a - b
-    assert bool(a.payload) == (not a.is_zero())
+    assert (a.payload != ops.zero) == (not a.is_zero())
+    if not isinstance(ring, ProductRing):  # a product's zero is a truthy tuple
+        assert bool(a.payload) == (not a.is_zero())
 
 
 def test_big_modulus_is_the_product_of_two_primes():

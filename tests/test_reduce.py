@@ -461,3 +461,25 @@ def test_gf5_8x8_that_once_grew_to_394_coefficients():
     cert = diagonal_reduce(A)
     assert verify_reduction(A, cert).ok
     assert _largest_transform_entry(cert, len) < 120
+
+
+# psi_13 = P13 * Q13 passes every Miller-Rabin base is_prime uses
+P13, Q13 = 1287836182261, 2575672364521
+
+
+def test_gf_from_psi13_up_is_refused_before_any_primality_test(monkeypatch):
+    # GF(psi_13)[x] used to be built, and reducing [[P13], [1]] over it
+    # raised ValueError from the division by the non-unit P13
+    import edr.rings
+
+    def no_primality_test(n):
+        raise AssertionError("is_prime ran")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(edr.rings, "is_prime", no_primality_test)
+        for p in (P13 * Q13, 2**89 - 1, 10**5000 + 1):
+            with pytest.raises(ScaleExceeded):
+                PrimeFieldPolynomialRing(p)
+    ring = PrimeFieldPolynomialRing(3317044064679887385961813)  # the largest prime below psi_13
+    A = RingMatrix.from_payloads(ring, [[[P13]], [[1]]])
+    assert verify_reduction(A, diagonal_reduce(A)).ok

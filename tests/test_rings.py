@@ -51,6 +51,15 @@ def test_descriptor_validation():
         ProductRing([Z])
 
 
+def test_products_refuse_a_factor_without_an_op_table():
+    S = TruncatedSeriesRing(2)
+    for factors in ([Z, S], [S, GF5], [M12, ProductRing([Z, GF2]), S]):
+        with pytest.raises(UnsupportedRing):
+            ProductRing(factors)
+    with pytest.raises(UnsupportedRing):
+        ProductRing([Z, ProductRing([M12, S])])  # the inner product is refused
+
+
 def test_descriptor_equality_is_structural():
     assert ModularRing(12) == ModularRing(12)
     assert ModularRing(12) != ModularRing(13)
@@ -197,8 +206,7 @@ def test_product_bezout_componentwise():
     b = ring.element((6, 6))
     bd = gcd_bezout(a, b)
     assert bd.holds_for(a, b)
-    assert bd.g.payload[0] == Z.from_int(2)
-    assert bd.g.payload[1].payload == 2
+    assert bd.g.payload == (2, 2)  # the tuple of the component payloads
 
 
 def test_divide_round_trip():
