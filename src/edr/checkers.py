@@ -68,12 +68,7 @@ class PredicateReport:
 
 
 def pair_unimodular(a: RingElement, b: RingElement) -> bool:
-    """Whether aR + bR = R."""
-    ring = a.ring
-    if isinstance(ring, ModularRing):
-        return math.gcd(a.payload, b.payload, ring.n) == 1
-    if isinstance(ring, IntegerRing):
-        return math.gcd(a.payload, b.payload) == 1
+    """Whether aR + bR = R: the ideal is (gcd(a, b)), so the gcd is a unit."""
     return is_unit(gcd_bezout(a, b).g)
 
 
@@ -278,6 +273,8 @@ def bounded_refute_sr1(ring: ProductRing, triple, bound: int) -> PredicateReport
         isinstance(f, IntegerRing) for f in ring.factors
     ):
         raise UnsupportedRing("refuter expects a product of copies of Z")
+    if bound < 0:
+        raise PreconditionFailed("the search bound must be >= 0")
     a, b, c = triple
     if a.ring != ring or b.ring != ring or c.ring != ring:
         raise PreconditionFailed("triple must live in the given product ring")

@@ -283,8 +283,8 @@ def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
 
     Over Z/n the idempotent splits the ring into coprime halves: complete to
     determinant 1 where e acts as the identity, park zero rows where it
-    vanishes, and glue with the remainder theorem. Products work
-    componentwise."""
+    vanishes, and glue with the remainder theorem. Products, nested ones
+    too, work componentwise."""
     row = list(row)
     if len(row) < 2:
         raise PreconditionFailed("need at least two row entries")
@@ -300,20 +300,7 @@ def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
     if exact_quotient(e, g) is None:
         raise NotInIdeal("e is not in the ideal generated by the row")
 
-    if isinstance(ring, ProductRing):
-        parts = []
-        for idx, factor in enumerate(ring.factors):
-            comp_row = [RingElement(factor, a.payload[idx]) for a in row]
-            parts.append(_component_complete(factor, comp_row, RingElement(factor, e.payload[idx])))
-        n = len(row)
-        rows = [
-            [RingElement(ring, tuple(p[i][j].payload for p in parts)) for j in range(n)]
-            for i in range(n)
-        ]
-        return _certify(ring, rows, row, e)
-
-    rows = _component_complete(ring, row, e)
-    return _certify(ring, rows, row, e)
+    return _certify(ring, _component_complete(ring, row, e), row, e)
 
 
 def _zero_det_rows(ring, row):
@@ -323,7 +310,15 @@ def _zero_det_rows(ring, row):
 
 def _component_complete(ring, row, e):
     """Entry rows (lists of RingElements) completing `row` to determinant e;
-    idempotent_complete certifies them once, glued."""
+    idempotent_complete certifies them once, glued. A product completes
+    componentwise, nested factors included."""
+    n = len(row)
+    if isinstance(ring, ProductRing):
+        parts = [
+            _component_complete(f, [RingElement(f, a.payload[k]) for a in row], RingElement(f, e.payload[k]))
+            for k, f in enumerate(ring.factors)
+        ]
+        return [[RingElement(ring, tuple(p[i][j].payload for p in parts)) for j in range(n)] for i in range(n)]
     if e == ring.one:
         return _completion_rows(row, ring.one)
     if e.is_zero():
@@ -336,7 +331,6 @@ def _component_complete(ring, row, e):
     n1 = n_mod // n2
     sub = ModularRing(n1)
     rows1 = _completion_rows([sub.from_int(a.payload) for a in row], sub.one)
-    n = len(row)
     rows = []
     for i in range(n):
         out = []

@@ -15,14 +15,13 @@ __all__ = ["RingMatrix"]
 class RingMatrix:
     """An immutable m x n matrix of ring elements sharing one descriptor.
 
-    Only rings with a PayloadOps table carry matrices (Z, Z/n, GF(p)[x] and
-    their products); the truncated series Zser<k>, the one ring without a
-    table, is refused with UnsupportedRing."""
+    Only rings with Bezout gcds carry matrices (Z, Z/n, GF(p)[x] and their
+    products); the truncated series Zser<k> is refused with UnsupportedRing."""
 
     __slots__ = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring: Ring, entries):
-        if ring.ops is None:
+        if ring.ops.bezout is None:
             raise UnsupportedRing(f"no matrix arithmetic over {ring}")
         rows = tuple(tuple(row) for row in entries)
         if not rows or not rows[0]:

@@ -155,6 +155,8 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement, branch: str = 
     then p | a, so p | b*r and p | b, and (a, b, c) is not unimodular. So
     (t, c*r) is unimodular.
     """
+    if branch not in ("auto", "c_to_a", "a_to_c"):
+        raise ValueError(f"unknown branch {branch!r}")
     ring = a.ring
     if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing, ModularRing)):
         raise UnsupportedRing(f"no adequate-split capability over {ring}")
@@ -181,8 +183,6 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement, branch: str = 
         Q = RingMatrix.identity(ring, 2).to_lists()
         return _finish_2x2(ring, A, P, Q, one, one)
 
-    if branch not in ("auto", "c_to_a", "a_to_c"):
-        raise ValueError(f"unknown branch {branch!r}")
     if branch == "a_to_c":
         return _kaplansky_a_to_c(ring, A, a, b, c)
     return _kaplansky_c_to_a(ring, A, a, b, c)

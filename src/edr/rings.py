@@ -255,20 +255,24 @@ def crt(residues, moduli) -> int:
 
 # A ring's arithmetic on raw payloads, for loops that would otherwise wrap
 # every intermediate value in a RingElement, and the ground the element API
-# of Ring is written on. Every result is canonical. In the base tables (Z,
-# Z/n, GF(p)[x]) zero payloads are falsy; a product's zero is a tuple of
-# component zeros, so code that takes products compares with `zero`.
+# of Ring and RingElement's operators are written on. Every ring has one.
+# Every result is canonical. In the base tables (Z, Z/n, GF(p)[x]) zero
+# payloads are falsy; a product's or a series' zero is a tuple, so code
+# that takes those compares with `zero`.
 # `div(a, b)` is a division with remainder, (q, r) with a = q*b + r, r zero
-# iff b divides a (and then q is exact_quotient's payload), size(r) <
-# size(b) for b != 0, and div(a, 0) = (0, a); `size` ranks pivot candidates:
-# |a| over Z (the quotient is rounded, so |r| <= |b|/2), the number of
-# coefficients over GF(p)[x], and gcd(a, n) over Z/n, 0 for a = 0 (r = a mod
-# gcd(b, n), so gcd(r, n) <= r < gcd(b, n)); it is None for products, which
-# reduce componentwise and never pivot.
+# iff b divides a (and then q is exact_quotient's payload), and div(a, 0) =
+# (0, a). Over Z, Z/n and GF(p)[x] also size(r) < size(b) for b != 0;
+# `size` ranks pivot candidates: |a| over Z (the quotient is rounded, so
+# |r| <= |b|/2), the number of coefficients over GF(p)[x], and gcd(a, n)
+# over Z/n, 0 for a = 0 (r = a mod gcd(b, n), so gcd(r, n) <= r < gcd(b, n)).
+# The series divides exactly or not at all: r is 0 or a itself, q = 0 then.
+# `size` is None for products, which reduce componentwise and never pivot,
+# and for the series, which carries no matrices.
 # `bezout(a, b)` is the payloads (g, x, y, a1, b1) of gcd_bezout's
-# BezoutData; `normal(a)` is the inverse of the unit canonical_associate
-# splits off, so normal(a) * a is canonical. Matrix products bypass add and
-# mul: they take whole dot products on the integer lift (matrices._matmul).
+# BezoutData, None for the series, which has no Bezout gcds; `normal(a)` is
+# the inverse of the unit canonical_associate splits off, so normal(a) * a
+# is canonical. Matrix products bypass add and mul: they take whole dot
+# products on the integer lift (matrices._matmul).
 PayloadOps = namedtuple("PayloadOps", "zero one add sub mul neg size div bezout normal")
 
 
@@ -334,6 +338,35 @@ def _zn_unit(n, a):
     # a/g is a unit mod n/g; the prime powers of n missing n/g take 1
     kept = n // coprime_divisor(n, n // g)
     return crt([a // g % kept, 1], [kept, n // kept]), g
+
+
+def _ser_mul(k, a, b):
+    out = [Fraction(0)] * k
+    for i, ai in enumerate(a):
+        if ai:
+            for j in range(k - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += Fraction(ai) * bj
+    return (int(out[0]), *out[1:])
+
+
+def _ser_div(k, zero, a, b):
+    """(q, zero) with b*q = a when the series b divides a, else (zero, a)."""
+    bv = next((i for i, c in enumerate(b) if c), None)
+    if bv is None or any(a[i] for i in range(bv)):
+        return zero, a  # b = 0, or its valuation exceeds the dividend's
+    lead = Fraction(b[bv])
+    q = [Fraction(a[bv]) / lead] + [Fraction(0)] * (k - 1)
+    if q[0].denominator != 1:
+        return zero, a  # the quotient's constant term is not an integer
+    for i in range(1, k - bv):
+        acc = Fraction(a[i + bv])
+        for j in range(1, i + 1):
+            acc -= Fraction(b[bv + j]) * q[i - j]
+        q[i] = acc / lead
+    q = (int(q[0]), *q[1:])
+    return (q, zero) if _ser_mul(k, b, q) == a else (zero, a)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +528,7 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.ring._add(self, other)
+        return RingElement(self.ring, self.ring.ops.add(self.payload, other.payload))
 
     __radd__ = __add__
 
@@ -503,24 +536,24 @@ class RingElement:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.ring._add(self, self.ring._neg(other))
+        return RingElement(self.ring, self.ring.ops.sub(self.payload, other.payload))
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.ring._add(other, self.ring._neg(self))
+        return RingElement(self.ring, self.ring.ops.sub(other.payload, self.payload))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.ring._mul(self, other)
+        return RingElement(self.ring, self.ring.ops.mul(self.payload, other.payload))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return self.ring._neg(self)
+        return RingElement(self.ring, self.ring.ops.neg(self.payload))
 
     def __eq__(self, other):
         return (
@@ -533,7 +566,7 @@ class RingElement:
         return hash((self.ring, self.payload))
 
     def is_zero(self) -> bool:
-        return self.payload == self.ring.zero.payload  # zero is cached
+        return self.payload == self.ring.ops.zero
 
     def __repr__(self):
         return f"<{self.ring}: {self.ring.element_str(self)}>"
@@ -567,13 +600,12 @@ class BezoutData:
 class Ring:
     """Common interface of the ring descriptors.
 
-    `ops` is the ring's PayloadOps table. The element API (arithmetic,
-    inverse, gcd_bezout, exact_quotient, canonical_associate) is written
-    once here over that table. Only the truncated series has no table
-    (ops is None) and defines its own element methods; it has no Bezout
-    gcds, and RingMatrix and ProductRing refuse it."""
-
-    ops = None
+    `ops` is the ring's PayloadOps table, which every subclass provides.
+    The element API (inverse, gcd_bezout, exact_quotient,
+    canonical_associate) is written once here over that table, and
+    RingElement's operators call it directly. A table whose `bezout` is
+    None (the truncated series) has no Bezout gcds, and RingMatrix and
+    ProductRing refuse its ring."""
 
     def _key(self):
         raise NotImplementedError
@@ -601,17 +633,6 @@ class Ring:
     def one(self) -> RingElement:
         return self.from_int(1)
 
-    # --- arithmetic (RingElement's operators land here) ------------------
-
-    def _add(self, a, b):
-        return RingElement(self, self.ops.add(a.payload, b.payload))
-
-    def _neg(self, a):
-        return RingElement(self, self.ops.neg(a.payload))
-
-    def _mul(self, a, b):
-        return RingElement(self, self.ops.mul(a.payload, b.payload))
-
     # --- structure --------------------------------------------------------
 
     def inverse(self, a: RingElement):
@@ -620,7 +641,7 @@ class Ring:
         return self.exact_quotient(self.one, a)
 
     def gcd_bezout(self, a: RingElement, b: RingElement) -> BezoutData:
-        if self.ops is None:
+        if self.ops.bezout is None:
             raise UnsupportedRing(f"{self} does not support Bezout gcds")
         return BezoutData(*(RingElement(self, v) for v in self.ops.bezout(a.payload, b.payload)))
 
@@ -674,7 +695,7 @@ class IntegerRing(Ring):
         return RingElement(self, payload)
 
     def from_int(self, k):
-        return RingElement(self, k)
+        return RingElement(self, operator.index(k))  # a plain int, never a bool
 
     def jacobson_member(self, a):
         return a.payload == 0
@@ -785,9 +806,9 @@ class TruncatedSeriesRing(Ring):
     """Series z0 + c1*x + ... + c_{k-1}*x^{k-1} with z0 an integer and the
     higher coefficients exact rationals, multiplied modulo x^k.
 
-    Supports arithmetic, unit inversion and radical membership only; there
-    is no Bezout structure here (the ring exists to host the coefficient
-    recurrence splitting of series).
+    Supports arithmetic, exact division (so unit inversion) and radical
+    membership only: its table has no Bezout gcds and no pivot size (the
+    ring exists to host the coefficient recurrence splitting of series).
     """
 
     def __init__(self, order: int):
@@ -818,68 +839,22 @@ class TruncatedSeriesRing(Ring):
         return RingElement(self, (z0, *(Fraction(c) for c in cs[1:])))
 
     def from_int(self, k):
-        return RingElement(self, (k, *(Fraction(0) for _ in range(self.order - 1))))
+        return RingElement(self, (operator.index(k), *(Fraction(0) for _ in range(self.order - 1))))
 
-    def _add(self, a, b):
-        z = a.payload[0] + b.payload[0]
-        rest = tuple(x + y for x, y in zip(a.payload[1:], b.payload[1:]))
-        return RingElement(self, (z, *rest))
-
-    def _neg(self, a):
-        return RingElement(self, (-a.payload[0], *(-c for c in a.payload[1:])))
-
-    def _mul(self, a, b):
+    @cached_property
+    def ops(self):
         k = self.order
-        out = [Fraction(0)] * k
-        for i, ai in enumerate(a.payload):
-            if ai:
-                for j in range(k - i):
-                    bj = b.payload[j]
-                    if bj:
-                        out[i + j] += Fraction(ai) * bj
-        return RingElement(self, (int(out[0]), *out[1:]))
-
-    def inverse(self, a):
-        z0 = a.payload[0]
-        if z0 not in (1, -1):
-            return None
-        k = self.order
-        inv = [Fraction(0)] * k
-        inv[0] = Fraction(z0)
-        for i in range(1, k):
-            acc = Fraction(0)
-            for j in range(1, i + 1):
-                acc += Fraction(a.payload[j]) * inv[i - j]
-            inv[i] = -acc / z0
-        return RingElement(self, (z0, *inv[1:]))
-
-    def exact_quotient(self, a, b):
-        k = self.order
-        bv = next((i for i, c in enumerate(b.payload) if c), None)
-        if bv is None:
-            return self.zero if a.is_zero() else None
-        if any(a.payload[i] for i in range(min(bv, k))):
-            return None  # the divisor's valuation exceeds the dividend's
-        lead = Fraction(b.payload[bv])
-        q = [Fraction(0)] * k
-        for i in range(k - bv):
-            acc = Fraction(a.payload[i + bv])
-            for j in range(1, i + 1):
-                acc -= Fraction(b.payload[bv + j]) * q[i - j]
-            q[i] = acc / lead
-        if q[0].denominator != 1:
-            return None  # the quotient's constant term is not an integer
-        cand = RingElement(self, (int(q[0]), *q[1:]))
-        return cand if b * cand == a else None
+        zero, one, minus_one = (self.from_int(v).payload for v in (0, 1, -1))
+        return PayloadOps(
+            zero, one, lambda a, b: (a[0] + b[0], *(x + y for x, y in zip(a[1:], b[1:]))),
+            lambda a, b: (a[0] - b[0], *(x - y for x, y in zip(a[1:], b[1:]))),
+            partial(_ser_mul, k), lambda a: (-a[0], *(-c for c in a[1:])), None,
+            partial(_ser_div, k, zero), None,
+            lambda a: minus_one if next((c for c in a if c), 0) < 0 else one,
+        )
 
     def jacobson_member(self, a):
         return a.payload[0] == 0
-
-    def canonical_associate(self, a):
-        lead = next((c for c in a.payload if c), None)
-        if lead is None or lead > 0:
-            return self.one, a
-        return self.from_int(-1), -a
 
     def element_str(self, a):
         if self.order == 1:
@@ -888,10 +863,10 @@ class TruncatedSeriesRing(Ring):
 
 
 class ProductRing(Ring):
-    """A finite direct product of rings with op tables (Z, Z/n, GF(p)[x]
-    and their products); a factor without one, the truncated series, is
-    refused with UnsupportedRing. A payload is the tuple of its component
-    payloads, and the op table acts componentwise."""
+    """A finite direct product of rings with Bezout gcds (Z, Z/n, GF(p)[x]
+    and their products); a truncated series factor is refused with
+    UnsupportedRing. A payload is the tuple of its component payloads, and
+    the op table acts componentwise."""
 
     def __init__(self, factors):
         factors = tuple(factors)
@@ -900,7 +875,7 @@ class ProductRing(Ring):
         if not all(isinstance(f, Ring) for f in factors):
             raise TypeError("factors must be ring descriptors")
         for f in factors:
-            if f.ops is None:
+            if f.ops.bezout is None:
                 raise UnsupportedRing(f"no product with {f}: factors must be Z, Z/n, GF(p)[x] or products")
         self.factors = factors
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 
 def int_divisors(n):
@@ -205,3 +206,14 @@ def poly_dot(xs, ys, p):
 def poly_mul(a, b, p):
     """The product of two polynomials over GF(p), schoolbook."""
     return poly_dot([a], [b], p)
+
+
+def series_inverse(z0, coeffs):
+    """The inverse of the unit series z0 + c1*x + ... (z0 = +-1) modulo
+    x^(1 + len(coeffs)), by the closed-form recurrence
+    inv_i = -(c1*inv_(i-1) + ... + ci*inv_0) / z0, as Fractions."""
+    cs = [Fraction(z0), *map(Fraction, coeffs)]
+    inv = [Fraction(z0)]
+    for i in range(1, len(cs)):
+        inv.append(-sum(cs[j] * inv[i - j] for j in range(1, i + 1)) / z0)
+    return inv

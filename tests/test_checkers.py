@@ -86,6 +86,11 @@ def test_fast_ideal_test_agrees_with_scan():
             assert pair_unimodular(a, b) == pair_unimodular_by_scan(a, b)
 
 
+def test_pair_unimodular_over_z_is_a_gcd_of_one():
+    for a, b in itertools.product(range(-12, 13), repeat=2):
+        assert pair_unimodular(Z.from_int(a), Z.from_int(b)) == (math.gcd(a, b) == 1), (a, b)
+
+
 def test_pm_gcd_test_agrees_with_the_double_loop():
     for n in range(2, 121):
         for a in range(n):
@@ -165,6 +170,11 @@ def test_bounded_refuter_preconditions():
     with pytest.raises(PreconditionFailed):
         bounded_refute_sr1(
             ZxZ, (ZxZ.element((0, 0)), ZxZ.element((1, 1)), ZxZ.element((1, 1))), 5
+        )
+    # a negative bound scans nothing, which is no evidence either way
+    with pytest.raises(PreconditionFailed):
+        bounded_refute_sr1(
+            ZxZ, (ZxZ.element((2, 3)), ZxZ.element((3, 2)), ZxZ.element((1, 1))), -1
         )
     with pytest.raises(UnsupportedRing):
         bounded_refute_sr1(

@@ -330,6 +330,17 @@ def test_idempotent_product_ring():
     assert verify_completion(cert).ok
 
 
+def test_idempotent_nested_product_ring():
+    # products complete componentwise, a nested factor included
+    ring = ProductRing([ModularRing(4), ProductRing([ModularRing(3), ModularRing(5)])])
+    row = [ring.element((1, (1, 2))), ring.element((2, (0, 3)))]
+    for e in (ring.one, ring.element((1, (0, 1)))):
+        assert e * e == e
+        cert = idempotent_complete(row, e)
+        assert cert.det_value == e
+        assert verify_completion(cert).ok
+
+
 def test_idempotent_complete_takes_one_determinant(monkeypatch):
     calls = []
     det = RingMatrix.det

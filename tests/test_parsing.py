@@ -115,6 +115,17 @@ def test_matrix_text_round_trip():
     assert matrix_to_text(matrix_from_text(text)) == text
 
 
+def test_bool_entries_round_trip_as_plain_ints():
+    Z = IntegerRing()
+    M = RingMatrix.from_payloads(Z, [[True, 2], [3, False]])
+    assert all(type(e.payload) is int for row in M.entries for e in row)
+    text = matrix_to_text(M)
+    assert text == "ring: Z\nshape: 2 2\n1 2\n3 0\n"
+    assert matrix_from_text(text) == M
+    series = TruncatedSeriesRing(3).from_int(True)
+    assert type(series.payload[0]) is int and element_to_str(series) == "{1;0,0}"
+
+
 def test_matrix_text_format_is_exact():
     text = "ring: Z\nshape: 2 2\n2 4\n6 8\n"
     M = matrix_from_text(text)

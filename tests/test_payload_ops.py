@@ -6,19 +6,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edr.errors import UnsupportedRing
 from edr.matrices import RingMatrix
 from edr.rings import (
     IntegerRing,
     ModularRing,
+    PayloadOps,
     PrimeFieldPolynomialRing,
     ProductRing,
+    Ring,
     RingElement,
+    TruncatedSeriesRing,
     canonical_associate,
     exact_quotient,
     gcd_bezout,
     is_unit,
     unit_inverse,
 )
+
+from oracles import series_inverse
 
 Z = IntegerRing()
 GF5 = PrimeFieldPolynomialRing(5)
@@ -33,6 +39,8 @@ TABLE_RINGS = [Z, ModularRing(12), ModularRing(360), BIG, GF5, PrimeFieldPolynom
 PRODUCT_RINGS = TABLE_RINGS + [ProductRing([Z, ModularRing(12), GF5])]
 # product tables are composed from the factor tables, one of them nested
 PRODUCT_TABLES = [PRODUCT_RINGS[-1], ProductRing([ModularRing(4), ProductRing([Z, GF5])])]
+# the series' table has no Bezout gcds and no pivot size, and divides exactly
+SERIES = [TruncatedSeriesRing(3), TruncatedSeriesRing(4)]
 
 
 def elements(ring):
@@ -43,6 +51,9 @@ def elements(ring):
     if isinstance(ring, PrimeFieldPolynomialRing):
         size = 40 if ring in WIDE else 6
         return st.lists(st.integers(0, ring.p - 1), max_size=size).map(ring.element)
+    if isinstance(ring, TruncatedSeriesRing):
+        rest = st.lists(st.fractions(-3, 3, max_denominator=4), max_size=ring.order - 1)
+        return st.builds(lambda z0, cs: ring.element([z0, *cs]), st.integers(-3, 3), rest)
     return st.tuples(*(elements(f) for f in ring.factors)).map(ring.element)
 
 
@@ -117,12 +128,14 @@ def unit_by_definition(ring, v):
         return v in (1, -1)
     if isinstance(ring, ModularRing):
         return math.gcd(v, ring.n) == 1
+    if isinstance(ring, TruncatedSeriesRing):
+        return v[0] in (1, -1)
     return len(v) == 1  # a nonzero constant of GF(p)[x]
 
 
 @st.composite
 def table_pairs(draw):
-    ring = draw(st.sampled_from(TABLE_RINGS + PRODUCT_TABLES))
+    ring = draw(st.sampled_from(TABLE_RINGS + PRODUCT_TABLES + SERIES))
     a, b = draw(elements(ring)), draw(elements(ring))
     if draw(st.booleans()):  # b | a, which random pairs rarely give
         a = a * b
@@ -143,15 +156,21 @@ def test_table_quotient_bezout_and_normal_agree_with_the_ring(case):
     assert r.is_zero() == (expected is not None)
     if expected is not None:
         assert q == expected
+    elif isinstance(ring, TruncatedSeriesRing):  # no remainder but a itself
+        assert (q, r) == (ring.zero, a)
     if b.is_zero():
         assert (q, r) == (ring.zero, a)
     elif ops.size is not None:  # products never pivot, so they rank nothing
         assert ops.size(r.payload) < ops.size(b.payload)
 
-    g, x, y, a1, b1 = map(wrap, ops.bezout(a.payload, b.payload))
-    bd = gcd_bezout(a, b)
-    assert (g, x, y, a1, b1) == (bd.g, bd.x, bd.y, bd.a1, bd.b1)
-    assert bd.holds_for(a, b)
+    if ops.bezout is None:
+        with pytest.raises(UnsupportedRing):
+            gcd_bezout(a, b)
+    else:
+        g, x, y, a1, b1 = map(wrap, ops.bezout(a.payload, b.payload))
+        bd = gcd_bezout(a, b)
+        assert (g, x, y, a1, b1) == (bd.g, bd.x, bd.y, bd.a1, bd.b1)
+        assert bd.holds_for(a, b)
 
     u, canonical = canonical_associate(a)
     u_inv = wrap(ops.normal(a.payload))
@@ -159,6 +178,7 @@ def test_table_quotient_bezout_and_normal_agree_with_the_ring(case):
     assert unit_by_definition(ring, u.payload)
     assert u_inv * a == canonical and u * canonical == a
     assert canonical_associate(canonical) == (ring.one, canonical)
+    assert canonical_associate(-a)[1] == canonical  # one form per associate class
     for v in (a, b, u):
         inv = unit_inverse(v)
         assert (inv is not None) == unit_by_definition(ring, v.payload)
@@ -167,8 +187,36 @@ def test_table_quotient_bezout_and_normal_agree_with_the_ring(case):
     assert wrap(ops.sub(a.payload, b.payload)) == a - b
     assert wrap(ops.add(a.payload, ops.neg(b.payload))) == a - b
     assert (a.payload != ops.zero) == (not a.is_zero())
-    if not isinstance(ring, ProductRing):  # a product's zero is a truthy tuple
+    if not isinstance(ring, (ProductRing, TruncatedSeriesRing)):  # zero is a truthy tuple
         assert bool(a.payload) == (not a.is_zero())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SERIES).flatmap(lambda ring: st.tuples(st.just(ring), elements(ring))), st.sampled_from([1, -1]))
+def test_series_unit_inverse_matches_the_closed_form(case, z0):
+    ring, a = case
+    a = ring.element([z0, *a.payload[1:]])
+    inv = unit_inverse(a)
+    assert inv.payload == tuple(series_inverse(z0, a.payload[1:]))
+    assert type(inv.payload[0]) is int and inv * a == ring.one
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+ELEMENT_API = ("_add", "_neg", "_mul", "inverse", "exact_quotient", "canonical_associate", "gcd_bezout")
+
+
+def test_every_ring_is_an_op_table_under_one_element_api():
+    rings = TABLE_RINGS + PRODUCT_TABLES + SERIES
+    assert {type(r) for r in rings} == set(_subclasses(Ring))
+    for cls in _subclasses(Ring):
+        assert not set(ELEMENT_API) & set(vars(cls)), cls
+    for ring in rings:
+        assert isinstance(ring.ops, PayloadOps), ring
 
 
 def test_big_modulus_is_the_product_of_two_primes():

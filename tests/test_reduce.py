@@ -178,6 +178,12 @@ def test_kaplansky_auto_verifies_on_every_unimodular_triple(spec):
     assert time.monotonic() - start < 3.0
 
 
+@pytest.mark.parametrize("a, c", [(0, 3), (3, 0), (4, 9)])
+def test_kaplansky_refuses_an_unknown_branch_before_any_shortcut(a, c):
+    with pytest.raises(ValueError, match="bogus"):
+        kaplansky_2x2(Z.from_int(a), Z.from_int(5), Z.from_int(c), branch="bogus")
+
+
 def test_kaplansky_not_unimodular():
     with pytest.raises(NotUnimodular):
         kaplansky_2x2(Z.from_int(2), Z.from_int(4), Z.from_int(6))
