@@ -4,19 +4,20 @@ An element a is adequate to b when a = r*s with r coprime to b while every
 non-invertible divisor of s shares a factor with b. Over a PID the split
 falls out of repeated gcd extraction; over Z/n some power a^m splits through
 a pair of idempotents; in the truncated series ring the integer split of the
-constant term lifts coefficient by coefficient.
+constant term lifts coefficient by coefficient. verify_adequate re-checks a
+split without any of these: its divisor clause is the one remainder test
+s | b^k, written over the ring's op table.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     NotCoprime,
     PostconditionFailed,
-    ScaleExceeded,
+    PreconditionFailed,
     UnsupportedRing,
     ZeroConstantTerm,
     ZeroElement,
@@ -29,10 +30,7 @@ from .rings import (
     PrimeFieldPolynomialRing,
     RingElement,
     TruncatedSeriesRing,
-    _pdivmod,
-    _pmonic,
-    _pmul,
-    _pxgcd,
+    _same_ring,
     coprime_divisor,
     crt,
     divide_exact,
@@ -179,50 +177,18 @@ def series_adequate_split(
 # independent verifier
 
 
-_VERIFY_INT_BOUND = 10**6
-_VERIFY_DEG_BOUND = 12
-_VERIFY_MOD_BOUND = 10**4
-
-
-def _int_divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _poly_irreducible_factors(cs, p):
-    """Multiset of monic irreducible factors, by trial division with monic
-    candidates of increasing degree. Fine at verifier scale (deg <= 12)."""
-    out = []
-    _, rem = _pmonic(cs, p)
-    deg = 1
-    while len(rem) - 1 >= 2 * deg:
-        found = False
-        for idx in range(p**deg):
-            cand = []
-            v = idx
-            for _ in range(deg):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)
-            cand = tuple(cand)
-            q, r = _pdivmod(rem, cand, p)
-            if not r:
-                out.append(cand)
-                rem = q
-                found = True
-                break
-        if not found:
-            deg += 1
-    if len(rem) > 1:
-        out.append(rem)
+def _power(ops, x, k: int, mod):
+    """x^k by square-and-multiply, each product replaced by its remainder
+    ops.div(., mod)[1]; mod = zero reduces nothing, since div(a, 0) = (0, a).
+    Remainders are congruent to what they replace modulo the ideal (mod), so
+    the result is zero exactly when mod divides x^k (k >= 1)."""
+    out = ops.one
+    while k:
+        if k & 1:
+            out = ops.div(ops.mul(out, x), mod)[1]
+        k >>= 1
+        if k:
+            x = ops.div(ops.mul(x, x), mod)[1]
     return out
 
 
@@ -233,77 +199,40 @@ def verify_adequate(
     s: RingElement,
     m: int = 1,
 ) -> CheckReport:
-    """Check the three adequacy clauses for a^m = r*s against b, enumerating
-    the non-unit divisors of s independently of any construction path."""
-    ring = a.ring
-    failures = []
+    """Check the three adequacy clauses for a^m = r*s against b over Z, Z/n
+    and GF(p)[x] (UnsupportedRing elsewhere, DescriptorMismatch when the four
+    elements do not share one ring; m < 1 is PreconditionFailed).
 
-    power = ring.one
-    for _ in range(m):
-        power = power * a
-    if r * s != power:
-        failures.append("a^m = r*s")
-
-    if not is_unit(gcd_bezout(r, b).g):
-        failures.append("gcd(r,b) unit")
-
+    The divisor clause, every non-unit divisor of s meets b, holds exactly
+    when every prime (irreducible) factor of s divides b: a non-unit divisor
+    has a prime factor, and each prime factor is itself such a divisor. That
+    holds exactly when s divides b^k for any k at least the largest
+    multiplicity of a prime of s, so the clause is one remainder test. k is
+    |s|.bit_length() over Z, deg s over GF(p)[x] and n.bit_length() over
+    Z/n (where s | b^k means gcd(s, n) | b^k), and at least 1, so s = 0
+    passes over Z and GF(p)[x] only with b = 0. The test costs O(log k)
+    products, each reduced mod s, and a^m costs O(log m) products: nothing
+    is factored, so s and n are not bounded. It shares no algorithm with
+    the constructions above (gcd extraction, idempotents), only the ring's
+    op table and gcd_bezout.
+    """
+    ring = _same_ring(a, b, r, s)
     if isinstance(ring, IntegerRing):
-        sv, bv = s.payload, b.payload
-        if sv == 0:
-            # only b = 0 meets every integer
-            if bv != 0:
-                failures.append("divisor condition")
-        else:
-            if abs(sv) > _VERIFY_INT_BOUND:
-                raise ScaleExceeded(f"|s| exceeds {_VERIFY_INT_BOUND}")
-            for dv in _int_divisors(sv):
-                if dv != 1 and math.gcd(dv, bv) == 1:
-                    failures.append("divisor condition")
-                    break
-    elif isinstance(ring, PrimeFieldPolynomialRing):
-        p = ring.p
-        if not s.payload:
-            if b.payload:
-                failures.append("divisor condition")
-        else:
-            if len(s.payload) - 1 > _VERIFY_DEG_BOUND:
-                raise ScaleExceeded("deg s exceeds the verifier bound")
-            irr = _poly_irreducible_factors(s.payload, p)
-            # every non-unit divisor is a unit multiple of a sub-product, so
-            # enumerate sub-products of the irreducible multiset
-            seen = set()
-            stack = [((), 0)]
-            fail = False
-            while stack and not fail:
-                chosen, idx = stack.pop()
-                if chosen and chosen not in seen:
-                    seen.add(chosen)
-                    prod = (1,)
-                    for q in chosen:
-                        prod = _pmul(prod, q, p)
-                    gdd, _, _ = _pxgcd(prod, b.payload, p)
-                    if len(gdd) <= 1:
-                        fail = True
-                for nxt in range(idx, len(irr)):
-                    stack.append((tuple(sorted(chosen + (irr[nxt],))), nxt + 1))
-            if fail:
-                failures.append("divisor condition")
+        k = abs(s.payload).bit_length()
     elif isinstance(ring, ModularRing):
-        n = ring.n
-        if n > _VERIFY_MOD_BOUND:
-            raise ScaleExceeded(f"modulus exceeds {_VERIFY_MOD_BOUND}")
-        sv, bv = s.payload, b.payload
-        gb = math.gcd(bv, n)
-        for dv in range(n):
-            gd = math.gcd(dv, n)
-            if gd == 1:
-                continue  # unit
-            if sv % gd:
-                continue  # dv does not divide s
-            if math.gcd(gd, gb) == 1:
-                failures.append("divisor condition")
-                break
+        k = ring.n.bit_length()
+    elif isinstance(ring, PrimeFieldPolynomialRing):
+        k = len(s.payload) - 1
     else:
         raise UnsupportedRing(f"verify_adequate is not defined over {ring}")
-
+    if m < 1:
+        raise PreconditionFailed("verify_adequate needs a power m >= 1")
+    ops = ring.ops
+    failures = []
+    if ops.mul(r.payload, s.payload) != _power(ops, a.payload, m, ops.zero):
+        failures.append("a^m = r*s")
+    if not is_unit(gcd_bezout(r, b).g):
+        failures.append("gcd(r,b) unit")
+    if _power(ops, b.payload, max(k, 1), s.payload) != ops.zero:
+        failures.append("divisor condition")
     return CheckReport.from_failures(failures)

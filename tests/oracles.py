@@ -19,23 +19,25 @@ def int_divisors(n):
     return small + large[::-1]
 
 
+def divisors_meet_z(s, b):
+    """Every non-unit divisor of s shares a factor with b, over Z, by plain
+    divisor enumeration."""
+    if s == 0:
+        return b == 0  # only b = 0 meets every integer
+    return all(math.gcd(d, b) != 1 for d in int_divisors(s) if d > 1)
+
+
 def valid_adequate_split_z(a, b, r, s, m=1):
     """The three adequacy clauses over Z, by plain divisor enumeration."""
     if r * s != a**m:
         return False
     if math.gcd(r, b) != 1:
         return False
-    if s == 0:
-        return b == 0  # only b = 0 meets every integer
-    return all(math.gcd(d, b) != 1 for d in int_divisors(s) if d > 1)
+    return divisors_meet_z(s, b)
 
 
-def valid_split_zn(n, a, b, r, s, m=1):
-    """The adequacy clauses in Z/n; divisors of s are scanned ring-wide."""
-    if (r * s - pow(a, m, n)) % n:
-        return False
-    if math.gcd(r, math.gcd(b, n)) != 1:
-        return False
+def divisors_meet_zn(n, s, b):
+    """The divisor clause in Z/n; divisors of s are scanned ring-wide."""
     gb = math.gcd(b, n)
     for d in range(n):
         gd = math.gcd(d, n)
@@ -46,6 +48,98 @@ def valid_split_zn(n, a, b, r, s, m=1):
         if math.gcd(gd, gb) == 1:
             return False
     return True
+
+
+def valid_split_zn(n, a, b, r, s, m=1):
+    """The adequacy clauses in Z/n; divisors of s are scanned ring-wide."""
+    if (r * s - pow(a, m, n)) % n:
+        return False
+    if math.gcd(r, math.gcd(b, n)) != 1:
+        return False
+    return divisors_meet_zn(n, s, b)
+
+
+def poly_trim(cs):
+    """The coefficient tuple cs without trailing zeros."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_divmod(a, b, p):
+    """(q, r) with a = q*b + r and deg r < deg b over GF(p), by schoolbook
+    long division; b is nonzero."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for i in range(len(a) - len(b), -1, -1):
+        q[i] = a[i + len(b) - 1] * inv % p
+        for j, bj in enumerate(b):
+            a[i + j] = (a[i + j] - q[i] * bj) % p
+    return poly_trim(q), poly_trim(a)
+
+
+def poly_gcd(a, b, p):
+    """A gcd of a and b over GF(p) (a unit multiple of the monic one), by
+    Euclid's remainder sequence."""
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    return a
+
+
+def poly_irreducible_factors(cs, p):
+    """Multiset of monic irreducible factors of a nonzero polynomial, by
+    trial division with monic candidates of increasing degree: the p^d
+    candidates of degree d are tried until the cofactor has no factor of
+    degree up to half its own, so it is irreducible (or constant)."""
+    inv = pow(cs[-1], -1, p)
+    rem = tuple(c * inv % p for c in cs)
+    out = []
+    deg = 1
+    while len(rem) - 1 >= 2 * deg:
+        for idx in range(p**deg):
+            cand = tuple(idx // p**i % p for i in range(deg)) + (1,)
+            q, r = poly_divmod(rem, cand, p)
+            if not r:
+                out.append(cand)
+                rem = q
+                break
+        else:
+            deg += 1
+    if len(rem) > 1:
+        out.append(rem)
+    return out
+
+
+def divisors_meet_gfpx(p, s, b):
+    """The divisor clause over GF(p)[x]: every non-unit divisor of s is a unit
+    multiple of a product of a non-empty sub-multiset of s's irreducible
+    factors, so each such sub-product must have a non-constant gcd with b."""
+    if not s:
+        return not b  # only b = 0 meets every polynomial
+    irr = poly_irreducible_factors(s, p)
+    for size in range(1, len(irr) + 1):
+        for chosen in itertools.combinations(irr, size):
+            prod = (1,)
+            for q in chosen:
+                prod = poly_mul(prod, q, p)
+            if len(poly_gcd(prod, b, p)) <= 1:
+                return False
+    return True
+
+
+def valid_adequate_split_gfpx(p, a, b, r, s, m=1):
+    """The three adequacy clauses over GF(p)[x] for coefficient tuples
+    (little-endian, no trailing zeros)."""
+    power = (1,)
+    for _ in range(m):
+        power = poly_mul(power, a, p)
+    if poly_mul(r, s, p) != power:
+        return False
+    if len(poly_gcd(r, b, p)) != 1:
+        return False  # gcd(r, b) is zero or not constant
+    return divisors_meet_gfpx(p, s, b)
 
 
 def exists_split_zn(n, a, b, m=1):
@@ -197,10 +291,7 @@ def poly_dot(xs, ys, p):
         for i, xi in enumerate(x):
             for j, yj in enumerate(y):
                 out[i + j] += xi * yj
-    out = [c % p for c in out]
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return poly_trim(c % p for c in out)
 
 
 def poly_mul(a, b, p):

@@ -1,8 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edr.adequate import (
     adequate_split,
@@ -10,7 +13,13 @@ from edr.adequate import (
     series_adequate_split,
     verify_adequate,
 )
-from edr.errors import ScaleExceeded, UnsupportedRing, ZeroConstantTerm, ZeroElement
+from edr.errors import (
+    DescriptorMismatch,
+    PreconditionFailed,
+    UnsupportedRing,
+    ZeroConstantTerm,
+    ZeroElement,
+)
 from edr.rings import (
     IntegerRing,
     ModularRing,
@@ -20,7 +29,19 @@ from edr.rings import (
     is_unit,
 )
 
-from oracles import exists_split_zn, valid_adequate_split_z, valid_split_zn
+from oracles import (
+    divisors_meet_gfpx,
+    divisors_meet_z,
+    divisors_meet_zn,
+    exists_split_zn,
+    poly_irreducible_factors,
+    poly_mul,
+    poly_trim,
+    trial_factorize,
+    valid_adequate_split_gfpx,
+    valid_adequate_split_z,
+    valid_split_zn,
+)
 
 Z = IntegerRing()
 
@@ -87,15 +108,142 @@ def test_verify_examples():
 
 
 def test_verify_scale_guards():
-    with pytest.raises(ScaleExceeded):
-        verify_adequate(Z.from_int(10**7), Z.from_int(3), Z.one, Z.from_int(10**7))
-    for n in (10**4 + 1, 10**5000 + 1):  # the second is past the 4300-digit str() limit
-        big = ModularRing(n)
-        with pytest.raises(ScaleExceeded):
-            verify_adequate(big.one, big.one, big.one, big.one)
+    # no size bound: nothing is factored, so large s and n get a report
+    big = Z.from_int(10**7)
+    assert verify_adequate(big, Z.from_int(3), Z.one, big).failures == ("divisor condition",)
+    assert verify_adequate(big, Z.from_int(30), Z.one, big).ok
+    # the second modulus is past the 4300-digit str() limit; d is a prime factor
+    for n, d in ((10**4 + 1, 73), (10**5000 + 1, 17)):
+        ring = ModularRing(n)
+        assert verify_adequate(ring.one, ring.one, ring.one, ring.one).ok
+        s = ring.from_int(d)
+        assert verify_adequate(s, ring.from_int(3), ring.one, s).failures == ("divisor condition",)
+        assert verify_adequate(s, ring.from_int(2 * d), ring.one, s).ok
     huge = Z.from_int(10**5000)
-    with pytest.raises(ScaleExceeded):
-        verify_adequate(huge, Z.from_int(3), Z.one, huge)
+    assert verify_adequate(huge, Z.from_int(3), Z.one, huge).failures == ("divisor condition",)
+    assert verify_adequate(huge, Z.from_int(10), Z.one, huge).ok
+
+
+def test_verify_preconditions():
+    twelve, ten = Z.from_int(12), Z.from_int(10)
+    for m in (0, -3):  # 12^0 = 1*1 must not certify
+        with pytest.raises(PreconditionFailed):
+            verify_adequate(twelve, ten, Z.one, Z.one, m)
+    assert verify_adequate(twelve, ten, Z.from_int(9), Z.from_int(16), 2).ok
+    # every operand must share a's ring, whatever its payload type
+    mixed = [(ModularRing(10).from_int(5), Z.from_int(3), Z.from_int(4)),
+             (Z.from_int(10), Z.from_int(3), ModularRing(10).from_int(4)),
+             (Z.from_int(10), Z.from_int(3), PrimeFieldPolynomialRing(5).element([4]))]
+    for b, r, s in mixed:
+        with pytest.raises(DescriptorMismatch):
+            verify_adequate(twelve, b, r, s)
+    prod = ProductRing([Z, ModularRing(6)])
+    S = TruncatedSeriesRing(3)
+    for ring in (prod, S):
+        with pytest.raises(UnsupportedRing):
+            verify_adequate(ring.one, ring.one, ring.one, ring.one)
+        with pytest.raises(UnsupportedRing):
+            verify_adequate(ring.one, ring.one, ring.one, ring.one, 0)
+
+
+def _two_quadratics(p):
+    """q1 = x^2 - x + c1 and q2 = x^2 - x + c2 over GF(p), both irreducible:
+    1 - 4c is a quadratic non-residue (p odd)."""
+    cs = [c for c in range(1, 100) if pow((1 - 4 * c) % p, (p - 1) // 2, p) == p - 1][:2]
+    ring = PrimeFieldPolynomialRing(p)
+    return ring, [ring.element([c, -1, 1]) for c in cs]
+
+
+@pytest.mark.parametrize("p", [65537, 3317044064679887385961813])
+def test_verify_two_quadratics_at_large_p(p):
+    # trial division over the p^2 monic quadratics would take hours at p = 65537
+    ring, (q1, q2) = _two_quadratics(p)
+    s = q1 * q2
+    start = time.perf_counter()
+    rep = verify_adequate(s, ring.element([1, 1]), ring.one, s)
+    assert rep.failures == ("divisor condition",)
+    assert verify_adequate(s, s, ring.one, s).ok
+    assert verify_adequate(s * q1, q1 * q2, ring.one, s * q1).ok
+    assert verify_adequate(s, q1, ring.one, s).failures == ("divisor condition",)
+    assert time.perf_counter() - start < 1.0
+
+
+def _divisor_clause(rep):
+    return "divisor condition" not in rep.failures
+
+
+@st.composite
+def z_cases(draw):
+    s = draw(st.sampled_from([0, 1, -1]) | st.integers(-2000, 2000))
+    r = draw(st.integers(-50, 50))
+    a, m = draw(st.integers(-40, 40)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        a, m = r * s, 1  # the product clause holds
+    b = draw(st.integers(-500, 500))
+    if draw(st.booleans()):  # every prime of s divides b, each only once
+        b = math.prod(trial_factorize(abs(s))) * draw(st.integers(-3, 3))
+    return a, b, r, s, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(z_cases())
+def test_verify_agrees_with_oracle_over_z(case):
+    a, b, r, s, m = case
+    rep = verify_adequate(*(Z.from_int(v) for v in (a, b, r, s)), m)
+    assert _divisor_clause(rep) == divisors_meet_z(s, b)
+    assert rep.ok == valid_adequate_split_z(a, b, r, s, m)
+
+
+@st.composite
+def zn_cases(draw):
+    n = draw(st.integers(2, 119))
+    a, b, r, s = (draw(st.integers(0, n - 1)) for _ in range(4))
+    s = draw(st.sampled_from([s, 0, 1, n - 1]))
+    m = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        a, m = r * s % n, 1
+    if draw(st.booleans()):
+        b = math.prod(trial_factorize(math.gcd(s, n))) * draw(st.integers(0, n - 1)) % n
+    return n, a, b, r, s, m
+
+
+@settings(max_examples=400, deadline=None)
+@given(zn_cases())
+def test_verify_agrees_with_oracle_over_zn(case):
+    n, a, b, r, s, m = case
+    ring = ModularRing(n)
+    rep = verify_adequate(*(ring.from_int(v) for v in (a, b, r, s)), m)
+    assert _divisor_clause(rep) == divisors_meet_zn(n, s, b)
+    assert rep.ok == valid_split_zn(n, a, b, r, s, m)
+
+
+@st.composite
+def gfpx_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+
+    def poly(max_deg):
+        return poly_trim(draw(st.lists(st.integers(0, p - 1), max_size=max_deg + 1)))
+
+    s, r, a, m = poly(8), poly(3), poly(3), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        a, m = poly_mul(r, s, p), 1
+    b = poly(6)
+    if s and draw(st.booleans()):  # every irreducible of s divides b, each only once
+        b = (1,)
+        for q in set(poly_irreducible_factors(s, p)):
+            b = poly_mul(b, q, p)
+        b = poly_mul(b, poly(2), p)
+    return p, a, b, r, s, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(gfpx_cases())
+def test_verify_agrees_with_oracle_over_gfpx(case):
+    p, a, b, r, s, m = case
+    ring = PrimeFieldPolynomialRing(p)
+    rep = verify_adequate(*(ring.element(v) for v in (a, b, r, s)), m)
+    assert _divisor_clause(rep) == divisors_meet_gfpx(p, s, b)
+    assert rep.ok == valid_adequate_split_gfpx(p, a, b, r, s, m)
 
 
 def test_verify_polynomial_divisor_condition():
