@@ -54,7 +54,6 @@ from .rings import (
     gcd_bezout,
     is_unit,
     jacobson_member,
-    ring_arith,
     unit_inverse,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "parse_ring",
     "pi_adequate_split_zn",
     "predicate_clause_holds",
-    "ring_arith",
     "ring_to_str",
     "series_adequate_split",
     "sr1_quotient_lift",

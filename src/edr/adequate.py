@@ -37,6 +37,7 @@ from .rings import (
     factorize,
     gcd_bezout,
     is_unit,
+    unit_inverse,
     xgcd,
 )
 
@@ -118,7 +119,7 @@ def pi_adequate_split_zn(a: RingElement, b: RingElement) -> AdequateSplit:
         raise PostconditionFailed("a^m*u or b^m*v is not idempotent")
 
     coprime_part = ring.one - f + e * f
-    u_inv = ring.inverse(u)
+    u_inv = unit_inverse(u)
     divisor_part = (e + f - e * f) * u_inv
     if coprime_part * divisor_part != ring.from_int(am):
         raise PostconditionFailed("split identity failed")

@@ -42,7 +42,6 @@ __all__ = [
     "RingElement",
     "BezoutData",
     "PayloadOps",
-    "ring_arith",
     "is_unit",
     "unit_inverse",
     "gcd_bezout",
@@ -254,8 +253,8 @@ def crt(residues, moduli) -> int:
 
 
 # A ring's arithmetic on raw payloads, for loops that would otherwise wrap
-# every intermediate value in a RingElement, and the ground the element API
-# of Ring and RingElement's operators are written on. Every ring has one.
+# every intermediate value in a RingElement, and the ground RingElement's
+# operators and the module functions below are written on. Every ring has one.
 # Every result is canonical. In the base tables (Z, Z/n, GF(p)[x]) zero
 # payloads are falsy; a product's or a series' zero is a tuple, so code
 # that takes those compares with `zero`.
@@ -601,11 +600,11 @@ class Ring:
     """Common interface of the ring descriptors.
 
     `ops` is the ring's PayloadOps table, which every subclass provides.
-    The element API (inverse, gcd_bezout, exact_quotient,
-    canonical_associate) is written once here over that table, and
-    RingElement's operators call it directly. A table whose `bezout` is
-    None (the truncated series) has no Bezout gcds, and RingMatrix and
-    ProductRing refuse its ring."""
+    The element API is written once over that table: RingElement's
+    operators, and the module functions below (unit_inverse, gcd_bezout,
+    exact_quotient, divide_exact, canonical_associate). A table whose
+    `bezout` is None (the truncated series) has no Bezout gcds, and
+    RingMatrix and ProductRing refuse its ring."""
 
     def _key(self):
         raise NotImplementedError
@@ -635,34 +634,8 @@ class Ring:
 
     # --- structure --------------------------------------------------------
 
-    def inverse(self, a: RingElement):
-        """Multiplicative inverse, or None when a is not a unit: a is a unit
-        iff it divides one, and then the exact quotient is its inverse."""
-        return self.exact_quotient(self.one, a)
-
-    def gcd_bezout(self, a: RingElement, b: RingElement) -> BezoutData:
-        if self.ops.bezout is None:
-            raise UnsupportedRing(f"{self} does not support Bezout gcds")
-        return BezoutData(*(RingElement(self, v) for v in self.ops.bezout(a.payload, b.payload)))
-
-    def exact_quotient(self, a: RingElement, b: RingElement) -> RingElement | None:
-        """A q with b*q = a, or None when b does not divide a."""
-        q, r = self.ops.div(a.payload, b.payload)
-        return None if r != self.ops.zero else RingElement(self, q)
-
-    def divide_exact(self, a: RingElement, b: RingElement) -> RingElement:
-        q = self.exact_quotient(a, b)
-        if q is None:
-            raise NotDivisible(f"inexact division in {self}")
-        return q
-
     def jacobson_member(self, a: RingElement) -> bool:
         raise NotImplementedError
-
-    def canonical_associate(self, a: RingElement):
-        """(u, a_norm) with a = u * a_norm; the table's normal(a) is u^-1."""
-        u_inv = self.ops.normal(a.payload)
-        return self.inverse(RingElement(self, u_inv)), RingElement(self, self.ops.mul(u_inv, a.payload))
 
     def cardinality(self):
         """Number of elements, or None when infinite."""
@@ -857,9 +830,10 @@ class TruncatedSeriesRing(Ring):
         return a.payload[0] == 0
 
     def element_str(self, a):
-        if self.order == 1:
-            return "{%d;}" % a.payload[0]
-        return "{%d;%s}" % (a.payload[0], ",".join(str(c) for c in a.payload[1:]))
+        z0, *cs = a.payload  # int_to_decimal, unlike str(), has no digit limit
+        coeffs = (int_to_decimal(c.numerator) + ("" if c.denominator == 1 else "/" + int_to_decimal(c.denominator))
+                  for c in cs)
+        return "{" + int_to_decimal(z0) + ";" + ",".join(coeffs) + "}"
 
 
 class ProductRing(Ring):
@@ -951,48 +925,38 @@ def _same_ring(*els):
     return ring
 
 
-def ring_arith(op: str, x: RingElement, y: RingElement | None = None) -> RingElement:
-    """Dispatch basic arithmetic by name: add, sub, mul take two operands,
-    neg takes one."""
-    if op == "neg":
-        if y is not None:
-            raise ValueError("neg is unary")
-        return -x
-    if y is None:
-        raise ValueError(f"{op} needs two operands")
-    _same_ring(x, y)
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def unit_inverse(x: RingElement) -> RingElement | None:
-    """The exact inverse of x when x is a unit, else None."""
-    return x.ring.inverse(x)
+    """The exact inverse of x when x is a unit, else None: x is a unit iff
+    it divides one, and then the exact quotient is its inverse."""
+    return exact_quotient(x.ring.one, x)
 
 
 def is_unit(x: RingElement) -> bool:
-    return x.ring.inverse(x) is not None
+    return unit_inverse(x) is not None
 
 
 def gcd_bezout(a: RingElement, b: RingElement) -> BezoutData:
     """Canonical gcd with full Bezout witness data (see BezoutData)."""
-    return _same_ring(a, b).gcd_bezout(a, b)
+    ring = _same_ring(a, b)
+    if ring.ops.bezout is None:
+        raise UnsupportedRing(f"{ring} does not support Bezout gcds")
+    return BezoutData(*(RingElement(ring, v) for v in ring.ops.bezout(a.payload, b.payload)))
 
 
 def divide_exact(a: RingElement, b: RingElement) -> RingElement:
     """The exact quotient q with b*q = a; raises NotDivisible otherwise.
     Over Z/n the smallest nonnegative solution is returned."""
-    return _same_ring(a, b).divide_exact(a, b)
+    q = exact_quotient(a, b)
+    if q is None:
+        raise NotDivisible(f"inexact division in {a.ring}")
+    return q
 
 
 def exact_quotient(a: RingElement, b: RingElement) -> RingElement | None:
     """divide_exact's quotient, or None where it would raise NotDivisible."""
-    return _same_ring(a, b).exact_quotient(a, b)
+    ring = _same_ring(a, b)
+    q, r = ring.ops.div(a.payload, b.payload)
+    return None if r != ring.ops.zero else RingElement(ring, q)
 
 
 def jacobson_member(a: RingElement) -> bool:
@@ -1003,8 +967,10 @@ def jacobson_member(a: RingElement) -> bool:
 
 def canonical_associate(a: RingElement) -> tuple[RingElement, RingElement]:
     """(u, a_norm) with a = u * a_norm, u a unit and a_norm the canonical
-    representative of the associate class."""
-    return a.ring.canonical_associate(a)
+    representative of the associate class; the table's normal(a) is u^-1."""
+    ring = a.ring
+    u_inv = ring.ops.normal(a.payload)
+    return unit_inverse(RingElement(ring, u_inv)), RingElement(ring, ring.ops.mul(u_inv, a.payload))
 
 
 def bezout_combination(elements) -> tuple[RingElement, list[RingElement]]:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from edr import errors
 from edr.checkers import PREDICATES
 from edr.cli import main
+from edr.parsing import parse_element, parse_ring
 
 MATRIX = "ring: Z\nshape: 2 2\n2 4\n6 8\n"
 
@@ -44,10 +45,16 @@ def test_reduce_is_deterministic(capsys, matrix_file):
     assert out1 == out2
 
 
-def test_reduce_ring_mismatch(capsys, matrix_file):
+def test_reduce_ring_mismatch(capsys, matrix_file, tmp_path):
     code, out, _ = run(capsys, "reduce", "--ring", "Z/12", "--matrix", matrix_file)
     assert code == 2
     assert json.loads(out)["error"] == "DescriptorMismatch"
+
+    m12, cert = tmp_path / "m12.txt", tmp_path / "c12.json"
+    m12.write_text(MATRIX.replace("ring: Z", "ring: Z/12"), encoding="utf-8")
+    assert run(capsys, "reduce", "--matrix", str(m12), "--out", str(cert))[0] == 0
+    code, out, _ = run(capsys, "verify", "--matrix", matrix_file, "--cert", str(cert))
+    assert code == 2 and json.loads(out)["error"] == "DescriptorMismatch"
 
 
 def test_complete_example(capsys):
@@ -184,6 +191,10 @@ def test_usage_errors_exit_1(capsys):
     code, out, _ = run(capsys, "check", "--ring", "Z/6", "--predicate", "Bogus")
     assert code == 1
 
+    code, out, _ = run(capsys, "split", "--a", "6", "--b", "4")  # no --ring
+    assert code == 1
+    assert json.loads(out)["error"] == "UsageError"
+
 
 def test_missing_file_exit_1(capsys):
     code, out, _ = run(capsys, "reduce", "--matrix", "/nonexistent/m.txt")
@@ -271,6 +282,12 @@ def test_verify_malformed_documents_are_json_errors(capsys, matrix_file, tmp_pat
 
 
 def test_verify_unreadable_files_are_json_errors(capsys, matrix_file, tmp_path):
+    text = json.dumps(_reduction_doc(capsys, matrix_file, tmp_path))
+    path = tmp_path / "cut.json"
+    path.write_text(text[: len(text) // 2], encoding="utf-8")  # truncated
+    code, out, _ = run(capsys, "verify", "--matrix", matrix_file, "--cert", str(path))
+    doc = json.loads(out)
+    assert code == 1 and doc["error"] == "ParseError" and 0 < doc["position"] <= len(text) // 2
     path = tmp_path / "bin.json"
     path.write_bytes(b"\xff\xfe{}")
     code, out, _ = run(capsys, "verify", "--matrix", matrix_file, "--cert", str(path))
@@ -436,6 +453,16 @@ def test_commands_over_a_modulus_past_the_digit_limit(capsys, tmp_path):
     assert ring in json.loads(out)["message"]
 
 
+@pytest.mark.parametrize("a", [f"{{{NINES};1}}", f"{{3;{NINES}/13}}"], ids=["constant", "coefficient"])
+def test_series_split_past_the_digit_limit(capsys, a):
+    code, out, err = run(capsys, "split", "--ring", "Zser2", "--a", a, "--b", "{2;0}")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    ring = parse_ring(doc["ring"])
+    f, s, t = (parse_element(ring, doc[key]) for key in "fst")
+    assert (doc["f"], doc["g"]) == (a, "{2;0}") and s * t == f
+
+
 def _series_literal(rng, k):
     tail = ",".join(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}" for _ in range(k - 1))
     return f"{{{rng.randint(-9, 9)};{tail}}}"
@@ -515,7 +542,8 @@ def _literals(spec):
     if kind == "gf":
         return st.lists(ints.map(abs), max_size=3).map(lambda cs: "[" + ",".join(map(str, cs)) + "]")
     if kind == "ser":
-        return st.tuples(ints, st.sampled_from(["", "1/2", "0,-3"])).map(lambda t: f"{{{t[0]};{t[1]}}}")
+        z0 = st.sampled_from([*map(str, SMALL), NINES])
+        return st.tuples(z0, st.sampled_from(["", "1/2", "0,-3", f"{NINES}/7"])).map(lambda t: f"{{{t[0]};{t[1]}}}")
     return st.tuples(*map(_literals, body)).map(lambda parts: "(" + ",".join(parts) + ")")
 
 

@@ -183,6 +183,8 @@ def test_complete_row_rejects_non_principal():
         complete_row([Z.from_int(4), Z.from_int(6)], Z.one)
     with pytest.raises(PreconditionFailed):
         complete_row([Z.one], Z.one)
+    with pytest.raises(PreconditionFailed, match="share"):
+        complete_row([Z.one, M12.one], Z.one)
     S = TruncatedSeriesRing(3)
     with pytest.raises(UnsupportedRing):
         complete_row([S.one, S.one], S.one)
@@ -295,6 +297,10 @@ def test_idempotent_zero_and_errors():
         idempotent_complete([M6.from_int(2), M6.zero], M6.from_int(3))
     with pytest.raises(UnsupportedRing):
         idempotent_complete([Z.one, Z.zero], Z.one)
+    with pytest.raises(PreconditionFailed, match="two row entries"):
+        idempotent_complete([M6.one], M6.one)
+    with pytest.raises(PreconditionFailed, match="share"):
+        idempotent_complete([M6.one, M12.one], M6.one)
 
 
 def test_idempotent_exhaustive_small_moduli():

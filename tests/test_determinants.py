@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from edr.errors import NotUnimodular, UnsupportedRing
+from edr.errors import DescriptorMismatch, NotUnimodular, UnsupportedRing
 from edr.matrices import RingMatrix
 from edr.reduce import ReductionCertificate, diagonal_reduce, kaplansky_2x2, verify_reduction
 from edr.rings import (
@@ -102,6 +102,20 @@ def test_det_swap_sign_and_non_square():
     assert M.det() == Z.from_int(-1)
     with pytest.raises(ValueError):
         RingMatrix.from_payloads(Z, [[1, 2]]).det()
+
+
+def test_matrix_refusals():
+    for rows in ([], [[]]):
+        with pytest.raises(ValueError, match="at least one row"):
+            RingMatrix(Z, rows)
+    with pytest.raises(ValueError, match="ragged"):
+        RingMatrix.from_payloads(Z, [[1, 2], [3]])
+    with pytest.raises(DescriptorMismatch, match="entry"):
+        RingMatrix(Z, [[Z.one, Z360.one]])
+    with pytest.raises(DescriptorMismatch, match="rings differ"):
+        RingMatrix.identity(Z, 2) * RingMatrix.identity(Z360, 2)
+    with pytest.raises(ValueError, match="inner dimensions"):
+        RingMatrix.from_payloads(Z, [[1, 2]]) * RingMatrix.from_payloads(Z, [[1, 2]])
 
 
 # ---------------------------------------------------------------------------

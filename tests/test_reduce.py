@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -258,6 +259,32 @@ def test_verify_reduction_round_trip_and_tampers():
     bad = ReductionCertificate(cert.P, swapped, cert.Q, cert.detP_unit, cert.detQ_unit)
     rep = verify_reduction(A, bad)
     assert not rep.ok and "divisibility chain" in rep.failures
+
+
+def _tamper_column(cert):
+    return replace(cert, Q=RingMatrix(Z, [[row[0] * 2, *row[1:]] for row in cert.Q.entries]))
+
+
+def _tamper_off_diagonal(cert):
+    D = cert.D.entries
+    return replace(cert, D=RingMatrix(Z, [[D[0][0], Z.one], list(D[1])]))
+
+
+@pytest.mark.parametrize(
+    "tamper, failures",
+    [
+        (lambda cert: replace(cert, P=RingMatrix.identity(Z, 3)), ("shapes consistent",)),
+        (lambda cert: replace(cert, detP_unit=-cert.detP_unit), ("detP recorded",)),
+        (lambda cert: replace(cert, detQ_unit=-cert.detQ_unit), ("detQ recorded",)),
+        (_tamper_column, ("PAQ=D", "det(Q) unit", "detQ recorded")),
+        (_tamper_off_diagonal, ("PAQ=D", "D diagonal")),
+    ],
+    ids=["P 3x3", "detP negated", "detQ negated", "Q column doubled", "D off-diagonal"],
+)
+def test_verify_reduction_names_each_tampered_clause(tamper, failures):
+    A = RingMatrix.from_payloads(Z, [[2, 4], [6, 8]])
+    rep = verify_reduction(A, tamper(diagonal_reduce(A)))
+    assert not rep.ok and rep.failures == failures
 
 
 def test_verify_reduction_non_canonical_diag():

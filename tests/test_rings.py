@@ -23,7 +23,6 @@ from edr.rings import (
     is_prime,
     is_unit,
     jacobson_member,
-    ring_arith,
     unit_inverse,
 )
 
@@ -68,18 +67,21 @@ def test_descriptor_equality_is_structural():
 
 
 def test_arith_examples():
-    assert ring_arith("add", Z.from_int(3), Z.from_int(-3)) == Z.zero
-    assert ring_arith("mul", M12.from_int(8), M12.from_int(9)) == M12.zero
+    assert Z.from_int(3) + Z.from_int(-3) == Z.zero
+    assert M12.from_int(8) * M12.from_int(9) == M12.zero
     x_plus_1 = GF2.element([1, 1])
-    assert ring_arith("add", x_plus_1, x_plus_1) == GF2.zero
-    assert ring_arith("neg", Z.from_int(5)) == Z.from_int(-5)
+    assert x_plus_1 + x_plus_1 == GF2.zero
+    assert -Z.from_int(5) == Z.from_int(-5)
 
 
 def test_descriptor_mismatch_raises():
     with pytest.raises(DescriptorMismatch):
-        ring_arith("add", Z.from_int(1), M12.from_int(1))
+        Z.from_int(1) + M12.from_int(1)
     with pytest.raises(DescriptorMismatch):
         Z.from_int(1) * ModularRing(7).from_int(1)
+    for fn in (gcd_bezout, exact_quotient, divide_exact):
+        with pytest.raises(DescriptorMismatch):
+            fn(Z.from_int(1), M12.from_int(1))
 
 
 def test_is_unit_examples():
