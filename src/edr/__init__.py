@@ -31,9 +31,7 @@ from .matrices import RingMatrix
 from .parsing import element_to_str, parse_element, parse_ring, ring_to_str
 from .reduce import (
     ReductionCertificate,
-    determinantal_divisors,
     diagonal_reduce,
-    elementary_divisors_oracle,
     hermite_row,
     kaplansky_2x2,
     verify_reduction,
@@ -83,11 +81,9 @@ __all__ = [
     "check_clean_quotient",
     "check_finite_predicate",
     "complete_row",
-    "determinantal_divisors",
     "diagonal_reduce",
     "divide_exact",
     "element_to_str",
-    "elementary_divisors_oracle",
     "gcd_bezout",
     "hermite_row",
     "idempotent_complete",

@@ -18,9 +18,7 @@ A clause quantifying q variables (Clean 2, StableRange1 and PmRing 3,
 JStableCondition 4) is refused with ScaleExceeded when N^q > 10^8, the plain
 loop's work, which bounds the engine's.
 
-The element clauses `_*_clause` replay a witness apart from the engine;
-`pair_unimodular_by_scan` is the plain set-scan definition of aR + bR = R
-that tests pin the gcd test `pair_unimodular` against.
+The element clauses `_*_clause` replay a witness apart from the engine.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "bounded_refute_sr1",
     "predicate_clause_holds",
     "pair_unimodular",
-    "pair_unimodular_by_scan",
 ]
 
 PREDICATES = ("StableRange1", "Clean", "PmRing", "JStableCondition")
@@ -70,20 +67,6 @@ class PredicateReport:
 def pair_unimodular(a: RingElement, b: RingElement) -> bool:
     """Whether aR + bR = R: the ideal is (gcd(a, b)), so the gcd is a unit."""
     return is_unit(gcd_bezout(a, b).g)
-
-
-def pair_unimodular_by_scan(a: RingElement, b: RingElement) -> bool:
-    """The definition itself: scan {a*x + b*y} for 1 (finite rings only)."""
-    ring = a.ring
-    if ring.cardinality() is None:
-        raise UnsupportedRing("scan needs a finite ring")
-    one = ring.one
-    for x in ring.iter_elements():
-        ax = a * x
-        for y in ring.iter_elements():
-            if ax + b * y == one:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

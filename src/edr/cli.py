@@ -117,6 +117,8 @@ def _run(args) -> int:
         ring = _need_ring(args)
         a = parse_element(ring, args.a)
         b = parse_element(ring, args.b)
+        if args.pi and not isinstance(ring, ModularRing):
+            raise _UsageError("--pi needs a Z/<n> ring")
         if isinstance(ring, TruncatedSeriesRing):
             s_el, t_el = series_adequate_split(a, b)
             doc = {
@@ -128,12 +130,7 @@ def _run(args) -> int:
                 "t": element_to_str(t_el),
             }
         else:
-            if args.pi:
-                if not isinstance(ring, ModularRing):
-                    raise _UsageError("--pi needs a Z/<n> ring")
-                split = pi_adequate_split_zn(a, b)
-            else:
-                split = adequate_split(a, b)
+            split = pi_adequate_split_zn(a, b) if args.pi else adequate_split(a, b)
             doc = {
                 "kind": "adequate-split",
                 "ring": ring_to_str(ring),

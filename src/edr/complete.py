@@ -5,12 +5,16 @@ unimodular and a avoids the radical: split a = r*s against b (r coprime to
 b, every prime of s divides b), then y = 0 mod r and y = 1 mod s does it.
 Residue rings route through the integer lift of gcd(a, n).
 
-Row completion follows an induction on the row length: fold the leading
-quotients into one generator, lift the last-but-one slot into a unimodular
-position, complete the shorter row, and undo the shift with an elementary
-column operation. The quotient/coefficient witnesses are threaded through
-the recursion algebraically; recomputing them modulo n could displace them
-by annihilators of d and derail the radical case analysis.
+Row completion runs the induction on the row length as one loop: each pass
+folds the leading quotients into one generator, lifts the last-but-one slot
+into a unimodular position and drops the last slot, recording the column
+operations that undo its shifts; the 2x2 base then grows back, one row and
+column per pass, and the recorded operations are replayed innermost first.
+A pass costs O(k) ring operations, so the construction takes O(k^2) on a
+row of k entries, and the certifying determinant dominates long rows. The
+quotient/coefficient witnesses are carried from pass to pass algebraically;
+recomputing them modulo n could displace them by annihilators of d and
+derail the radical case analysis.
 """
 
 from __future__ import annotations
@@ -200,76 +204,71 @@ def _completion_rows(row, d):
             rows.append([one if j == i - 1 else zero for j in range(n)])
         return rows
 
-    return _complete(ring, row, d, quotients, witnesses)
+    return _complete(ring, list(row), quotients, witnesses)
 
 
-def _complete(ring, row, d, q, x):
-    """Invariant: d*q[i] == row[i] and sum(x[i]*row[i]) == d."""
-    k = len(row)
-    if k == 2:
-        return [[row[0], row[1]], [-x[1], x[0]]]
-
-    one = ring.one
-    c = -one
-    for xi, qi in zip(x, q):
-        c = c + xi * qi  # d*c == 0
-    t = q[-1] * x[-1] - c
-
-    if any(not jacobson_member(qi) for qi in q[: k - 2]):
-        return _complete_leading(ring, row, d, q, x, t)
-
-    if not jacobson_member(q[k - 2]):
-        # shift the next-to-last slot onto the first and undo afterwards
-        new_row = list(row)
-        new_row[0] = row[0] + row[k - 2]
-        new_q = list(q)
-        new_q[0] = q[0] + q[k - 2]
-        new_x = list(x)
-        new_x[k - 2] = x[k - 2] - x[0]
-        rows = _complete_leading(ring, new_row, d, new_q, new_x, t)
-        for r in rows:
-            r[0] = r[0] - r[k - 2]
-        return rows
-
-    # last resort: q[-1]*x[-1] - c escapes the radical (the three classes
-    # cannot all sit inside it, their witness combination sums to 1)
-    new_row = list(row)
-    new_row[0] = row[0] + row[k - 1] * x[k - 1]
-    new_q = list(q)
-    new_q[0] = q[0] + t
-    new_x = list(x)
-    new_x[k - 1] = x[k - 1] * (one - x[0])
-    rows = _complete_leading(ring, new_row, d, new_q, new_x, t)
-    shift = x[k - 1]
-    for r in rows:
-        r[0] = r[0] - shift * r[k - 1]
-    return rows
-
-
-def _complete_leading(ring, row, d, q, x, t):
-    """Induction step when the leading quotients escape the radical."""
-    k = len(row)
+def _complete(ring, row, q, x):
+    """Entry rows completing `row` (the list is consumed) to determinant d,
+    where d*q[i] == row[i] and sum(x[i]*row[i]) == d at the top of every
+    pass."""
     zero, one = ring.zero, ring.one
-    g, s_coeffs = bezout_combination(q[: k - 2])
-    z = sr1_quotient_lift(g, q[k - 2], t)
-    target = q[k - 2] + t * z
-    bd = gcd_bezout(g, target)
-    inv = unit_inverse(bd.g)
-    if inv is None:  # exactly the lift's postcondition
-        raise PostconditionFailed("lifted pair is not unimodular")
-    alpha, beta = bd.x * inv, bd.y * inv
+    steps = []
+    while len(row) > 2:
+        k = len(row)
+        c = -one
+        for xi, qi in zip(x, q):
+            c = c + xi * qi  # d*c == 0
+        t = q[-1] * x[-1] - c
 
-    shift = x[k - 1] * z
-    new_row = list(row[: k - 2]) + [row[k - 2] + row[k - 1] * shift]
-    new_q = list(q[: k - 2]) + [target]
-    new_x = [alpha * sc for sc in s_coeffs] + [beta]
-    sub = _complete(ring, new_row, d, new_q, new_x)
+        undo = None
+        if all(jacobson_member(qi) for qi in q[: k - 2]):
+            if not jacobson_member(q[k - 2]):
+                # shift the next-to-last slot onto the first; x needs no
+                # update, the lift below reads only x[k-1] and rebuilds x
+                undo = (k - 2, one)
+                row[0] = row[0] + row[k - 2]
+                q[0] = q[0] + q[k - 2]
+            else:
+                # last resort: q[-1]*x[-1] - c escapes the radical (the three
+                # classes cannot all sit inside it, their witness combination
+                # sums to 1)
+                undo = (k - 1, x[k - 1])
+                row[0] = row[0] + row[k - 1] * x[k - 1]
+                q[0] = q[0] + t
+                x[k - 1] = x[k - 1] * (one - x[0])
 
-    rows = [list(sub[i]) + [row[k - 1] if i == 0 else zero] for i in range(k - 1)]
-    rows.append([zero] * (k - 1) + [one])
-    # undo the shift: col[k-2] -= x[k-1]*z * col[k-1]
-    for r in rows:
-        r[k - 2] = r[k - 2] - shift * r[k - 1]
+        # now a leading quotient escapes the radical: lift the last-but-one
+        # slot into a unimodular position against their gcd
+        g, s_coeffs = bezout_combination(q[: k - 2])
+        z = sr1_quotient_lift(g, q[k - 2], t)
+        target = q[k - 2] + t * z
+        bd = gcd_bezout(g, target)
+        inv = unit_inverse(bd.g)
+        if inv is None:  # exactly the lift's postcondition
+            raise PostconditionFailed("lifted pair is not unimodular")
+        alpha, beta = bd.x * inv, bd.y * inv
+
+        shift = x[k - 1] * z
+        last = row.pop()
+        steps.append((last, shift, undo))
+        row[k - 2] = row[k - 2] + last * shift
+        q[k - 2 :] = [target]
+        x = [alpha * sc for sc in s_coeffs] + [beta]
+
+    rows = [[row[0], row[1]], [-x[1], x[0]]]
+    for last, shift, undo in reversed(steps):
+        k = len(rows) + 1
+        for i, r in enumerate(rows):
+            r.append(last if i == 0 else zero)
+        rows.append([zero] * (k - 1) + [one])
+        # undo the lift's shift: col[k-2] -= x[k-1]*z * col[k-1]
+        for r in rows:
+            r[k - 2] = r[k - 2] - shift * r[k - 1]
+        if undo is not None:
+            # and the leading one: col[0] -= coef * col[j]
+            j, coef = undo
+            for r in rows:
+                r[0] = r[0] - coef * r[j]
     return rows
 
 

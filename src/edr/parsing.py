@@ -1,8 +1,8 @@
 """Text grammar for ring descriptors and element literals.
 
 Descriptors:  Z | Z/<n> | GF(<p>)[x] | Zser<k> | prod(<desc>,<desc>[,...])
-              (Zser orders above 256 and primes p >= psi_13 are refused
-              with ScaleExceeded)
+              (Zser orders above 256, primes p >= psi_13 and prod nesting
+              deeper than 32 are refused with ScaleExceeded)
 Elements:     decimal integers; polynomials as [c0,c1,...]; truncated series
               as {z0;c1,c2,...} with rationals p/q; product tuples as
               (<el>,<el>,...).
@@ -26,6 +26,7 @@ from .rings import (
     RingElement,
     TruncatedSeriesRing,
     _MR_BOUND,
+    _PRODUCT_DEPTH_BOUND,
     int_from_decimal,
     is_prime,
 )
@@ -101,12 +102,16 @@ class _Cursor:
 _SERIES_ORDER_BOUND = 256
 
 
-def _parse_ring_at(c: _Cursor) -> Ring:
+def _parse_ring_at(c: _Cursor, depth: int = 0) -> Ring:
+    """`depth` counts the prod( levels around the cursor; one past the
+    product bound is refused before the parser recurses into it."""
     c.skip_ws()
     if c.match("prod("):
-        factors = [_parse_ring_at(c)]
+        if depth >= _PRODUCT_DEPTH_BOUND:
+            raise ScaleExceeded(f"products nest deeper than {_PRODUCT_DEPTH_BOUND}")
+        factors = [_parse_ring_at(c, depth + 1)]
         while c.match(","):
-            factors.append(_parse_ring_at(c))
+            factors.append(_parse_ring_at(c, depth + 1))
         c.expect(")")
         if len(factors) < 2:
             raise ParseError("prod() needs at least two factors", c.pos)

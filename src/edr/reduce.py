@@ -53,11 +53,10 @@ ground truth for every certificate this module emits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .adequate import adequate_split, pi_adequate_split_zn
-from .errors import NotUnimodular, PostconditionFailed, ScaleExceeded, UnsupportedRing
+from .errors import NotUnimodular, PostconditionFailed, UnsupportedRing
 from .matrices import RingMatrix
 from .report import CheckReport
 from .rings import (
@@ -67,7 +66,6 @@ from .rings import (
     ProductRing,
     RingElement,
     canonical_associate,
-    divide_exact,
     exact_quotient,
     gcd_bezout,
     is_unit,
@@ -79,8 +77,6 @@ __all__ = [
     "hermite_row",
     "kaplansky_2x2",
     "diagonal_reduce",
-    "determinantal_divisors",
-    "elementary_divisors_oracle",
     "verify_reduction",
 ]
 
@@ -374,53 +370,7 @@ def _reduce_product(A: RingMatrix) -> ReductionCertificate:
 
 
 # ---------------------------------------------------------------------------
-# independent oracle and verifier
-
-
-_ORACLE_DIM_BOUND = 6
-
-
-def determinantal_divisors(A: RingMatrix) -> list[RingElement]:
-    """(D_1, ..., D_r): D_k is the canonical gcd of all k x k minors.
-
-    Only over Z and GF(p)[x] (elementary divisors are not determined this
-    way in the presence of zero divisors). Computed directly from minors;
-    shares nothing with diagonal_reduce.
-    """
-    ring = A.ring
-    if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing)):
-        raise UnsupportedRing(f"determinantal divisors are not defined over {ring}")
-    r = min(A.rows, A.cols)
-    if r > _ORACLE_DIM_BOUND:
-        raise ScaleExceeded(f"oracle limited to min dimension {_ORACLE_DIM_BOUND}")
-    out = []
-    for k in range(1, r + 1):
-        if out and out[-1].is_zero():
-            out.append(ring.zero)
-            continue
-        g = ring.zero
-        for rows in itertools.combinations(range(A.rows), k):
-            for cols in itertools.combinations(range(A.cols), k):
-                sub = RingMatrix(ring, [[A.entries[i][j] for j in cols] for i in rows])
-                g = gcd_bezout(g, sub.det()).g
-        out.append(g)
-    return out
-
-
-def elementary_divisors_oracle(A: RingMatrix) -> list[RingElement]:
-    """Successive quotients D_k / D_{k-1}, zero once D_k vanishes."""
-    ring = A.ring
-    divs = determinantal_divisors(A)
-    out = []
-    prev = ring.one
-    for dk in divs:
-        if dk.is_zero():
-            out.append(ring.zero)
-            prev = dk
-        else:
-            out.append(divide_exact(dk, prev))
-            prev = dk
-    return out
+# independent verifier
 
 
 def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:

@@ -836,10 +836,17 @@ class TruncatedSeriesRing(Ring):
         return "{" + int_to_decimal(z0) + ";" + ",".join(coeffs) + "}"
 
 
+# deepest prod(...) nesting accepted, prod(Z,Z) being depth 1: printing,
+# comparing and parsing a descriptor, and each product payload, recurse once
+# per level, so deeper nests would reach Python's recursion limit
+_PRODUCT_DEPTH_BOUND = 32
+
+
 class ProductRing(Ring):
     """A finite direct product of rings with Bezout gcds (Z, Z/n, GF(p)[x]
     and their products); a truncated series factor is refused with
-    UnsupportedRing. A payload is the tuple of its component payloads, and
+    UnsupportedRing, and nesting deeper than _PRODUCT_DEPTH_BOUND with
+    ScaleExceeded. A payload is the tuple of its component payloads, and
     the op table acts componentwise."""
 
     def __init__(self, factors):
@@ -851,6 +858,9 @@ class ProductRing(Ring):
         for f in factors:
             if f.ops.bezout is None:
                 raise UnsupportedRing(f"no product with {f}: factors must be Z, Z/n, GF(p)[x] or products")
+        self.depth = 1 + max((f.depth for f in factors if isinstance(f, ProductRing)), default=0)
+        if self.depth > _PRODUCT_DEPTH_BOUND:
+            raise ScaleExceeded(f"products nest deeper than {_PRODUCT_DEPTH_BOUND}")
         self.factors = factors
 
     def _key(self):
@@ -975,15 +985,24 @@ def canonical_associate(a: RingElement) -> tuple[RingElement, RingElement]:
 
 def bezout_combination(elements) -> tuple[RingElement, list[RingElement]]:
     """Fold gcd_bezout over a nonempty list: returns (g, coeffs) with
-    sum(coeffs[i] * elements[i]) == g and (g) the ideal the list generates."""
+    sum(coeffs[i] * elements[i]) == g and (g) the ideal the list generates.
+
+    Step i folds elements[i] into the running gcd with g_i = x_i*g_{i-1} +
+    y_i*elements[i], so coeffs[i] is y_i (1 for i = 0) times the x of every
+    later step: one pass of suffix products, O(len) ring operations."""
     elements = list(elements)
     if not elements:
         raise ValueError("need at least one element")
-    g = elements[0]
-    coeffs = [g.ring.one]
+    g, steps = elements[0], []
     for e in elements[1:]:
         bd = gcd_bezout(g, e)
-        coeffs = [bd.x * c for c in coeffs]
-        coeffs.append(bd.y)
+        steps.append(bd)
         g = bd.g
-    return g, coeffs
+    if not steps:
+        return g, [g.ring.one]
+    coeffs, tail = [steps[-1].y], steps[-1].x
+    for bd in reversed(steps[:-1]):
+        coeffs.append(bd.y * tail)
+        tail = bd.x * tail
+    coeffs.append(tail)
+    return g, coeffs[::-1]

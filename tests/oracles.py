@@ -4,6 +4,10 @@ import itertools
 import math
 from fractions import Fraction
 
+from edr.errors import ScaleExceeded, UnsupportedRing
+from edr.matrices import RingMatrix
+from edr.rings import IntegerRing, PrimeFieldPolynomialRing, divide_exact, gcd_bezout
+
 
 def int_divisors(n):
     """Positive divisors of |n| in increasing order."""
@@ -308,3 +312,59 @@ def series_inverse(z0, coeffs):
     for i in range(1, len(cs)):
         inv.append(-sum(cs[j] * inv[i - j] for j in range(1, i + 1)) / z0)
     return inv
+
+
+_ORACLE_DIM_BOUND = 6
+
+
+def determinantal_divisors(A):
+    """(D_1, ..., D_r): D_k is the canonical gcd of all k x k minors.
+
+    Only over Z and GF(p)[x] (elementary divisors are not determined this
+    way in the presence of zero divisors). Computed directly from minors;
+    shares nothing with diagonal_reduce.
+    """
+    ring = A.ring
+    if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing)):
+        raise UnsupportedRing(f"determinantal divisors are not defined over {ring}")
+    r = min(A.rows, A.cols)
+    if r > _ORACLE_DIM_BOUND:
+        raise ScaleExceeded(f"oracle limited to min dimension {_ORACLE_DIM_BOUND}")
+    out = []
+    for k in range(1, r + 1):
+        if out and out[-1].is_zero():
+            out.append(ring.zero)
+            continue
+        g = ring.zero
+        for rows in itertools.combinations(range(A.rows), k):
+            for cols in itertools.combinations(range(A.cols), k):
+                sub = RingMatrix(ring, [[A.entries[i][j] for j in cols] for i in rows])
+                g = gcd_bezout(g, sub.det()).g
+        out.append(g)
+    return out
+
+
+def elementary_divisors_oracle(A):
+    """Successive quotients D_k / D_{k-1}, zero once D_k vanishes."""
+    ring = A.ring
+    out = []
+    prev = ring.one
+    for dk in determinantal_divisors(A):
+        out.append(ring.zero if dk.is_zero() else divide_exact(dk, prev))
+        prev = dk
+    return out
+
+
+def pair_unimodular_by_scan(a, b):
+    """The definition of aR + bR = R itself: scan {a*x + b*y} for 1 (finite
+    rings only)."""
+    ring = a.ring
+    if ring.cardinality() is None:
+        raise UnsupportedRing("scan needs a finite ring")
+    one = ring.one
+    for x in ring.iter_elements():
+        ax = a * x
+        for y in ring.iter_elements():
+            if ax + b * y == one:
+                return True
+    return False

@@ -22,7 +22,6 @@ from edr.matrices import RingMatrix
 from edr.reduce import (
     ReductionCertificate,
     diagonal_reduce,
-    elementary_divisors_oracle,
     verify_reduction,
 )
 from edr.rings import (
@@ -36,7 +35,7 @@ from edr.rings import (
     jacobson_member,
 )
 
-from oracles import valid_adequate_split_z
+from oracles import elementary_divisors_oracle, valid_adequate_split_z
 
 Z = IntegerRing()
 

@@ -22,14 +22,13 @@ from edr.checkers import (
     check_clean_quotient,
     check_finite_predicate,
     pair_unimodular,
-    pair_unimodular_by_scan,
     predicate_clause_holds,
 )
 from edr.errors import PreconditionFailed, ScaleExceeded, UnsupportedRing
 from edr.parsing import parse_ring
 from edr.rings import IntegerRing, ModularRing, ProductRing, jacobson_member
 from edr.serialize import dumps, predicate_report_to_doc
-from oracles import brute_predicate_scan
+from oracles import brute_predicate_scan, pair_unimodular_by_scan
 
 Z = IntegerRing()
 ZxZ = ProductRing([Z, Z])

@@ -13,6 +13,7 @@ from edr import errors
 from edr.checkers import PREDICATES
 from edr.cli import main
 from edr.parsing import parse_element, parse_ring
+from edr.rings import _PRODUCT_DEPTH_BOUND
 
 MATRIX = "ring: Z\nshape: 2 2\n2 4\n6 8\n"
 
@@ -94,6 +95,13 @@ def test_split_commands(capsys):
     code, out, _ = run(capsys, "split", "--ring", "Z", "--a", "0", "--b", "5")
     assert code == 2
     assert json.loads(out)["error"] == "ZeroElement"
+
+
+def test_split_pi_needs_a_modular_ring(capsys):
+    for ring, a, b in (("Z", "6", "4"), ("Zser2", "{6;0}", "{4;0}")):
+        code, out, _ = run(capsys, "split", "--ring", ring, "--a", a, "--b", b, "--pi")
+        assert code == 1, ring
+        assert json.loads(out) == {"error": "UsageError", "message": "--pi needs a Z/<n> ring"}
 
 
 def test_lift_commands(capsys):
@@ -505,6 +513,22 @@ def test_products_with_a_series_factor_are_unsupported(capsys, tmp_path):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and json.loads(out)["error"] == "UnsupportedRing", argv
+        assert "Traceback" not in err
+
+
+def test_deeply_nested_products_are_refused(capsys):
+    def nest(depth):
+        text = "Z"
+        for _ in range(depth):
+            text = f"prod({text},Z)"
+        return text
+
+    # at the bound the ring is read, and refused only as infinite
+    code, out, err = run(capsys, "check", "--ring", nest(_PRODUCT_DEPTH_BOUND), "--predicate", "Clean")
+    assert code == 2 and json.loads(out)["error"] == "UnsupportedRing"
+    for depth in (_PRODUCT_DEPTH_BOUND + 1, 300):
+        code, out, err = run(capsys, "check", "--ring", nest(depth), "--predicate", "Clean")
+        assert code == 2 and json.loads(out)["error"] == "ScaleExceeded", depth
         assert "Traceback" not in err
 
 

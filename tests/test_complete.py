@@ -1,9 +1,12 @@
+import hashlib
 import math
 import random
+import sys
 import time
 
 import pytest
 
+from edr import complete
 from edr.complete import (
     complete_row,
     idempotent_complete,
@@ -12,6 +15,7 @@ from edr.complete import (
     verify_completion,
 )
 from edr.errors import (
+    EdrError,
     NotIdempotent,
     NotInIdeal,
     NotPrincipal,
@@ -25,11 +29,13 @@ from edr.rings import (
     ModularRing,
     PrimeFieldPolynomialRing,
     ProductRing,
+    RingElement,
     TruncatedSeriesRing,
     bezout_combination,
     gcd_bezout,
     is_unit,
 )
+from edr.serialize import completion_certificate_to_doc, dumps
 
 from oracles import perm_det, sr1_solution_exists_z
 
@@ -266,6 +272,86 @@ def test_complete_row_accepts_associate_determinants():
     cert = complete_row([Z.from_int(4), Z.from_int(6)], Z.from_int(-2))
     assert cert.det_value == Z.from_int(-2)
     assert verify_completion(cert).ok
+
+
+def _long_row(k):
+    # 6, 16, 26, ...: gcd 2, every quotient odd or a multiple of 4 apart
+    return [Z.from_int(6 + 10 * i) for i in range(k)]
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_completion_depth_does_not_grow_with_the_row():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        cert = complete_row(_long_row(100), Z.from_int(2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cert.det_value == Z.from_int(2) and cert.A.rows == 100
+
+
+def test_completion_products_grow_at_most_quadratically(monkeypatch):
+    count = [0]
+    mul = RingElement.__mul__
+
+    def counted(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(RingElement, "__mul__", counted)
+    products = []
+    for k in (50, 200):
+        count[0] = 0
+        complete._completion_rows(_long_row(k), Z.from_int(2))
+        products.append(count[0])
+    assert products[1] <= 16 * products[0], products
+
+
+def _completion_corpus():
+    """Seeded rows over Z, seven Z/n (half their entries drawn from the
+    nilradical), GF(2)[x] and GF(5)[x], each with the row's gcd or some other
+    determinant (often refused), and three long rows over Z: the number of
+    cases and the sha256 of every certificate document or refusal in turn."""
+    rng = random.Random(2024)
+    cases = [(Z, [6 + 10 * i for i in range(k)], 2) for k in (3, 17, 40)]
+    for _ in range(120):
+        row = [rng.randint(-30, 30) for _ in range(rng.randint(2, 9))]
+        cases.append((Z, row, math.gcd(*row) * rng.choice([1, 1, 1, -1, 2, 3])))
+    for n in (4, 8, 12, 30, 36, 72, 360):
+        rad = math.prod(p for p in range(2, n + 1) if n % p == 0 and all(p % q for q in range(2, p)))
+        for _ in range(30):
+            row = [rad * rng.randrange(n) if rng.random() < 0.5 else rng.randrange(n)
+                   for _ in range(rng.randint(2, 7))]
+            cases.append((ModularRing(n), row, None if rng.random() < 0.8 else rng.randrange(n)))
+    for p in (2, 5):
+        for _ in range(40):
+            row = [[rng.randrange(p) for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(2, 6))]
+            cases.append((PrimeFieldPolynomialRing(p), row, None if rng.random() < 0.8 else [rng.randrange(p)] * 2))
+    digest = hashlib.sha256()
+    for ring, payloads, d in cases:
+        row = [ring.from_int(v) if isinstance(v, int) else ring.element(v) for v in payloads]
+        if d is None:
+            target, _ = bezout_combination(row)
+        else:
+            target = ring.from_int(d) if isinstance(d, int) else ring.element(d)
+        try:
+            text = dumps(completion_certificate_to_doc(ring, complete_row(row, target)))
+        except EdrError as exc:
+            text = f"{exc.code}: {exc.message}\n"
+        digest.update(text.encode())
+    return len(cases), digest.hexdigest()
+
+
+def test_completion_documents_match_the_recorded_corpus():
+    # recorded from the recursive construction the loop replaced; the corpus
+    # takes every branch of the induction step (89 of its cases are refused)
+    assert _completion_corpus() == (413, "b55c76f1aae7ca769621c26f6e81737aa24ccb18a14685611e5b88593969609d")
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from edr.errors import ParseError, UnsupportedRing
+from edr.errors import ParseError, ScaleExceeded, UnsupportedRing
 from edr.matrices import RingMatrix
 from edr.parsing import (
     element_to_str,
@@ -17,6 +17,7 @@ from edr.rings import (
     PrimeFieldPolynomialRing,
     ProductRing,
     TruncatedSeriesRing,
+    _PRODUCT_DEPTH_BOUND,
 )
 from edr.serialize import matrix_from_text, matrix_to_text
 
@@ -57,6 +58,28 @@ def test_ring_rejects(bad):
 def test_products_with_a_series_factor_are_unsupported(text):
     with pytest.raises(UnsupportedRing):
         parse_ring(text)
+
+
+def _nested_product(depth):
+    text = "Z/6"
+    for _ in range(depth):
+        text = f"prod({text},Z)"
+    return text
+
+
+def test_product_nesting_is_bounded():
+    ring = parse_ring(_nested_product(_PRODUCT_DEPTH_BOUND))
+    assert ring.depth == _PRODUCT_DEPTH_BOUND
+    assert ring_to_str(ring) == _nested_product(_PRODUCT_DEPTH_BOUND)
+    literal = element_to_str(ring.from_int(5))
+    assert parse_element(ring, literal) == ring.from_int(5)
+    with pytest.raises(ScaleExceeded):
+        parse_ring(_nested_product(_PRODUCT_DEPTH_BOUND + 1))
+    with pytest.raises(ScaleExceeded):
+        ProductRing([ring, IntegerRing()])
+    # the parser refuses before it recurses, however deep the nest
+    with pytest.raises(ScaleExceeded):
+        parse_ring(_nested_product(5000))
 
 
 def test_element_round_trips():

@@ -12,9 +12,7 @@ from edr.matrices import RingMatrix
 from edr.parsing import parse_ring
 from edr.reduce import (
     ReductionCertificate,
-    determinantal_divisors,
     diagonal_reduce,
-    elementary_divisors_oracle,
     hermite_row,
     kaplansky_2x2,
     verify_reduction,
@@ -30,7 +28,7 @@ from edr.rings import (
 )
 from edr.serialize import dumps, matrix_to_doc, reduction_certificate_to_doc
 
-from oracles import perm_det
+from oracles import determinantal_divisors, elementary_divisors_oracle, perm_det
 
 Z = IntegerRing()
 M12 = ModularRing(12)
