@@ -109,6 +109,15 @@ class RingMatrix:
         the smallest nonzero entry of its column. Over Z/n the same
         elimination runs on the integer lift and the result is reduced mod
         n, since the determinant commutes with Z -> Z/n.
+
+        Each row of an elimination step is one call of the table's row
+        kernels (rings.PayloadOps comb and quo). Over GF(p)[x] the exact
+        division by the previous pivot, a minor of growing degree, takes
+        one Newton reciprocal of the reversed pivot for the whole row once
+        the pivot has rings._NEWTON_CROSSOVER coefficients or more (von zur
+        Gathen & Gerhard, Modern Computer Algebra, ch. 9), and then two
+        Kronecker products an entry, one of them the check q*prev = x;
+        shorter pivots use schoolbook long division.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -163,7 +172,9 @@ def _bareiss(a, ops: PayloadOps):
     After step k every entry of the trailing block is the (k+1) x (k+1)
     minor on the leading pivot rows and columns bordered by that entry, so
     the division by the previous pivot is exact; a remainder raises
-    PostconditionFailed rather than yield a wrong determinant."""
+    PostconditionFailed rather than yield a wrong determinant. Each row
+    of a step is one call of the table's row kernels: comb forms
+    pivot*row - f*pivot_row and quo divides it by the previous pivot."""
     n = len(a)
     negate = False
     prev = None  # the previous pivot; None stands for 1
@@ -175,20 +186,15 @@ def _bareiss(a, ops: PayloadOps):
         if best != k:
             a[k], a[best] = a[best], a[k]
             negate = not negate
-        pivot_row = a[k]
-        pivot = pivot_row[k]
+        pivot = a[k][k]
+        tail = a[k][k + 1 :]
         for i in range(k + 1, n):
             row = a[i]
-            f = row[k]
-            if f:
-                new = [ops.sub(ops.mul(pivot, row[j]), ops.mul(f, pivot_row[j])) for j in range(k + 1, n)]
-            else:
-                new = [ops.mul(pivot, row[j]) for j in range(k + 1, n)]
+            new = ops.comb(pivot, row[k + 1 :], row[k], tail)
             if prev is not None:
-                qr = [ops.div(v, prev) for v in new]
-                if any(r for _, r in qr):
+                new = ops.quo(new, prev)
+                if new is None:
                     raise PostconditionFailed("Bareiss division left a remainder")
-                new = [q for q, _ in qr]
             row[k + 1 :] = new
         prev = pivot
     d = a[n - 1][n - 1]

@@ -28,7 +28,14 @@ ran 2-4x slower, and its Z part loses the Euclidean size control.
 The sweep, the chain repair and the normalization work on lists of raw
 payloads through the ring's PayloadOps table (rings.py). Elements appear
 only at the API boundary: diagonal_reduce unwraps A once and wraps P, D, Q
-and the two recorded determinants once, on the way out.
+and the two recorded determinants once, on the way out. A row step is one
+call of the table's row kernel comb for each matrix it changes. In the
+column phase the pivot is the only nonzero entry of its column of A (the
+rows below were cleared first, and the rows above belong to finished
+pivots), so subtracting q times the pivot column from column j changes A
+in the pivot row alone, where the entry becomes div's remainder. On Q the
+same step is a row step on Q's transpose, which the sweep holds from start
+to end.
 
 No determinant is computed while a certificate is built: every step applied
 to P and Q has a known determinant, and the construction multiplies them up
@@ -225,17 +232,8 @@ def _finish_2x2(ring, A, P_rows, Q_rows, detP, detQ):
 
 def _sub_rows(ops, mats, i, k, q):
     """Row i -= q * row k, in each of mats."""
-    sub, mul = ops.sub, ops.mul
     for R in mats:
-        R[i] = [sub(v, mul(q, u)) for u, v in zip(R[k], R[i])]
-
-
-def _sub_cols(ops, mats, j, k, q):
-    """Column j -= q * column k, in each of mats."""
-    sub, mul = ops.sub, ops.mul
-    for R in mats:
-        for row in R:
-            row[j] = sub(row[j], mul(q, row[k]))
+        R[i] = ops.comb(ops.one, R[i], q, R[k])
 
 
 def _bezout_cols(ops, mats, k, j, bd):
@@ -248,11 +246,6 @@ def _bezout_cols(ops, mats, k, j, bd):
             row[k], row[j] = add(mul(x, u), mul(y, v)), sub(mul(a1, v), mul(b1, u))
 
 
-def _swap_cols(rows, i, j):
-    for row in rows:
-        row[i], row[j] = row[j], row[i]
-
-
 def _sweep(ring, A, P, Q):
     """Diagonalize the payload rows A in place, applying the row steps to P
     and the column steps to Q; returns the determinants of the steps,
@@ -262,9 +255,12 @@ def _sweep(ring, A, P, Q):
     divides the entries below it by the pivot, subtracting the quotients;
     the remainders left are the next candidates. Once the column is clear,
     the entries to the right are divided the same way. Only the swaps change
-    det P and det Q: the eliminations have determinant 1."""
+    det P and det Q: the eliminations have determinant 1. A column step
+    changes A in the pivot row alone and is a row step on Q's transpose,
+    which the sweep holds throughout (see the module docstring)."""
     ops = ring.ops
     m, n = len(A), len(A[0])
+    Qt = [list(col) for col in zip(*Q)]
     detP = detQ = ring.one
     for k in range(min(m, n)):
         cells = [(i, j) for i in range(k, m) for j in range(k, n) if A[i][j]]
@@ -277,21 +273,24 @@ def _sweep(ring, A, P, Q):
                 P[k], P[bi] = P[bi], P[k]
                 detP = -detP
             if bj != k:
-                _swap_cols(A, k, bj)
-                _swap_cols(Q, k, bj)
+                for row in A:
+                    row[k], row[bj] = row[bj], row[k]
+                Qt[k], Qt[bj] = Qt[bj], Qt[k]
                 detQ = -detQ
             pivot = A[k][k]
             for i in range(k + 1, m):
                 q = ops.div(A[i][k], pivot)[0]
-                if q:
-                    _sub_rows(ops, (A, P), i, k, q)
+                if q:  # rows k.. of A are zero left of column k
+                    A[i][k:] = ops.comb(ops.one, A[i][k:], q, A[k][k:])
+                    P[i] = ops.comb(ops.one, P[i], q, P[k])
             cells = [(i, k) for i in range(k + 1, m) if A[i][k]]
             if not cells:
                 for j in range(k + 1, n):
-                    q = ops.div(A[k][j], pivot)[0]
+                    q, A[k][j] = ops.div(A[k][j], pivot)
                     if q:
-                        _sub_cols(ops, (A, Q), j, k, q)
+                        Qt[j] = ops.comb(ops.one, Qt[j], q, Qt[k])
                 cells = [(k, j) for j in range(k + 1, n) if A[k][j]]
+    Q[:] = [list(row) for row in zip(*Qt)]
     return detP, detQ
 
 

@@ -226,6 +226,19 @@ def test_verify_40x40_triangular_certificate_is_fast(ring):
     assert elapsed < 5.0, elapsed
 
 
+def test_gf5_32x32_dense_reduce_and_verify_is_fast():
+    """The verifier's determinant of P once grew about as n^6 over GF(p)[x]
+    (schoolbook division of minors whose degree grows with n); with the
+    Newton row division, verify costs about as much as the reduction."""
+    rnd = random.Random(32)  # drawn row by row, 4 coefficients an entry
+    A = RingMatrix.from_payloads(GF5, [[[rnd.randrange(5) for _ in range(4)] for _ in range(32)] for _ in range(32)])
+    t0 = time.perf_counter()
+    report = verify_reduction(A, diagonal_reduce(A))
+    elapsed = time.perf_counter() - t0
+    assert report.ok, report.failures
+    assert elapsed < 10.0, elapsed
+
+
 def _dense(ring, seed, n, draw):
     rng = random.Random(seed)
     return RingMatrix.from_payloads(ring, [[draw(rng) for _ in range(n)] for _ in range(n)])
