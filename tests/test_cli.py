@@ -1,5 +1,9 @@
+import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,6 +20,7 @@ from edr.parsing import parse_element, parse_ring
 from edr.rings import _PRODUCT_DEPTH_BOUND
 
 MATRIX = "ring: Z\nshape: 2 2\n2 4\n6 8\n"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -225,6 +230,56 @@ def test_seed_flag_is_accepted(capsys, matrix_file):
     assert code == 0
     _, out2, _ = run(capsys, "reduce", "--matrix", matrix_file, "--seed", "7")
     assert out == out2  # nothing in the core is randomized
+
+
+# pairs in which the first call sets what the second leaves out: a flag, an
+# output file, a usage error, a seed and a command
+SEQUENCE = [
+    ["split", "--ring", "Z/12", "--a", "6", "--b", "4", "--pi"],
+    ["split", "--ring", "Z/12", "--a", "6", "--b", "4"],
+    ["reduce", "--ring", "Z", "--matrix", "m.txt", "--out", "c.json"],
+    ["reduce", "--ring", "Z", "--matrix", "m.txt"],
+    ["complete", "--ring", "Z", "--det", "1"],
+    ["complete", "--ring", "Z", "--row", "3,5", "--det", "1"],
+    ["lift", "--ring", "Z", "--a", "6", "--b", "3", "--c", "2", "--seed", "7"],
+    ["lift", "--ring", "Z", "--a", "6", "--b", "3", "--c", "2"],
+    ["verify", "--ring", "Z", "--matrix", "m.txt", "--cert", "c.json"],
+    ["reduce", "--ring", "Z", "--matrix", "m.txt"],
+]
+
+
+def test_calls_in_one_process_share_no_state(capsys, monkeypatch, tmp_path):
+    (tmp_path / "m.txt").write_text(MATRIX, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+    counted = lambda self, *a, **kw: built.append(1) or init(self, *a, **kw)  # noqa: E731
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cert = tmp_path / "c.json"
+    read_cert = lambda: cert.read_bytes() if cert.exists() else None  # noqa: E731
+    in_process = []
+    for argv in SEQUENCE:
+        code, out, err = run(capsys, *argv)
+        in_process.append((code, out, err, read_cert()))
+    assert built == []  # every call ran on the parser built at import
+
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    cert.unlink()
+    for argv, (code, out, err, written) in zip(SEQUENCE, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "edr.cli", *argv], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert written == read_cert(), argv
+    # without --pi, Z/12 has no adequate split: a --pi left over would answer 0
+    assert [c for c, *_ in in_process] == [0, 2, 0, 0, 1, 0, 0, 0, 0, 0]
+
+
+def test_importing_the_library_builds_no_parser():
+    probe = "import edr, sys; print(sorted({'argparse', 'edr.cli'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def test_every_emitted_certificate_round_trips(capsys, tmp_path):

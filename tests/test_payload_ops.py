@@ -201,6 +201,40 @@ def test_series_unit_inverse_matches_the_closed_form(case, z0):
     assert type(inv.payload[0]) is int and inv * a == ring.one
 
 
+@st.composite
+def series_quotients(draw):
+    """(k, a, b, divides) over Zser<k>: b of any valuation below k with
+    rational coefficients, and a = b*c (so b | a) when divides is set."""
+    ring = TruncatedSeriesRing(draw(st.integers(1, 8)))
+    k = ring.order
+    valuation = draw(st.integers(0, k - 1))
+    lead = draw(st.integers(1, 3) if valuation == 0 else st.fractions(1, 3, max_denominator=4))
+    lead *= draw(st.sampled_from([1, -1]))
+    size = k - valuation - 1
+    rest = draw(st.lists(st.fractions(-3, 3, max_denominator=4), min_size=size, max_size=size))
+    b = ring.element([0] * valuation + [lead, *rest])
+    divides = draw(st.booleans())
+    a = draw(elements(ring))
+    if divides:
+        a = b * a
+    return k, a.payload, b.payload, divides
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_quotients())
+def test_series_exact_quotient_multiplies_back(case):
+    k, a, b, divides = case
+    ring = TruncatedSeriesRing(k)
+    q, r = ring.ops.div(a, b)
+    assert r == ring.ops.zero or (q, r) == (ring.ops.zero, a)
+    if divides:
+        assert r == ring.ops.zero
+    if r == ring.ops.zero:
+        # b*q truncated at x^k, on plain Fractions apart from edr's arithmetic
+        assert type(q[0]) is int
+        assert tuple(sum(b[j] * q[i - j] for j in range(i + 1)) for i in range(k)) == a
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub
