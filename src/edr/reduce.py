@@ -13,13 +13,18 @@ of the one before, so the pivot's size strictly falls and the sweep
 terminates. One sweep serves Z, GF(p)[x] and Z/n with no branch on the
 ring.
 
-A final pass repairs the divisibility chain d_i | d_{i+1}, the only place
-here that applies a Bezout block. Each repair replaces d_i by
-gcd(d_i, d_{i+1}), a strictly larger ideal, and leaves d_1, ..., d_{i-1} as
-they are, so the tuple of diagonal ideals rises lexicographically; Z/n has
-finitely many ideals and Z and GF(p)[x] are Noetherian, so the pass
-terminates. Then each diagonal entry is normalized to its canonical
-associate, absorbing units into P.
+A final pass repairs the divisibility chain d_i | d_{i+1} with the same
+pivot step. Where d_i does not divide d_{i+1}, it adds row i+1 to row i and
+settles pivot i again from the nonzero entries of row i, until d_i divides
+d_{i+1}; over Z/n d_i can be 0, and Z/12 diag(4, 6) goes to diag(2, 0).
+Each round lowers the size of a nonzero d_i and makes a zero one nonzero,
+so the repeat ends, and every step keeps the ideal (d_i, d_{i+1}), which
+the final d_i therefore generates. Each repair thus replaces (d_i) by a
+strictly larger ideal and leaves d_1, ..., d_{i-1} as they are, so the
+tuple of diagonal ideals rises lexicographically; Z/n has finitely many
+ideals and Z and GF(p)[x] are Noetherian, so the pass terminates. Then
+each diagonal entry is normalized to its canonical associate, absorbing
+units into P.
 
 Products reduce componentwise: a product's Smith form is the tuple of its
 components' forms. A direct sweep over prod(Z,Z/12) verifies too, but it
@@ -34,14 +39,13 @@ column phase the pivot is the only nonzero entry of its column of A (the
 rows below were cleared first, and the rows above belong to finished
 pivots), so subtracting q times the pivot column from column j changes A
 in the pivot row alone, where the entry becomes div's remainder. On Q the
-same step is a row step on Q's transpose, which the sweep holds from start
-to end.
+same step is a row step on Q's transpose, which diagonal_reduce holds from
+the sweep to the end of the chain repair.
 
 No determinant is computed while a certificate is built: every step applied
 to P and Q has a known determinant, and the construction multiplies them up
-as it goes. A row or column swap contributes -1; a Bezout block
-[[x, y], [-b1, a1]] contributes exactly 1, because BezoutData guarantees
-x*a1 + y*b1 = 1; adding a multiple of one row or column to another
+as it goes. A row or column swap, in the sweep or in the chain repair,
+contributes -1; adding a multiple of one row or column to another
 contributes 1; scaling a row of P by a unit u^-1 contributes u^-1. Products
 pair up the component values, and the 2x2 step uses the closed forms of its
 transforms. The recorded values are checked to be units before a
@@ -230,92 +234,71 @@ def _finish_2x2(ring, A, P_rows, Q_rows, detP, detQ):
 # full reduction
 
 
-def _sub_rows(ops, mats, i, k, q):
-    """Row i -= q * row k, in each of mats."""
-    for R in mats:
-        R[i] = ops.comb(ops.one, R[i], q, R[k])
+def _pivot(ops, A, P, Qt, k, cells, detP, detQ):
+    """Settle pivot k of the payload rows A in place: swap the smallest
+    candidate cell into the pivot slot and divide its column, then its row,
+    with remainder; the remainders are the next candidates. Rows k.. of A
+    must be zero left of column k, rows above k zero from column k on.
+    Returns the payloads detP and detQ negated once per row or column swap."""
+    m, n = len(A), len(A[0])
+    while cells:
+        bi, bj = min(cells, key=lambda ij: ops.size(A[ij[0]][ij[1]]))
+        if bi != k:
+            A[k], A[bi] = A[bi], A[k]
+            P[k], P[bi] = P[bi], P[k]
+            detP = ops.neg(detP)
+        if bj != k:
+            for row in A:
+                row[k], row[bj] = row[bj], row[k]
+            Qt[k], Qt[bj] = Qt[bj], Qt[k]
+            detQ = ops.neg(detQ)
+        pivot = A[k][k]
+        for i in range(k + 1, m):
+            q = ops.div(A[i][k], pivot)[0]
+            if q:
+                A[i][k:] = ops.comb(ops.one, A[i][k:], q, A[k][k:])
+                P[i] = ops.comb(ops.one, P[i], q, P[k])
+        cells = [(i, k) for i in range(k + 1, m) if A[i][k]]
+        if not cells:
+            for j in range(k + 1, n):
+                q, A[k][j] = ops.div(A[k][j], pivot)
+                if q:
+                    Qt[j] = ops.comb(ops.one, Qt[j], q, Qt[k])
+            cells = [(k, j) for j in range(k + 1, n) if A[k][j]]
+    return detP, detQ
 
 
-def _bezout_cols(ops, mats, k, j, bd):
-    """Columns k, j become x*col k + y*col j and a1*col j - b1*col k."""
-    _, x, y, a1, b1 = bd
-    add, sub, mul = ops.add, ops.sub, ops.mul
-    for R in mats:
-        for row in R:
-            u, v = row[k], row[j]
-            row[k], row[j] = add(mul(x, u), mul(y, v)), sub(mul(a1, v), mul(b1, u))
-
-
-def _sweep(ring, A, P, Q):
-    """Diagonalize the payload rows A in place, applying the row steps to P
-    and the column steps to Q; returns the determinants of the steps,
-    (det P, det Q), as ring elements.
-
-    Each round swaps the smallest nonzero candidate into the pivot slot and
-    divides the entries below it by the pivot, subtracting the quotients;
-    the remainders left are the next candidates. Once the column is clear,
-    the entries to the right are divided the same way. Only the swaps change
-    det P and det Q: the eliminations have determinant 1. A column step
-    changes A in the pivot row alone and is a row step on Q's transpose,
-    which the sweep holds throughout (see the module docstring)."""
+def _sweep(ring, A, P, Qt):
+    """Diagonalize the payload rows A in place, one pivot at a time; returns
+    the determinants of the steps on P and Q as ring elements."""
     ops = ring.ops
     m, n = len(A), len(A[0])
-    Qt = [list(col) for col in zip(*Q)]
-    detP = detQ = ring.one
+    detP = detQ = ops.one
     for k in range(min(m, n)):
         cells = [(i, j) for i in range(k, m) for j in range(k, n) if A[i][j]]
         if not cells:
             break  # trailing block is zero; remaining diagonal entries stay 0
-        while cells:
-            bi, bj = min(cells, key=lambda ij: ops.size(A[ij[0]][ij[1]]))
-            if bi != k:
-                A[k], A[bi] = A[bi], A[k]
-                P[k], P[bi] = P[bi], P[k]
-                detP = -detP
-            if bj != k:
-                for row in A:
-                    row[k], row[bj] = row[bj], row[k]
-                Qt[k], Qt[bj] = Qt[bj], Qt[k]
-                detQ = -detQ
-            pivot = A[k][k]
-            for i in range(k + 1, m):
-                q = ops.div(A[i][k], pivot)[0]
-                if q:  # rows k.. of A are zero left of column k
-                    A[i][k:] = ops.comb(ops.one, A[i][k:], q, A[k][k:])
-                    P[i] = ops.comb(ops.one, P[i], q, P[k])
-            cells = [(i, k) for i in range(k + 1, m) if A[i][k]]
-            if not cells:
-                for j in range(k + 1, n):
-                    q, A[k][j] = ops.div(A[k][j], pivot)
-                    if q:
-                        Qt[j] = ops.comb(ops.one, Qt[j], q, Qt[k])
-                cells = [(k, j) for j in range(k + 1, n) if A[k][j]]
-    Q[:] = [list(row) for row in zip(*Qt)]
-    return detP, detQ
+        detP, detQ = _pivot(ops, A, P, Qt, k, cells, detP, detQ)
+    return RingElement(ring, detP), RingElement(ring, detQ)
 
 
-def _fix_divisibility_chain(ring, A, P, Q):
-    """Repair d_i | d_{i+1} in the payload rows, in place. Every step (a row
-    addition, a gcd column block, an elimination) has determinant 1, so det
-    P and det Q stay as they are."""
+def _fix_divisibility_chain(ring, A, P, Qt):
+    """Repair d_i | d_{i+1} in the diagonal payload rows A, in place (see
+    the module docstring); returns the determinants of the steps on P and Q
+    as ring elements. A pivot step at i leaves A diagonal."""
     ops = ring.ops
-    r = min(len(A), len(A[0]))
+    detP = detQ = ops.one
     while True:
         changed = False
-        for i in range(r - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if not b or not ops.div(b, a)[1]:
-                continue  # d | 0 always
-            _sub_rows(ops, (A, P), i, i + 1, ops.neg(ops.one))  # row i += row i+1
-            bd = ops.bezout(a, b)
-            _bezout_cols(ops, (A, Q), i, i + 1, bd)
-            q, rem = ops.div(A[i + 1][i], A[i][i])  # g divides y*b
-            if rem:
-                raise PostconditionFailed("chain repair left an inexact quotient")
-            _sub_rows(ops, (A, P), i + 1, i, q)
-            changed = True
+        for i in range(min(len(A), len(A[0])) - 1):
+            while ops.div(A[i + 1][i + 1], A[i][i])[1]:  # div(b, 0) leaves b
+                for R in (A, P):
+                    R[i] = ops.comb(ops.one, R[i], ops.neg(ops.one), R[i + 1])
+                cells = [(i, j) for j in (i, i + 1) if A[i][j]]  # d_i can be 0 over Z/n
+                detP, detQ = _pivot(ops, A, P, Qt, i, cells, detP, detQ)
+                changed = True
         if not changed:
-            return
+            return RingElement(ring, detP), RingElement(ring, detQ)
 
 
 def _normalize_diagonal(ring, A, P):
@@ -342,11 +325,11 @@ def diagonal_reduce(A: RingMatrix) -> ReductionCertificate:
         raise UnsupportedRing(f"diagonal reduction is not supported over {ring}")
     work = A.payload_lists()
     P = RingMatrix.identity(ring, A.rows).payload_lists()
-    Q = RingMatrix.identity(ring, A.cols).payload_lists()
-    detP, detQ = _sweep(ring, work, P, Q)
-    _fix_divisibility_chain(ring, work, P, Q)
-    detP = detP * _normalize_diagonal(ring, work, P)
-    return _make_certificate(ring, P, work, Q, detP, detQ)
+    Qt = RingMatrix.identity(ring, A.cols).payload_lists()  # Q transposed
+    detP, detQ = _sweep(ring, work, P, Qt)
+    fixP, fixQ = _fix_divisibility_chain(ring, work, P, Qt)
+    detP = detP * fixP * _normalize_diagonal(ring, work, P)
+    return _make_certificate(ring, P, work, [list(c) for c in zip(*Qt)], detP, detQ * fixQ)
 
 
 def _reduce_product(A: RingMatrix) -> ReductionCertificate:

@@ -277,11 +277,12 @@ def crt(residues, moduli) -> int:
 # [a*x - b*y for x, y in zip(xs, ys)]; over GF(p)[x] a and -b are packed
 # once per call, in a Kronecker slot (below) sized for len(a) + len(b)
 # products of coefficients, the most any coefficient of a*x - b*y sums.
-# `quo(xs, d)`, for d nonzero (in every component, for a product), is the
-# row of exact quotients x/d as div gives them, or None if any entry leaves
-# a remainder; over GF(p)[x] it divides through one Newton reciprocal of
-# the reversed d per call once d has _NEWTON_CROSSOVER coefficients or
-# more. Both are None for the series, which has no matrices.
+# `quo(xs, d)`, for d nonzero, is the row of exact quotients x/d as div
+# gives them, or None if any entry leaves a remainder; over GF(p)[x] it
+# divides through one Newton reciprocal of the reversed d per call once d
+# has _NEWTON_CROSSOVER coefficients or more. Both are None for the series,
+# which has no matrices, and for products, which reduce and take
+# determinants componentwise.
 PayloadOps = namedtuple("PayloadOps", "zero one add sub mul neg size div bezout normal comb quo")
 
 
@@ -996,20 +997,10 @@ class ProductRing(Ring):
             fn = each(name)
             return lambda *args: tuple(zip(*fn(*args)))
 
-        def comb(a, xs, b, ys):
-            return list(zip(*(
-                t.comb(ai, [x[i] for x in xs], bi, [y[i] for y in ys])
-                for i, (t, ai, bi) in enumerate(zip(tables, a, b))
-            )))
-
-        def quo(xs, d):
-            parts = [t.quo([x[i] for x in xs], di) for i, (t, di) in enumerate(zip(tables, d))]
-            return None if None in parts else list(zip(*parts))
-
         return PayloadOps(
             tuple(t.zero for t in tables), tuple(t.one for t in tables), each("add"), each("sub"),
             each("mul"), each("neg"), None, transposed("div"), transposed("bezout"), each("normal"),
-            comb, quo,
+            None, None,
         )
 
     def jacobson_member(self, a):

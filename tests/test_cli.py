@@ -571,20 +571,46 @@ def test_products_with_a_series_factor_are_unsupported(capsys, tmp_path):
         assert "Traceback" not in err
 
 
-def test_deeply_nested_products_are_refused(capsys):
-    def nest(depth):
-        text = "Z"
-        for _ in range(depth):
-            text = f"prod({text},Z)"
-        return text
+def _nest(depth, leaf="Z", head="prod"):
+    """`depth` nested pairs of `leaf`: prod(prod(Z,Z),Z) at depth 2, and
+    with head="" the literal ((2,2),2) of 2 in every component."""
+    text = leaf
+    for _ in range(depth):
+        text = f"{head}({text},{leaf})"
+    return text
 
+
+def test_deeply_nested_products_are_refused(capsys):
     # at the bound the ring is read, and refused only as infinite
-    code, out, err = run(capsys, "check", "--ring", nest(_PRODUCT_DEPTH_BOUND), "--predicate", "Clean")
+    code, out, err = run(capsys, "check", "--ring", _nest(_PRODUCT_DEPTH_BOUND), "--predicate", "Clean")
     assert code == 2 and json.loads(out)["error"] == "UnsupportedRing"
     for depth in (_PRODUCT_DEPTH_BOUND + 1, 300):
-        code, out, err = run(capsys, "check", "--ring", nest(depth), "--predicate", "Clean")
+        code, out, err = run(capsys, "check", "--ring", _nest(depth), "--predicate", "Clean")
         assert code == 2 and json.loads(out)["error"] == "ScaleExceeded", depth
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [_PRODUCT_DEPTH_BOUND, _PRODUCT_DEPTH_BOUND + 1])
+def test_every_command_answers_at_and_past_the_product_depth_bound(depth, tmp_path):
+    ring, zero, one, two, three, five = [_nest(depth)] + [_nest(depth, v, "") for v in "01235"]
+    (tmp_path / "m.txt").write_text(f"ring: {ring}\nshape: 2 2\n{two} {zero}\n{zero} {three}\n", encoding="utf-8")
+    runs = [
+        ["reduce", "--matrix", "m.txt", "--out", "c.json"],
+        ["verify", "--matrix", "m.txt", "--cert", "c.json"],
+        ["complete", "--ring", ring, "--row", f"{two},{three}", "--det", one],
+        ["split", "--ring", ring, "--a", two, "--b", three],
+        ["lift", "--ring", ring, "--a", two, "--b", three, "--c", five],
+        ["check", "--ring", ring, "--predicate", "Clean"],
+    ]
+    for argv in runs:
+        if argv[0] == "verify" and not (tmp_path / "c.json").exists():  # reduce refused the ring
+            doc = {"kind": "reduction-certificate", "ring": ring, "P": {}, "D": {}, "Q": {}, "detP": "1", "detQ": "1"}
+            (tmp_path / "c.json").write_text(json.dumps(doc), encoding="utf-8")
+        code, doc = _one_document(argv, tmp_path)
+        if depth > _PRODUCT_DEPTH_BOUND:
+            assert doc.get("error") == "ScaleExceeded", argv[0]
+        elif argv[0] in ("reduce", "verify"):
+            assert code == 0, argv[0]  # the chain repair runs in every component
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +705,7 @@ def _one_document(argv, cwd):
         assert code == (0 if doc["ok"] else 2)
     else:
         assert code == 0
-    return code
+    return code, doc
 
 
 @settings(max_examples=150, deadline=3000)
@@ -690,5 +716,5 @@ def test_every_cli_run_prints_one_json_object_and_a_documented_exit_code(case):
         cwd = Path(tmp)
         for name, text in files.items():
             (cwd / name).write_text(text, encoding="utf-8")
-        if _one_document(argv, cwd) == 0 and follow_up:
-            assert _one_document(follow_up, cwd) == 0  # what edr writes, edr verifies
+        if _one_document(argv, cwd)[0] == 0 and follow_up:
+            assert _one_document(follow_up, cwd)[0] == 0  # what edr writes, edr verifies

@@ -426,6 +426,92 @@ def test_diagonals_are_pinned(spec):
     assert digest.hexdigest() == PINNED_DIAGONALS[spec]
 
 
+# Diagonal inputs the sweep leaves as they are, with a broken chain, and the
+# Smith form the chain repair must reach; none of the pinned matrices above
+# reaches the repair.
+CHAIN_CASES = [
+    ("Z", [2, 3], [1, 6]),
+    ("Z", [4, 6, 10], [2, 2, 60]),
+    ("Z", [-38, -17], [1, 646]),  # one row addition and pivot step leave diag(-2, 323)
+    ("Z/360", [8, 9], [1, 72]),
+    ("Z/360", [5, 114], [1, 30]),  # one leaves diag(2, 285)
+    ("Z/12", [4, 6], [2, 0]),
+    ("GF(5)[x]", [[0, 1], [1, 1]], [[1], [0, 1, 1]]),
+    ("prod(Z,Z/12)", [(2, 2), (3, 3)], [(1, 1), (6, 6)]),
+]
+
+# sha256 over the certificate documents of CHAIN_CASES, per ring, joined in
+# order. PINNED_DOCUMENTS cannot see the chain repair, so this group pins P
+# and Q where it fires. Recorded when the repair gave up its Bezout column
+# block for the sweep's own pivot step: P and Q changed then, D did not.
+PINNED_CHAIN_DOCUMENTS = {
+    "Z": "ade49ea93f3f1acb7d8c8c6414756dbcd073bcbc0907ee1b8e7d4c8b1ca299bf",
+    "Z/360": "985a68678157249c8b1fe37866befd7b40c6f1994c3b54eb14a18627bc1296b6",
+    "Z/12": "66e1fc7c6599fb56d4d6a2e2947a7f721e11c572e498512832ac1082fec6a513",
+    "GF(5)[x]": "249c56fefa2e8996872ce78770840dbb4cc2a65ea19a57606128bdd1dbdd9777",
+    "prod(Z,Z/12)": "1a502863f993f479505a47167ffd7fb05b94a253a8983cdd64570036556ee0bb",
+}
+
+
+def _diagonal(ring, payloads):
+    zero = ring.ops.zero
+    n = len(payloads)
+    return RingMatrix.from_payloads(ring, [[v if i == j else zero for j in range(n)] for i, v in enumerate(payloads)])
+
+
+@pytest.mark.parametrize("spec, diag, smith", CHAIN_CASES)
+def test_chain_repair_reaches_the_smith_form(spec, diag, smith):
+    ring = parse_ring(spec)
+    A = _diagonal(ring, diag)
+    cert = diagonal_reduce(A)
+    assert cert.D == _diagonal(ring, smith)
+    assert verify_reduction(A, cert).ok
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_CHAIN_DOCUMENTS))
+def test_chain_repair_documents_are_pinned(spec):
+    ring = parse_ring(spec)
+    digest = hashlib.sha256()
+    for case_spec, diag, _ in CHAIN_CASES:
+        if case_spec == spec:
+            cert = diagonal_reduce(_diagonal(ring, diag))
+            digest.update(dumps(reduction_certificate_to_doc(ring, cert)).encode())
+    assert digest.hexdigest() == PINNED_CHAIN_DOCUMENTS[spec]
+
+
+@pytest.mark.parametrize("ring, values", [(ModularRing(36), range(36)), (Z, range(-12, 13))], ids=["Z/36", "Z"])
+def test_every_2x2_diagonal_reduces_and_verifies(ring, values):
+    for a, b in itertools.product(values, repeat=2):
+        A = _diagonal(ring, [a, b])
+        assert verify_reduction(A, diagonal_reduce(A)).ok, (a, b)
+
+
+def _refuse_bezout(patch, ring):
+    """Make every Bezout gcd of `ring`'s tables, or its factors', raise."""
+    if isinstance(ring, ProductRing):
+        for factor in ring.factors:
+            _refuse_bezout(patch, factor)
+        return
+
+    def no_bezout(a, b):
+        raise AssertionError(f"Bezout gcd over {ring}")
+
+    patch.setattr(ring, "ops", ring.ops._replace(bezout=no_bezout))
+
+
+def test_diagonal_reduce_makes_no_bezout_call(monkeypatch):
+    cases = [(parse_ring(spec), diag) for spec, diag, _ in CHAIN_CASES]
+    rng = random.Random("no-bezout")
+    dense = [_dense(ring, rng, n) for ring in (Z, ModularRing(360), GF5) for n in (3, 6, 9)]
+    matrices = [_diagonal(ring, diag) for ring, diag in cases] + dense
+    with monkeypatch.context() as patch:
+        for A in matrices:
+            _refuse_bezout(patch, A.ring)
+        certs = [diagonal_reduce(A) for A in matrices]
+    for A, cert in zip(matrices, certs):
+        assert verify_reduction(A, cert).ok
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_reduce_modular_30x30_is_fast(seed):
     # Z/n entries stay below n throughout the sweep, so nothing grows with
