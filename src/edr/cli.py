@@ -68,6 +68,8 @@ def _build_parser() -> _Parser:
 
 
 _PARSER = _build_parser()
+# kinds of document edr writes that verify does not read
+_UNVERIFIED_KINDS = ("adequate-split", "series-split", "lift", "predicate-report", "verification-report")
 
 
 def _read_text(path: str) -> str:
@@ -207,6 +209,8 @@ def _run(args) -> int:
         if not isinstance(doc, dict):
             raise ParseError("a certificate document must be a JSON object")
         kind = doc.get("kind")
+        if kind in _UNVERIFIED_KINDS:
+            raise ParseError(f"{kind!r} is not a certificate: verify reads reduction and completion certificates")
         if kind == "completion-certificate" or ("A" in doc and "first_row" in doc):
             ring, cert = serialize.completion_certificate_from_doc(doc)
             report = complete.verify_completion(cert)

@@ -53,9 +53,8 @@ certificate is returned.
 
 kaplansky_2x2 is the paper's 2x2 step, a standalone utility that
 diagonal_reduce does not call. For a matrix [[a,0],[b,c]] with unimodular
-(a,b,c) it goes through an adequate split of one entry against the other
-and lands on diag(1, ac) up to a unit; both split directions are
-implemented.
+(a,b,c) it goes through an adequate split of c against a, which over Z/n
+factors nothing, and lands on diag(1, ac) up to a unit.
 
 verify_reduction re-multiplies everything from scratch and recomputes both
 determinants independently (RingMatrix.det, polynomial time); it is the
@@ -64,9 +63,10 @@ ground truth for every certificate this module emits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .adequate import adequate_split, pi_adequate_split_zn
+from .adequate import adequate_split
 from .errors import NotUnimodular, PostconditionFailed, UnsupportedRing
 from .matrices import RingMatrix
 from .report import CheckReport
@@ -132,13 +132,6 @@ def hermite_row(a: RingElement, b: RingElement):
     return bd.g, U
 
 
-def _split_against(c, a):
-    """Adequate split of a power of c relative to a, per the ring family."""
-    if isinstance(c.ring, ModularRing):
-        return pi_adequate_split_zn(c, a)
-    return adequate_split(c, a)
-
-
 def _normalized_unit_combo(a, b):
     """x, y with x*a + y*b = 1; requires (a, b) unimodular."""
     bd = gcd_bezout(a, b)
@@ -148,22 +141,22 @@ def _normalized_unit_combo(a, b):
     return bd.x * inv, bd.y * inv
 
 
-def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement, branch: str = "auto"):
+def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement):
     """Certificate reducing [[a,0],[b,c]] to diag(1, ac) up to a unit.
 
-    Requires aR + bR + cR = R. `branch` selects which entry gets the
-    adequate split: "c_to_a" (the default; "auto" is the same) or "a_to_c"
-    for the symmetric construction.
-
-    "c_to_a" always succeeds. Let c^m = r*s be the split of c against a
-    (m = 1 outside Z/n; r is coprime to a and every prime dividing s
-    divides a). A prime p dividing both t = a + b*r and c*r divides r or s.
+    Requires aR + bR + cR = R. Let c = r*s be the split of c against a (r
+    is coprime to a and every prime dividing s divides a; with a = 0, r is
+    a unit). A prime p dividing both t = a + b*r and c*r divides r or s.
     If p | r then p does not divide a, and t = a mod p is not 0. If p | s
     then p | a, so p | b*r and p | b, and (a, b, c) is not unimodular. So
     (t, c*r) is unimodular.
+
+    Over Z/n the primes are those of n, each dividing an element exactly
+    when it divides its lift to Z, and the split is of g = gcd(c, n) = r*s
+    on Z against the lift of a: every prime of n that divides c divides r
+    or s, no prime of r divides the lift of a, and every prime of s
+    divides it. The argument above goes through unchanged.
     """
-    if branch not in ("auto", "c_to_a", "a_to_c"):
-        raise ValueError(f"unknown branch {branch!r}")
     ring = a.ring
     if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing, ModularRing)):
         raise UnsupportedRing(f"no adequate-split capability over {ring}")
@@ -173,61 +166,30 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement, branch: str = 
         raise NotUnimodular("gcd(a, b, c) is not a unit")
 
     one, zero = ring.one, ring.zero
-    A = RingMatrix(ring, [[a, zero], [b, c]])
-
-    if a.is_zero():
-        # (b, c) is unimodular; p*b + q*c = 1
-        p, q = _normalized_unit_combo(b, c)
-        P = [[zero, one], [one, zero]]
-        Q1 = RingMatrix(ring, [[c, p], [-b, q]])  # det c*q + p*b = 1
-        Q2 = RingMatrix(ring, [[zero, one], [one, zero]])
-        Q = (Q1 * Q2).to_lists()
-        return _finish_2x2(ring, A, P, Q, -one, -one)
-
-    if c.is_zero():
+    if c.is_zero():  # zero has no split
         p, q = _normalized_unit_combo(a, b)
         P = [[p, q], [-b, a]]  # det p*a + q*b = 1
-        Q = RingMatrix.identity(ring, 2).to_lists()
-        return _finish_2x2(ring, A, P, Q, one, one)
-
-    if branch == "a_to_c":
-        return _kaplansky_a_to_c(ring, A, a, b, c)
-    return _kaplansky_c_to_a(ring, A, a, b, c)
-
-
-def _kaplansky_c_to_a(ring, A, a, b, c):
-    split = _split_against(c, a)
-    r = split.r
-    t = a + b * r
-    x, y = _normalized_unit_combo(t, c * r)
-    one = ring.one
-    lower = -(b * x + c * y)
-    P = [[one, r], [lower, one + lower * r]]  # [[1,0],[lower,1]] * [[1,r],[0,1]]
-    Q = [[x, -(c * r)], [y, t]]  # det x*t + y*c*r = 1
-    return _finish_2x2(ring, A, P, Q, one, one)
-
-
-def _kaplansky_a_to_c(ring, A, a, b, c):
-    split = _split_against(a, c)
-    r = split.r
-    t = b * r + c
-    x, y = _normalized_unit_combo(a * r, t)
-    one = ring.one
-    w = -(x * a + y * b)
-    P = [[x, y], [-t, a * r]]  # det x*a*r + y*t = 1
-    Q = [[r, r * w + one], [one, w]]  # [[r,1],[1,0]] * [[1,w],[0,1]], det -1
-    return _finish_2x2(ring, A, P, Q, one, -one)
-
-
-def _finish_2x2(ring, A, P_rows, Q_rows, detP, detQ):
-    P, Q = RingMatrix(ring, P_rows), RingMatrix(ring, Q_rows)
-    D = (P * A * Q).payload_lists()
+        Q = [[one, zero], [zero, one]]
+    else:
+        if isinstance(ring, ModularRing):
+            zz = IntegerRing()
+            split = adequate_split(zz.from_int(math.gcd(c.payload, ring.n)), zz.from_int(a.payload))
+            r = ring.from_int(split.r.payload)
+        else:
+            r = adequate_split(c, a).r
+        t = a + b * r
+        x, y = _normalized_unit_combo(t, c * r)
+        lower = -(b * x + c * y)
+        P = [[one, r], [lower, one + lower * r]]  # [[1,0],[lower,1]] * [[1,r],[0,1]]
+        Q = [[x, -(c * r)], [y, t]]  # det x*t + y*c*r = 1
+    P, Q = RingMatrix(ring, P), RingMatrix(ring, Q)
+    D = (P * RingMatrix(ring, [[a, zero], [b, c]]) * Q).payload_lists()
     if D[0][1] or D[1][0]:
         raise PostconditionFailed("2x2 step failed to diagonalize")
     P = P.payload_lists()
-    detP = detP * _normalize_diagonal(ring, D, P)
+    detP = _normalize_diagonal(ring, D, P)  # both transforms above have det 1
     # the chain holds by construction: d1 is the unit 1, which divides d2
-    return _make_certificate(ring, P, D, Q.payload_lists(), detP, detQ)
+    return _make_certificate(ring, P, D, Q.payload_lists(), detP, one)
 
 
 # ---------------------------------------------------------------------------

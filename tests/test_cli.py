@@ -374,6 +374,29 @@ def test_verify_non_square_completion_is_a_failed_check(capsys, tmp_path):
     assert json.loads(out)["failures"] == ["shapes consistent"]
 
 
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("adequate-split", ["split", "--ring", "Z", "--a", "12", "--b", "10"]),
+        ("series-split", ["split", "--ring", "Zser4", "--a", "{12;1,0,0}", "--b", "{10;0,0,0}"]),
+        ("lift", ["lift", "--ring", "Z", "--a", "6", "--b", "3", "--c", "2"]),
+        ("predicate-report", ["check", "--ring", "Z/12", "--predicate", "Clean"]),
+        ("verification-report", ["verify", "--cert", "comp.json"]),
+    ],
+)
+def test_verify_names_a_document_kind_it_does_not_read(capsys, tmp_path, monkeypatch, kind, argv):
+    # each of these documents once answered "lacks the 'P' field"
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "complete", "--ring", "Z", "--row", "3,5", "--det", "1", "--out", "comp.json")[0] == 0
+    assert run(capsys, *argv, "--out", "doc.json")[0] == 0
+    assert json.loads((tmp_path / "doc.json").read_text())["kind"] == kind
+    code, out, err = run(capsys, "verify", "--cert", "doc.json")
+    doc = json.loads(out)
+    assert code == 1 and doc["error"] == "ParseError", doc
+    assert repr(kind) in doc["message"] and "reduction and completion certificates" in doc["message"]
+    assert "Traceback" not in err
+
+
 def test_reduce_and_verify_integers_beyond_the_digit_limit(capsys, tmp_path):
     # entries of 4401 digits, past Python's 4300-digit int<->str limit, both
     # in the matrix read and in the certificate written

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from edr.errors import DescriptorMismatch, NotUnimodular, UnsupportedRing
+from edr.errors import DescriptorMismatch, UnsupportedRing
 from edr.matrices import RingMatrix
 from edr.reduce import ReductionCertificate, diagonal_reduce, kaplansky_2x2, verify_reduction
 from edr.rings import (
@@ -149,32 +149,25 @@ def _unimodular_triples(ring, rng, count):
 
 @pytest.mark.parametrize("ring", [Z, Z360, GF5], ids=str)
 def test_kaplansky_recorded_determinants_every_branch(ring):
+    # the paths that exist: c = 0, and the split construction with a = 0
+    # and with a != 0
     rng = random.Random(f"kaplansky/{ring}")
     zero = ring.zero
-    cases = []
-    for a, b, c in _unimodular_triples(ring, rng, 12):
-        cases += [(a, b, c, "c_to_a"), (a, b, c, "a_to_c")]
+    cases = list(_unimodular_triples(ring, rng, 12))
     for a, b, c in _unimodular_triples(ring, rng, 30):
         if is_unit(gcd_bezout(b, c).g):
-            cases.append((zero, b, c, "auto"))  # the a = 0 branch
+            cases.append((zero, b, c))
         if is_unit(gcd_bezout(a, b).g):
-            cases.append((a, b, zero, "auto"))  # the c = 0 branch
-    branches = {(a.is_zero(), c.is_zero(), br) for a, _, c, br in cases}
-    assert {(True, False, "auto"), (False, True, "auto")} <= branches
+            cases.append((a, b, zero))
     ran = set()
-    for a, b, c, branch in cases:
-        if branch != "auto" and (a.is_zero() or c.is_zero()):
-            continue
-        try:
-            cert = kaplansky_2x2(a, b, c, branch=branch)
-        except (UnsupportedRing, NotUnimodular):  # a split direction the ring cannot take
-            continue
-        ran.add("a=0" if a.is_zero() else "c=0" if c.is_zero() else branch)
+    for a, b, c in cases:
+        cert = kaplansky_2x2(a, b, c)
+        ran.add("c=0" if c.is_zero() else "a=0" if a.is_zero() else "split")
         assert cert.detP_unit == perm_det(cert.P.to_lists())
         assert cert.detQ_unit == perm_det(cert.Q.to_lists())
         A = RingMatrix(ring, [[a, zero], [b, c]])
         assert verify_reduction(A, cert).ok
-    assert ran == {"a=0", "c=0", "c_to_a", "a_to_c"}
+    assert ran == {"a=0", "c=0", "split"}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import pytest
 
+import edr.adequate
+import edr.rings
 from edr.errors import NotUnimodular, ScaleExceeded, UnsupportedRing
 from edr.matrices import RingMatrix
 from edr.parsing import parse_ring
@@ -24,6 +26,8 @@ from edr.rings import (
     ProductRing,
     TruncatedSeriesRing,
     canonical_associate,
+    factorize,
+    gcd_bezout,
     is_unit,
 )
 from edr.serialize import dumps, matrix_to_doc, reduction_certificate_to_doc
@@ -115,25 +119,24 @@ def test_kaplansky_examples():
 
 
 def test_kaplansky_both_branches_verify():
+    # the one construction on a != 0, and on a = 0, where the split of c
+    # against 0 leaves r a unit
     rng = random.Random(31)
     trials = 0
     while trials < 60:
         a, b, c = (rng.randint(-20, 20) for _ in range(3))
-        import math
-
         if math.gcd(math.gcd(a, b), c) != 1:
             continue
         trials += 1
-        A = RingMatrix.from_payloads(Z, [[a, 0], [b, c]])
-        for branch in ("c_to_a", "a_to_c"):
-            cert = kaplansky_2x2(Z.from_int(a), Z.from_int(b), Z.from_int(c), branch=branch)
+        for a in (a, 0) if math.gcd(b, c) == 1 else (a,):
+            A = RingMatrix.from_payloads(Z, [[a, 0], [b, c]])
+            cert = kaplansky_2x2(Z.from_int(a), Z.from_int(b), Z.from_int(c))
             rep = verify_reduction(A, cert)
-            assert rep.ok, (a, b, c, branch, rep)
+            assert rep.ok, (a, b, c, rep)
             d1, d2 = _diag(cert)
             # determinant is preserved up to units over a domain
-            if a * c != 0:
-                assert is_unit(d1)
-                assert d2 == canonical_associate(Z.from_int(a * c))[1]
+            assert is_unit(d1)
+            assert d2 == canonical_associate(Z.from_int(a * c))[1]
 
 
 def test_kaplansky_modular():
@@ -153,34 +156,64 @@ def test_kaplansky_modular():
             assert verify_reduction(A, cert).ok
 
 
-def _unimodular_triples(values, gcd):
-    for a, b, c in itertools.product(values, repeat=3):
-        if gcd(gcd(a, b), c) == 1:
-            yield a, b, c
-
-
-@pytest.mark.parametrize("spec", ["Z/8", "Z/12", "Z"])
+@pytest.mark.parametrize("spec", ["Z/8", "Z/12", "Z/36", "Z", "GF(3)[x]"])
 def test_kaplansky_auto_verifies_on_every_unimodular_triple(spec):
-    # "auto" runs the c_to_a construction with no fallback; it must verify
-    # on every unimodular triple, zeros included
+    # one construction with no fallback; it must verify on every unimodular
+    # triple, zeros included (GF(3)[x]: every element of degree <= 1)
     ring = parse_ring(spec)
     if isinstance(ring, ModularRing):
-        n = ring.n
-        triples = _unimodular_triples(range(n), lambda x, y: math.gcd(x, y, n))
+        values = [ring.from_int(v) for v in range(ring.n)]
+    elif isinstance(ring, IntegerRing):
+        values = [ring.from_int(v) for v in range(-6, 7)]
     else:
-        triples = _unimodular_triples(range(-6, 7), math.gcd)
+        values = [ring.element([u, v]) for u in range(3) for v in range(3)]
     start = time.monotonic()
-    for a, b, c in triples:
-        cert = kaplansky_2x2(ring.from_int(a), ring.from_int(b), ring.from_int(c), branch="auto")
+    count = 0
+    for a, b, c in itertools.product(values, repeat=3):
+        if not is_unit(gcd_bezout(gcd_bezout(a, b).g, c).g):
+            continue
+        count += 1
+        cert = kaplansky_2x2(a, b, c)
+        A = RingMatrix(ring, [[a, ring.zero], [b, c]])
+        assert verify_reduction(A, cert).ok, (a, b, c)
+    # 3 s for the sets of up to 2,000 triples; Z/36 has 39,312
+    assert time.monotonic() - start < max(3.0, 1.5e-3 * count)
+
+
+def test_kaplansky_over_a_modulus_beyond_factorize():
+    # p*q with p the least prime above 2^40 and q the next one: rho gives
+    # up on it, and the 2x2 step does not need its primes
+    p, q = 1099511627791, 1099511627803
+    ring = ModularRing(p * q)
+    with pytest.raises(ScaleExceeded):
+        factorize(p * q)
+    for a, b, c in [(6 * p, 4, 10 * q), (0, p, q), (p, q, p * 3), (5, 0, q)]:
+        start = time.monotonic()
+        cert = kaplansky_2x2(ring.from_int(a), ring.from_int(b), ring.from_int(c))
+        assert time.monotonic() - start < 0.1
         A = RingMatrix.from_payloads(ring, [[a, 0], [b, c]])
         assert verify_reduction(A, cert).ok, (a, b, c)
-    assert time.monotonic() - start < 3.0
+        assert _diag(cert)[0] == ring.one
 
 
-@pytest.mark.parametrize("a, c", [(0, 3), (3, 0), (4, 9)])
-def test_kaplansky_refuses_an_unknown_branch_before_any_shortcut(a, c):
-    with pytest.raises(ValueError, match="bogus"):
-        kaplansky_2x2(Z.from_int(a), Z.from_int(5), Z.from_int(c), branch="bogus")
+def test_kaplansky_never_factors_the_modulus(monkeypatch, prime_pair_128):
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    for module in (edr.rings, edr.adequate):
+        monkeypatch.setattr(module, "factorize", refuse)
+    rng = random.Random(37)
+    for n in (12, 360, 2**20 * 3**5, 1001 * 1001, prime_pair_128[0] * prime_pair_128[1]):
+        ring = ModularRing(n)
+        done = 0
+        while done < 20:
+            a, b, c = (rng.choice([0, 1, rng.randrange(n), rng.randrange(n) * 6]) % n for _ in range(3))
+            if math.gcd(math.gcd(a, b, n), c) != 1:
+                continue
+            done += 1
+            cert = kaplansky_2x2(ring.from_int(a), ring.from_int(b), ring.from_int(c))
+            A = RingMatrix.from_payloads(ring, [[a, 0], [b, c]])
+            assert verify_reduction(A, cert).ok, (n, a, b, c)
 
 
 def test_kaplansky_not_unimodular():
