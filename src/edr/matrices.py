@@ -102,13 +102,18 @@ class RingMatrix:
     def det(self) -> RingElement:
         """Exact determinant in polynomial time, chosen by the ring.
 
-        Products work componentwise. Over Z and GF(p)[x] it is fraction-free
+        Products work componentwise. First the singleton lines are peeled
+        (_peel): while some row or column has at most one nonzero entry, the
+        determinant is 0 (no entry) or that entry, signed by its position,
+        times its minor. A completion matrix, and the Q of a reduction,
+        peel down to a core of a few rows. The core goes to fraction-free
         Gaussian elimination (Bareiss, Math. Comp. 22, 1968) on payloads,
-        through the ring's op table: O(n^3) operations, every entry it forms
-        is a minor of the input, every division is exact, and the pivot is
-        the smallest nonzero entry of its column. Over Z/n the same
-        elimination runs on the integer lift and the result is reduced mod
-        n, since the determinant commutes with Z -> Z/n.
+        through the ring's op table: O(c^3) operations on a c x c core,
+        every entry it forms is a minor of the core, every division is
+        exact, and the pivot is the smallest nonzero entry of its column.
+        Over Z/n the same elimination runs on the integer lift and the
+        result is reduced mod n, since the determinant commutes with
+        Z -> Z/n.
 
         Each row of an elimination step is one call of the table's row
         kernels (rings.PayloadOps comb and quo). Over GF(p)[x] the exact
@@ -158,12 +163,77 @@ def _matmul(ring: Ring, a, b):
 
 
 def _det(ring: Ring, rows):
-    """The determinant's payload, from square payload rows (overwritten)."""
+    """The determinant's payload, from square payload rows: singleton lines
+    are peeled first (_peel), and Bareiss runs on the core alone."""
     if isinstance(ring, ProductRing):
         return tuple(_det(f, [[v[i] for v in row] for row in rows]) for i, f in enumerate(ring.factors))
-    if isinstance(ring, ModularRing):  # on the integer lift, reduced mod n
-        return _bareiss(rows, IntegerRing.ops) % ring.n
-    return _bareiss(rows, ring.ops)
+    ops = ring.ops
+    peeled = _peel(rows)
+    if peeled is None:
+        return ops.zero
+    pairs, core_rows, core_cols, odd = peeled
+    d = ops.one
+    if core_rows:
+        core = [[rows[i][j] for j in core_cols] for i in core_rows]
+        if isinstance(ring, ModularRing):  # on the integer lift, reduced mod n
+            d = _bareiss(core, IntegerRing.ops) % ring.n
+        else:
+            d = _bareiss(core, ops)
+    for i, j in pairs:
+        d = ops.mul(d, rows[i][j])
+    return ops.neg(d) if odd else d
+
+
+def _peel(a):
+    """Expand the square payload rows `a` along its singleton lines, the
+    singleton step of structured Gaussian elimination (LaMacchia & Odlyzko,
+    CRYPTO 1990): while some live row or column has at most one nonzero
+    entry, expand along it. An empty line makes the determinant 0: None.
+    Otherwise (pairs, core rows, core columns, odd) with det a = (-1)^odd *
+    prod(a[i][j] for i, j in pairs) * det(core): the position signs of the
+    expansions multiply up to the parity of the permutation that sends each
+    peeled row to its column and the core's rows to its columns in order."""
+    n = len(a)
+    in_row = [{j for j, v in enumerate(row) if v} for row in a]
+    in_col = [set() for _ in range(n)]
+    for i, js in enumerate(in_row):
+        for j in js:
+            in_col[j].add(i)
+    todo = [(0, i) for i in range(n) if len(in_row[i]) < 2] + [(1, j) for j in range(n) if len(in_col[j]) < 2]
+    match = [None] * n  # the column each row goes to
+    pairs = []
+    while todo:  # a line only loses entries, so a queued line stays a singleton
+        side, k = todo.pop()
+        line = (in_row, in_col)[side][k]
+        if line is None:  # peeled already
+            continue
+        if not line:
+            return None
+        (other,) = line
+        i, j = (k, other) if side == 0 else (other, k)
+        match[i] = j
+        pairs.append((i, j))
+        for jj in in_row[i] - {j}:
+            in_col[jj].discard(i)
+            if len(in_col[jj]) < 2:
+                todo.append((1, jj))
+        for ii in in_col[j] - {i}:
+            in_row[ii].discard(j)
+            if len(in_row[ii]) < 2:
+                todo.append((0, ii))
+        in_row[i] = in_col[j] = None
+    core_rows = [i for i in range(n) if in_row[i] is not None]
+    core_cols = [j for j in range(n) if in_col[j] is not None]
+    for i, j in zip(core_rows, core_cols):
+        match[i] = j
+    odd = False  # a cycle of even length is an odd permutation
+    for start in range(n):
+        length, k = 0, start
+        while match[k] is not None:
+            match[k], k = None, match[k]
+            length += 1
+        odd ^= length > 0 and length % 2 == 0
+    return pairs, core_rows, core_cols, odd
 
 
 def _bareiss(a, ops: PayloadOps):

@@ -27,8 +27,10 @@ each diagonal entry is normalized to its canonical associate, absorbing
 units into P.
 
 Products reduce componentwise: a product's Smith form is the tuple of its
-components' forms. A direct sweep over prod(Z,Z/12) verifies too, but it
-ran 2-4x slower, and its Z part loses the Euclidean size control.
+components' forms. _reduce recurses on the factors' payload rows and zips
+the components' P, D, Q and determinants back together. A direct sweep
+over prod(Z,Z/12) verifies too, but it ran 2-4x slower, and its Z part
+loses the Euclidean size control.
 
 The sweep, the chain repair and the normalization work on lists of raw
 payloads through the ring's PayloadOps table (rings.py). Elements appear
@@ -56,19 +58,25 @@ diagonal_reduce does not call. For a matrix [[a,0],[b,c]] with unimodular
 (a,b,c) it goes through an adequate split of c against a, which over Z/n
 factors nothing, and lands on diag(1, ac) up to a unit.
 
-verify_reduction re-multiplies everything from scratch and recomputes both
-determinants independently (RingMatrix.det, polynomial time); it is the
-ground truth for every certificate this module emits.
+verify_reduction re-multiplies P*A*Q on payloads and recomputes det Q. It
+takes det P from det P * det A * det Q = d_1 * ... * d_n once P*A*Q = D has
+passed with D diagonal and A square, over a domain (Z, GF(p)[x], or such a
+product factor) where det A is not 0 and det Q is a unit: there the test
+proves the recorded det P, and det A, with A's short entries, is far
+cheaper than det P. Anywhere else, Bareiss on P. The verifier calls no
+construction code; it is the ground truth for every certificate this
+module emits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from .adequate import adequate_split
 from .errors import NotUnimodular, PostconditionFailed, UnsupportedRing
-from .matrices import RingMatrix
+from .matrices import RingMatrix, _det, _matmul
 from .report import CheckReport
 from .rings import (
     IntegerRing,
@@ -100,7 +108,8 @@ class ReductionCertificate:
     detP_unit and detQ_unit are det(P) and det(Q), units of the ring. The
     construction records them from the determinants of the steps it applies
     (see the module docstring) and checks only that they are units;
-    verify_reduction recomputes both from P and Q and compares."""
+    verify_reduction recomputes det Q from Q, proves det P from P or from
+    the determinant identity (see there), and compares."""
 
     P: RingMatrix
     D: RingMatrix
@@ -110,8 +119,9 @@ class ReductionCertificate:
 
 
 def _make_certificate(ring, P, D, Q, detP, detQ) -> ReductionCertificate:
-    """P, D and Q are payload rows; detP and detQ are the determinants the
-    construction recorded."""
+    """P, D and Q are payload rows; detP and detQ are the payloads of the
+    determinants the construction recorded."""
+    detP, detQ = RingElement(ring, detP), RingElement(ring, detQ)
     if not (is_unit(detP) and is_unit(detQ)):
         raise PostconditionFailed("transform lost invertibility")
     return ReductionCertificate(
@@ -182,14 +192,13 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement):
         lower = -(b * x + c * y)
         P = [[one, r], [lower, one + lower * r]]  # [[1,0],[lower,1]] * [[1,r],[0,1]]
         Q = [[x, -(c * r)], [y, t]]  # det x*t + y*c*r = 1
-    P, Q = RingMatrix(ring, P), RingMatrix(ring, Q)
-    D = (P * RingMatrix(ring, [[a, zero], [b, c]]) * Q).payload_lists()
+    P, Q = ([[v.payload for v in row] for row in M] for M in (P, Q))
+    D = _matmul(ring, _matmul(ring, P, [[a.payload, zero.payload], [b.payload, c.payload]]), Q)
     if D[0][1] or D[1][0]:
         raise PostconditionFailed("2x2 step failed to diagonalize")
-    P = P.payload_lists()
-    detP = _normalize_diagonal(ring, D, P)  # both transforms above have det 1
+    detP = _normalize_diagonal(ring.ops, D, P)  # both transforms above have det 1
     # the chain holds by construction: d1 is the unit 1, which divides d2
-    return _make_certificate(ring, P, D, Q.payload_lists(), detP, one)
+    return _make_certificate(ring, P, D, Q, detP, one.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +239,9 @@ def _pivot(ops, A, P, Qt, k, cells, detP, detQ):
     return detP, detQ
 
 
-def _sweep(ring, A, P, Qt):
+def _sweep(ops, A, P, Qt):
     """Diagonalize the payload rows A in place, one pivot at a time; returns
-    the determinants of the steps on P and Q as ring elements."""
-    ops = ring.ops
+    the payloads of the determinants of the steps on P and Q."""
     m, n = len(A), len(A[0])
     detP = detQ = ops.one
     for k in range(min(m, n)):
@@ -241,14 +249,13 @@ def _sweep(ring, A, P, Qt):
         if not cells:
             break  # trailing block is zero; remaining diagonal entries stay 0
         detP, detQ = _pivot(ops, A, P, Qt, k, cells, detP, detQ)
-    return RingElement(ring, detP), RingElement(ring, detQ)
+    return detP, detQ
 
 
-def _fix_divisibility_chain(ring, A, P, Qt):
+def _fix_divisibility_chain(ops, A, P, Qt):
     """Repair d_i | d_{i+1} in the diagonal payload rows A, in place (see
-    the module docstring); returns the determinants of the steps on P and Q
-    as ring elements. A pivot step at i leaves A diagonal."""
-    ops = ring.ops
+    the module docstring); returns the payloads of the determinants of the
+    steps on P and Q. A pivot step at i leaves A diagonal."""
     detP = detQ = ops.one
     while True:
         changed = False
@@ -260,14 +267,13 @@ def _fix_divisibility_chain(ring, A, P, Qt):
                 detP, detQ = _pivot(ops, A, P, Qt, i, cells, detP, detQ)
                 changed = True
         if not changed:
-            return RingElement(ring, detP), RingElement(ring, detQ)
+            return detP, detQ
 
 
-def _normalize_diagonal(ring, A, P):
+def _normalize_diagonal(ops, A, P):
     """Scale rows of the payload rows A and P so that each d_i is its
-    canonical associate; returns the determinant of the scaling, the
-    product of the u^-1, as a ring element."""
-    ops = ring.ops
+    canonical associate; returns the payload of the determinant of the
+    scaling, the product of the u^-1."""
     scale = ops.one
     for i in range(min(len(A), len(A[0]))):
         u_inv = ops.normal(A[i][i])
@@ -275,42 +281,32 @@ def _normalize_diagonal(ring, A, P):
             A[i] = [ops.mul(u_inv, v) for v in A[i]]
             P[i] = [ops.mul(u_inv, v) for v in P[i]]
             scale = ops.mul(scale, u_inv)
-    return RingElement(ring, scale)
+    return scale
 
 
 def diagonal_reduce(A: RingMatrix) -> ReductionCertificate:
     """Full Smith-style reduction with certificate, any m x n shape."""
-    ring = A.ring
+    return _make_certificate(A.ring, *_reduce(A.ring, A.payload_lists()))
+
+
+def _reduce(ring, A):
+    """(P, D, Q, det P, det Q) as payload rows and payloads, from the payload
+    rows A, which become D. A product reduces each component and zips the
+    components' payloads back together."""
     if isinstance(ring, ProductRing):
-        return _reduce_product(A)
+        parts = [_reduce(f, [[v[i] for v in row] for row in A]) for i, f in enumerate(ring.factors)]
+        P, D, Q, detP, detQ = zip(*parts)
+        return *([list(zip(*rows)) for rows in zip(*mats)] for mats in (P, D, Q)), detP, detQ
     if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing, ModularRing)):
         raise UnsupportedRing(f"diagonal reduction is not supported over {ring}")
-    work = A.payload_lists()
-    P = RingMatrix.identity(ring, A.rows).payload_lists()
-    Qt = RingMatrix.identity(ring, A.cols).payload_lists()  # Q transposed
-    detP, detQ = _sweep(ring, work, P, Qt)
-    fixP, fixQ = _fix_divisibility_chain(ring, work, P, Qt)
-    detP = detP * fixP * _normalize_diagonal(ring, work, P)
-    return _make_certificate(ring, P, work, [list(c) for c in zip(*Qt)], detP, detQ * fixQ)
-
-
-def _reduce_product(A: RingMatrix) -> ReductionCertificate:
-    ring = A.ring
-    rows = A.payload_lists()
-    parts = [
-        diagonal_reduce(RingMatrix.wrap(factor, [[v[idx] for v in row] for row in rows]))
-        for idx, factor in enumerate(ring.factors)
-    ]
-
-    def merge(mats):  # payload rows: tuples of component payloads
-        return [list(zip(*rows)) for rows in zip(*(m.payload_lists() for m in mats))]
-
-    P = merge([c.P for c in parts])
-    D = merge([c.D for c in parts])
-    Q = merge([c.Q for c in parts])
-    detP = RingElement(ring, tuple(c.detP_unit.payload for c in parts))
-    detQ = RingElement(ring, tuple(c.detQ_unit.payload for c in parts))
-    return _make_certificate(ring, P, D, Q, detP, detQ)
+    ops = ring.ops
+    m, n = len(A), len(A[0])
+    P = [[ops.one if i == j else ops.zero for j in range(m)] for i in range(m)]
+    Qt = [[ops.one if i == j else ops.zero for j in range(n)] for i in range(n)]  # Q transposed
+    detP, detQ = _sweep(ops, A, P, Qt)
+    fixP, fixQ = _fix_divisibility_chain(ops, A, P, Qt)
+    detP = ops.mul(ops.mul(detP, fixP), _normalize_diagonal(ops, A, P))
+    return P, A, [list(c) for c in zip(*Qt)], detP, ops.mul(detQ, fixQ)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +314,18 @@ def _reduce_product(A: RingMatrix) -> ReductionCertificate:
 
 
 def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
-    """Re-derive every certificate clause from scratch; lists all violations."""
+    """Re-derive every certificate clause from scratch; lists all violations.
+
+    P*A*Q is multiplied out on payloads and compared with D, and det Q is
+    computed (RingMatrix.det's peeled Bareiss). det P comes from the
+    identity det P * det A * det Q = det D when all of these hold: P*A*Q = D
+    has passed, D is diagonal, A is square, and, on the ring or each product
+    factor, the ring is a domain (Z or GF(p)[x]), det A is not 0 and det Q
+    is a unit. Then recorded * det A * det Q = d_1 * ... * d_n holds only if
+    the recorded value is det P, since det A * det Q cancels in a domain.
+    In every other case, and wherever that test fails, det P comes from
+    Bareiss on P, so a tampered certificate names the same clauses as
+    under a verifier that always runs Bareiss on P."""
     failures = []
     ring = A.ring
     if (
@@ -334,11 +341,21 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
     ):
         return CheckReport.from_failures(["shapes consistent"])
 
-    if cert.P * A * cert.Q != cert.D:
+    zero = ring.ops.zero
+    P, D = cert.P.payload_lists(), cert.D.payload_lists()
+    paq_ok = _matmul(ring, _matmul(ring, P, A.payload_lists()), cert.Q.payload_lists()) == D
+    if not paq_ok:
         failures.append("PAQ=D")
+    diag_ok = all(v == zero for i, row in enumerate(D) for j, v in enumerate(row) if i != j)
 
-    detP = cert.P.det()
-    detQ = cert.Q.det()
+    detQ = _det(ring, cert.Q.payload_lists())
+    if paq_ok and diag_ok and A.rows == A.cols and cert.detP_unit.ring == ring:
+        detP = _det_from_identity(
+            ring, P, A.payload_lists(), detQ, cert.detP_unit.payload, [D[i][i] for i in range(A.rows)]
+        )
+    else:
+        detP = _det(ring, P)
+    detP, detQ = RingElement(ring, detP), RingElement(ring, detQ)
     if not is_unit(detP):
         failures.append("det(P) unit")
     if not is_unit(detQ):
@@ -348,12 +365,6 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
     if detQ != cert.detQ_unit:
         failures.append("detQ recorded")
 
-    diag_ok = all(
-        cert.D.entries[i][j].is_zero()
-        for i in range(cert.D.rows)
-        for j in range(cert.D.cols)
-        if i != j
-    )
     if not diag_ok:
         failures.append("D diagonal")
 
@@ -370,3 +381,23 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
             break
 
     return CheckReport.from_failures(failures)
+
+
+def _det_from_identity(ring, P, A, detQ, recorded, diagonal):
+    """det P's payload, by the identity where verify_reduction's conditions
+    hold and by Bareiss on P elsewhere (payloads: `diagonal` holds the
+    d_i). Products go componentwise."""
+    if isinstance(ring, ProductRing):
+        return tuple(
+            _det_from_identity(
+                f, *([[v[k] for v in row] for row in M] for M in (P, A)), detQ[k], recorded[k], [d[k] for d in diagonal]
+            )
+            for k, f in enumerate(ring.factors)
+        )
+    if isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing)):
+        ops = ring.ops
+        detA = _det(ring, A)
+        unit_q = not ops.div(ops.one, detQ)[1]
+        if detA and unit_q and ops.mul(ops.mul(recorded, detA), detQ) == functools.reduce(ops.mul, diagonal, ops.one):
+            return recorded
+    return _det(ring, P)

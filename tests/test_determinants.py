@@ -1,14 +1,18 @@
-"""RingMatrix.det against the Leibniz oracle, the determinants the reduction
-records, and verifier cost on large certificates."""
+"""RingMatrix.det against the Leibniz oracle and Bareiss alone, the
+determinants the reduction records, and verifier cost on large
+certificates."""
 
 import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edr.errors import DescriptorMismatch, UnsupportedRing
-from edr.matrices import RingMatrix
+from edr.matrices import RingMatrix, _bareiss, _det, _peel
+from edr.complete import complete_row
 from edr.reduce import ReductionCertificate, diagonal_reduce, kaplansky_2x2, verify_reduction
 from edr.rings import (
     IntegerRing,
@@ -116,6 +120,102 @@ def test_matrix_refusals():
         RingMatrix.identity(Z, 2) * RingMatrix.identity(Z360, 2)
     with pytest.raises(ValueError, match="inner dimensions"):
         RingMatrix.from_payloads(Z, [[1, 2]]) * RingMatrix.from_payloads(Z, [[1, 2]])
+
+
+# ---------------------------------------------------------------------------
+# peeling singleton lines before Bareiss
+
+
+def _nonzero(ring, rng):
+    while True:
+        e = _element(ring, rng)
+        if not e.is_zero():
+            return e.payload
+
+
+def _peelable(ring, rng, n, core, empty):
+    """Payload rows of [[T, X], [0, C]] with rows and columns shuffled: T is
+    upper triangular with a nonzero diagonal, so its columns peel one by
+    one, and C is a core x core block with no zero entry, which peels no
+    further (core is 0 or at least 2: a 1 x 1 block is a singleton). With
+    `empty`, one row or one column is then zeroed out. A product draws each
+    component on its own, so its components have different shapes."""
+    if isinstance(ring, ProductRing):
+        parts = [_peelable(f, rng, n, core, empty) for f in ring.factors]
+        return [list(zip(*rows)) for rows in zip(*parts)]
+    t = n - core
+    rows = []
+    for i in range(n):
+        if i < t:
+            rows.append([_nonzero(ring, rng) if j == i else ring.zero.payload if j < i else _element(ring, rng).payload for j in range(n)])
+        else:
+            rows.append([ring.zero.payload if j < t else _nonzero(ring, rng) for j in range(n)])
+    order = rng.sample(range(n), n)
+    rows = [[rows[i][j] for j in order] for i in rng.sample(range(n), n)]
+    if empty:
+        k = rng.randrange(n)
+        if rng.random() < 0.5:
+            rows[k] = [ring.zero.payload] * n
+        else:
+            for row in rows:
+                row[k] = ring.zero.payload
+    return rows
+
+
+def _bareiss_alone(ring, rows):
+    """The determinant's payload by Bareiss on the whole matrix, no peeling."""
+    if isinstance(ring, ProductRing):
+        return tuple(_bareiss_alone(f, [[v[i] for v in row] for row in rows]) for i, f in enumerate(ring.factors))
+    if isinstance(ring, ModularRing):
+        return _bareiss([row[:] for row in rows], Z.ops) % ring.n
+    return _bareiss([row[:] for row in rows], ring.ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ring=st.sampled_from(DET_RINGS),
+    n=st.integers(1, 7),
+    core=st.integers(0, 7),
+    empty=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_peeled_det_matches_bareiss_alone_and_leibniz(ring, n, core, empty, seed):
+    core = min(core, n)
+    if core == 1:
+        core = 0
+    rows = _peelable(ring, random.Random(seed), n, core, empty)
+    det = _det(ring, [row[:] for row in rows])
+    assert det == _bareiss_alone(ring, rows)
+    if isinstance(ring, IntegerRing):
+        assert det == perm_det(rows)
+    if not isinstance(ring, ProductRing):
+        peeled = _peel(rows)
+        if empty:
+            assert peeled is None and not det
+        else:
+            assert len(peeled[1]) == len(peeled[2]) == core
+
+
+def test_peel_finds_singletons_that_appear_as_lines_are_peeled():
+    # only column 0 starts as a singleton; each peel leaves the next one
+    rows = [[3, 1, 2, 5], [0, -2, 7, 1], [0, 0, 5, 4], [0, 0, 0, -1]]
+    pairs, core_rows, core_cols, odd = _peel(rows)
+    assert sorted(pairs) == [(0, 0), (1, 1), (2, 2), (3, 3)] and not core_rows and not odd
+    assert _det(Z, rows) == 30
+    # reversing four rows is an even permutation, swapping two is odd
+    reversed_rows = rows[::-1]
+    assert _det(Z, reversed_rows) == perm_det(reversed_rows) == 30
+    swapped = [rows[1], rows[0], rows[2], rows[3]]
+    assert _det(Z, swapped) == perm_det(swapped) == -30
+
+
+def test_completion_matrices_peel_to_a_small_core():
+    row = [Z.from_int(6 + 10 * i) for i in range(120)]
+    cert = complete_row(row, Z.from_int(2))
+    rows = cert.A.payload_lists()
+    _, core_rows, _, _ = _peel(rows)
+    assert len(core_rows) <= 8  # 2 here; 8 is the largest seen, over Z/360
+    assert _det(Z, rows) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ FORCED = textwrap.dedent(
         _certify(Z, [[Z.one, Z.zero], [Z.zero, Z.one]], [Z.one, Z.zero], Z.from_int(2))
     except PostconditionFailed as exc:
         caught.append(exc.code)
-    reduce._sweep = lambda ring, A, P, Q: (ring.from_int(2), ring.one)  # a lost unit
+    reduce._sweep = lambda ops, A, P, Q: (2, 1)  # a lost unit, as payloads
     try:
         reduce.diagonal_reduce(RingMatrix.from_payloads(Z, [[2, 4], [6, 8]]))
     except PostconditionFailed as exc:
@@ -67,7 +67,7 @@ def test_postcondition_failures_are_edr_errors(monkeypatch):
     assert issubclass(PostconditionFailed, EdrError)
     with pytest.raises(PostconditionFailed):
         _certify(Z, [[Z.one]], [Z.from_int(2)], Z.one)  # first row not preserved
-    monkeypatch.setattr(reduce, "_sweep", lambda ring, A, P, Q: (ring.one, ring.from_int(3)))
+    monkeypatch.setattr(reduce, "_sweep", lambda ops, A, P, Q: (1, 3))
     with pytest.raises(PostconditionFailed):
         reduce.diagonal_reduce(RingMatrix.from_payloads(Z, [[1, 2], [3, 4]]))
 

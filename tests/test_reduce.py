@@ -8,6 +8,8 @@ from dataclasses import replace
 import pytest
 
 import edr.adequate
+import edr.matrices
+import edr.reduce
 import edr.rings
 from edr.errors import NotUnimodular, ScaleExceeded, UnsupportedRing
 from edr.matrices import RingMatrix
@@ -316,6 +318,105 @@ def test_verify_reduction_names_each_tampered_clause(tamper, failures):
     A = RingMatrix.from_payloads(Z, [[2, 4], [6, 8]])
     rep = verify_reduction(A, tamper(diagonal_reduce(A)))
     assert not rep.ok and rep.failures == failures
+
+
+# The identity path: over a domain with det A != 0, verify_reduction takes
+# det P from det P * det A * det Q = d_1 * ... * d_n, not from Bareiss on P.
+# Every tamper must name exactly what Bareiss on P names: the reference run
+# replaces the identity with Bareiss on P.
+IDENTITY_RINGS = [Z, GF5, ProductRing([Z, GF5])]
+
+
+def _non_unit(ring):
+    """2 over Z, x over GF(5)[x], componentwise over a product."""
+    if isinstance(ring, ProductRing):
+        return ring.element([_non_unit(f) for f in ring.factors])
+    return ring.from_int(2) if isinstance(ring, IntegerRing) else ring.element([0, 1])
+
+
+def _entry(ring, rng):
+    if isinstance(ring, ProductRing):
+        return ring.element([_entry(f, rng) for f in ring.factors])
+    if isinstance(ring, IntegerRing):
+        return ring.from_int(rng.randint(-9, 9))
+    return ring.element([rng.randrange(5) for _ in range(rng.randint(0, 2))])
+
+
+def _scale_row(M, k, s):
+    return RingMatrix(M.ring, [[e * s for e in row] if i == k else row for i, row in enumerate(M.entries)])
+
+
+def _identity_tampers(ring):
+    """(name, A, tampered certificate, the clauses it must name)."""
+    rng = random.Random(f"identity/{ring}")
+    while True:
+        A = RingMatrix(ring, [[_entry(ring, rng) for _ in range(4)] for _ in range(4)])
+        if not A.det().is_zero():
+            break
+    cert = diagonal_reduce(A)
+    s = _non_unit(ring)
+    D2 = RingMatrix(ring, [[ring.one, ring.one], [ring.from_int(2), ring.one]])  # det -1, d_1 * d_2 = 1
+    I2 = RingMatrix.identity(ring, 2)
+    return [
+        ("detP negated", A, replace(cert, detP_unit=-cert.detP_unit), ("detP recorded",)),
+        ("P row scaled", A, replace(cert, P=_scale_row(cert.P, 1, s)), ("PAQ=D", "det(P) unit", "detP recorded")),
+        (
+            "P and D row scaled",  # P*A*Q = D still holds and D is diagonal
+            A,
+            replace(cert, P=_scale_row(cert.P, 3, s), D=_scale_row(cert.D, 3, s)),
+            ("det(P) unit", "detP recorded"),
+        ),
+        (
+            # P*A*Q = D holds, but D is not diagonal, so d_1 * d_2 is not
+            # det D: the identity would take the recorded -1 for det P = 1
+            "D off-diagonal",
+            D2,
+            ReductionCertificate(I2, D2, I2, -ring.one, ring.one),
+            ("detP recorded", "D diagonal"),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("ring", IDENTITY_RINGS, ids=str)
+def test_identity_path_names_what_bareiss_on_p_names(ring, monkeypatch):
+    cases = _identity_tampers(ring)
+    A = cases[0][1]
+    assert verify_reduction(A, diagonal_reduce(A)).ok
+    got = {name: verify_reduction(A, cert).failures for name, A, cert, _ in cases}
+    monkeypatch.setattr(edr.reduce, "_det_from_identity", lambda ring, P, *_: edr.reduce._det(ring, P))
+    for name, A, cert, failures in cases:
+        assert got[name] == failures, name
+        assert verify_reduction(A, cert).failures == failures, name
+
+
+def _count_bareiss(monkeypatch):
+    calls = []
+    bareiss = edr.matrices._bareiss
+    monkeypatch.setattr(edr.matrices, "_bareiss", lambda a, ops: calls.append(len(a)) or bareiss(a, ops))
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["Z", "Z/360"])
+def test_verify_runs_bareiss_on_p_only_off_the_domains(spec, monkeypatch):
+    ring = parse_ring(spec)
+    rng = random.Random(13)
+    draw = (lambda: rng.randint(-9, 9)) if spec == "Z" else (lambda: rng.randrange(360))
+    A = RingMatrix.from_payloads(ring, [[draw() for _ in range(12)] for _ in range(12)])
+    cert = diagonal_reduce(A)
+    calls = _count_bareiss(monkeypatch)
+    cert.P.det()
+    on_p = calls[:]
+    assert on_p  # P keeps a core after peeling (10 rows over Z, 2 over Z/360)
+    calls.clear()
+    assert verify_reduction(A, cert).ok
+    in_verify = sorted(calls)
+    calls.clear()
+    cert.Q.det()
+    if isinstance(ring, IntegerRing):
+        A.det()
+        assert in_verify == sorted(calls)  # det A and det Q's core, not P
+    else:
+        assert in_verify == sorted(calls + on_p)  # det Q's core and det P
 
 
 def test_verify_reduction_non_canonical_diag():
