@@ -11,7 +11,7 @@ import edr.adequate
 import edr.matrices
 import edr.reduce
 import edr.rings
-from edr.errors import NotUnimodular, ScaleExceeded, UnsupportedRing
+from edr.errors import EdrError, NotUnimodular, ScaleExceeded, UnsupportedRing
 from edr.matrices import RingMatrix
 from edr.parsing import parse_ring
 from edr.reduce import (
@@ -221,6 +221,34 @@ def test_kaplansky_never_factors_the_modulus(monkeypatch, prime_pair_128):
 def test_kaplansky_not_unimodular():
     with pytest.raises(NotUnimodular):
         kaplansky_2x2(Z.from_int(2), Z.from_int(4), Z.from_int(6))
+
+
+# sha256 over the 2x2 certificate documents of seeded triples, refusals
+# included as "code: message", joined in order. Zeros are drawn often, so
+# both the c = 0 branch and the split of c against a = 0 are covered.
+PINNED_KAPLANSKY = {
+    "Z": "7e87a057c82a994442fccbc6820ed788feb5f82b30ed3e7bbef4f73ef1b84f7d",
+    "Z/36": "0a1d56c3b33a155041e76b27f54c71c071f89740177ff866c765a6a961b95719",
+    "Z/360": "7ef29941cbddbb043212fa9fdc8f5bc7f70f5782d11deb02990fa203deffa4b2",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED_KAPLANSKY))
+def test_kaplansky_certificates_are_pinned(spec):
+    ring = parse_ring(spec)
+    rng = random.Random(f"kaplansky-pin/{spec}")
+    digest = hashlib.sha256()
+    for _ in range(80):
+        if isinstance(ring, ModularRing):
+            a, b, c = (ring.from_int(rng.choice([0, 1, 2]) and rng.randrange(ring.n)) for _ in range(3))
+        else:
+            a, b, c = (ring.from_int(rng.choice([0, 1, 2]) and rng.randint(-30, 30)) for _ in range(3))
+        try:
+            text = dumps(reduction_certificate_to_doc(ring, kaplansky_2x2(a, b, c)))
+        except EdrError as exc:
+            text = f"{exc.code}: {exc.message}\n"
+        digest.update(text.encode())
+    assert digest.hexdigest() == PINNED_KAPLANSKY[spec]
 
 
 def test_diagonal_reduce_examples():
