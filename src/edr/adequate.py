@@ -11,6 +11,7 @@ s | b^k, written over the ring's op table.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -44,6 +45,7 @@ from .rings import (
 __all__ = [
     "AdequateSplit",
     "adequate_split",
+    "lifted_split",
     "pi_adequate_split_zn",
     "series_adequate_split",
     "verify_adequate",
@@ -84,6 +86,19 @@ def adequate_split(a: RingElement, b: RingElement) -> AdequateSplit:
         r = divide_exact(r, bd.g)
         s = s * bd.g
     raise PostconditionFailed("gcd extraction failed to terminate")
+
+
+def lifted_split(a: RingElement, b: RingElement) -> AdequateSplit:
+    """adequate_split(a, b), except over Z/n: there the integer gcd(a, n),
+    never 0, splits on Z against the lift of b, and r and s are integers.
+    A prime of n divides a residue exactly when it divides the lift, so
+    every prime of n dividing a divides r or s, none of r's divides b and
+    all of s's do; n itself is never factored."""
+    ring = a.ring
+    if isinstance(ring, ModularRing):
+        zz = IntegerRing()
+        return adequate_split(zz.from_int(math.gcd(a.payload, ring.n)), zz.from_int(b.payload))
+    return adequate_split(a, b)
 
 
 def pi_adequate_split_zn(a: RingElement, b: RingElement) -> AdequateSplit:

@@ -164,29 +164,18 @@ def _run(args) -> int:
         a = parse_element(ring, args.a)
         b = parse_element(ring, args.b)
         c = parse_element(ring, args.c)
+        doc = {
+            "kind": "lift",
+            "ring": ring_to_str(ring),
+            "mode": "sr2" if args.sr2 else "sr1",
+            "a": element_to_str(a),
+            "b": element_to_str(b),
+            "c": element_to_str(c),
+        }
         if args.sr2:
-            y1, y2 = complete.sr2_reduce(a, b, c)
-            doc = {
-                "kind": "lift",
-                "ring": ring_to_str(ring),
-                "mode": "sr2",
-                "a": element_to_str(a),
-                "b": element_to_str(b),
-                "c": element_to_str(c),
-                "y1": element_to_str(y1),
-                "y2": element_to_str(y2),
-            }
+            doc["y1"], doc["y2"] = map(element_to_str, complete.sr2_reduce(a, b, c))
         else:
-            y = complete.sr1_quotient_lift(a, b, c)
-            doc = {
-                "kind": "lift",
-                "ring": ring_to_str(ring),
-                "mode": "sr1",
-                "a": element_to_str(a),
-                "b": element_to_str(b),
-                "c": element_to_str(c),
-                "y": element_to_str(y),
-            }
+            doc["y"] = element_to_str(complete.sr1_quotient_lift(a, b, c))
         _emit(args, serialize.dumps(doc))
         return 0
 

@@ -3,7 +3,9 @@
 The ternary lift finds y with aR + (b + cy)R = R whenever (a, b, c) is
 unimodular and a avoids the radical: split a = r*s against b (r coprime to
 b, every prime of s divides b), then y = 0 mod r and y = 1 mod s does it.
-Residue rings route through the integer lift of gcd(a, n).
+The split is adequate.lifted_split's, which over Z/n splits gcd(a, n) on
+Z; y is found there and reduced mod n. Each combination of 1 or d from
+given elements, and each test that one exists, is rings.ideal_combination.
 
 Row completion runs the induction on the row length as one loop: each pass
 folds the leading quotients into one generator, lifts the last-but-one slot
@@ -44,11 +46,12 @@ from .rings import (
     crt,
     exact_quotient,
     gcd_bezout,
+    ideal_combination,
     is_unit,
     jacobson_member,
     unit_inverse,
 )
-from .adequate import adequate_split
+from .adequate import lifted_split
 
 __all__ = [
     "CompletionCertificate",
@@ -99,40 +102,23 @@ def verify_completion(cert: CompletionCertificate) -> CheckReport:
 # stable range lifts
 
 
-def _check_unimodular(elements):
-    g, _ = bezout_combination(elements)
-    return is_unit(g)
-
-
-def _sr1_domain(a, b, c):
-    # y = r*alpha vanishes mod r and is 1 mod s, so b + c*y dodges every
-    # prime of a: primes of r miss b, primes of s miss c (unimodularity)
-    split = adequate_split(a, b)
-    bd = gcd_bezout(split.r, split.s)
-    inv = unit_inverse(bd.g)
-    if inv is None:
-        raise PostconditionFailed("split parts are not coprime")
-    return split.r * (bd.x * inv)
-
-
 def sr1_quotient_lift(a: RingElement, b: RingElement, c: RingElement) -> RingElement:
     """y with aR + (b + c*y)R = R, given aR + bR + cR = R and a outside the
     radical. The result is re-verified by a gcd before returning."""
     ring = a.ring
     if not isinstance(ring, _LIFT_RINGS):
         raise UnsupportedRing(f"no lift construction over {ring}")
-    if not _check_unimodular([a, b, c]):
+    if ideal_combination([a, b, c], ring.one) is None:
         raise PreconditionFailed("(a, b, c) is not unimodular")
     if jacobson_member(a):
         raise PreconditionFailed("a lies in the radical")
 
-    if isinstance(ring, ModularRing):
-        zz = IntegerRing()
-        a_int = zz.from_int(math.gcd(a.payload, ring.n))
-        y_int = _sr1_domain(a_int, zz.from_int(b.payload), zz.from_int(c.payload))
-        y = ring.from_int(y_int.payload)
-    else:
-        y = _sr1_domain(a, b, c)
+    # r and s are coprime (primes of s divide b, those of r do not), and y =
+    # r*x with x*r + (.)*s = 1 vanishes mod r and is 1 mod s, so b + c*y
+    # dodges every prime of a: primes of r miss b, primes of s miss c
+    split = lifted_split(a, b)
+    x, _ = ideal_combination([split.r, split.s], split.r.ring.one)
+    y = ring.element((split.r * x).payload)
 
     if not is_unit(gcd_bezout(a, b + c * y).g):
         raise PostconditionFailed("lift postcondition failed")
@@ -145,11 +131,10 @@ def sr2_reduce(a1: RingElement, a2: RingElement, a3: RingElement):
     explicit correction a3*x3*(1 - a1*x1)^{-1} lands a1 next to the unit
     1 + a1; otherwise the ternary lift applies directly."""
     ring = a1.ring
-    g, coeffs = bezout_combination([a1, a2, a3])
-    inv = unit_inverse(g)
-    if inv is None:
+    combo = ideal_combination([a1, a2, a3], ring.one)
+    if combo is None:
         raise NotUnimodular("gcd(a1, a2, a3) is not a unit")
-    x1, x2, x3 = (c * inv for c in coeffs)
+    x1, _, x3 = combo
 
     if jacobson_member(a1):
         w = unit_inverse(ring.one - a1 * x1)
@@ -190,11 +175,9 @@ def _completion_rows(row, d):
     quotients = [exact_quotient(a, d) for a in row]
     if None in quotients:
         raise NotPrincipal(f"d does not divide row entry {quotients.index(None)}")
-    g, coeffs = bezout_combination(row)
-    w = exact_quotient(d, g)
-    if w is None:
+    witnesses = ideal_combination(row, d)  # sum(witnesses[i] * row[i]) == d
+    if witnesses is None:
         raise NotPrincipal("d is not an element combination of the row")
-    witnesses = [c * w for c in coeffs]  # sum(witnesses[i] * row[i]) == d
 
     if d.is_zero():
         # the zero ideal forces a zero row; park a shifted identity below it
@@ -243,11 +226,7 @@ def _complete(ring, row, q, x):
         g, s_coeffs = bezout_combination(q[: k - 2])
         z = sr1_quotient_lift(g, q[k - 2], t)
         target = q[k - 2] + t * z
-        bd = gcd_bezout(g, target)
-        inv = unit_inverse(bd.g)
-        if inv is None:  # exactly the lift's postcondition
-            raise PostconditionFailed("lifted pair is not unimodular")
-        alpha, beta = bd.x * inv, bd.y * inv
+        alpha, beta = ideal_combination([g, target], one)  # unimodular: the lift's postcondition
 
         shift = x[k - 1] * z
         last = row.pop()
@@ -296,8 +275,7 @@ def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
             raise PreconditionFailed("row entries must share the idempotent's ring")
     if e * e != e:
         raise NotIdempotent("e*e != e")
-    g, _ = bezout_combination(row)
-    if exact_quotient(e, g) is None:
+    if ideal_combination(row, e) is None:
         raise NotInIdeal("e is not in the ideal generated by the row")
 
     return _certify(ring, _component_complete(ring, row, e), row, e)

@@ -218,8 +218,8 @@ def element_to_str(el: RingElement) -> str:
     return el.ring.element_str(el)
 
 
-def split_top_level(text: str, sep: str = ",") -> list[str]:
-    """Split on `sep` outside any (), [], {} nesting; used for --row lists."""
+def split_top_level(text: str) -> list[str]:
+    """Split on commas outside any (), [], {} nesting; used for --row lists."""
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch in "([{":
@@ -228,7 +228,7 @@ def split_top_level(text: str, sep: str = ",") -> list[str]:
             depth -= 1
             if depth < 0:
                 raise ParseError("unbalanced brackets", i)
-        elif ch == sep and depth == 0:
+        elif ch == "," and depth == 0:
             parts.append(text[start:i])
             start = i + 1
     if depth != 0:

@@ -55,8 +55,10 @@ certificate is returned.
 
 kaplansky_2x2 is the paper's 2x2 step, a standalone utility that
 diagonal_reduce does not call. For a matrix [[a,0],[b,c]] with unimodular
-(a,b,c) it goes through an adequate split of c against a, which over Z/n
-factors nothing, and lands on diag(1, ac) up to a unit.
+(a,b,c) it splits c against a (adequate.lifted_split, which over Z/n splits
+gcd(c, n) on Z and factors nothing), writes 1 as a combination of the
+unimodular pair the split yields (rings.ideal_combination), and lands on
+diag(1, ac) up to a unit.
 
 verify_reduction re-multiplies P*A*Q on payloads and recomputes det Q. It
 takes det P from det P * det A * det Q = d_1 * ... * d_n once P*A*Q = D has
@@ -71,10 +73,9 @@ module emits.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
-from .adequate import adequate_split
+from .adequate import lifted_split
 from .errors import NotUnimodular, PostconditionFailed, UnsupportedRing
 from .matrices import RingMatrix, _det, _matmul
 from .report import CheckReport
@@ -87,8 +88,8 @@ from .rings import (
     canonical_associate,
     exact_quotient,
     gcd_bezout,
+    ideal_combination,
     is_unit,
-    unit_inverse,
 )
 
 __all__ = [
@@ -142,15 +143,6 @@ def hermite_row(a: RingElement, b: RingElement):
     return bd.g, U
 
 
-def _normalized_unit_combo(a, b):
-    """x, y with x*a + y*b = 1; requires (a, b) unimodular."""
-    bd = gcd_bezout(a, b)
-    inv = unit_inverse(bd.g)
-    if inv is None:
-        raise NotUnimodular(f"({a.ring.element_str(a)}, {a.ring.element_str(b)}) is not unimodular")
-    return bd.x * inv, bd.y * inv
-
-
 def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement):
     """Certificate reducing [[a,0],[b,c]] to diag(1, ac) up to a unit.
 
@@ -161,34 +153,26 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement):
     then p | a, so p | b*r and p | b, and (a, b, c) is not unimodular. So
     (t, c*r) is unimodular.
 
-    Over Z/n the primes are those of n, each dividing an element exactly
-    when it divides its lift to Z, and the split is of g = gcd(c, n) = r*s
-    on Z against the lift of a: every prime of n that divides c divides r
-    or s, no prime of r divides the lift of a, and every prime of s
-    divides it. The argument above goes through unchanged.
+    Over Z/n the split is lifted_split's, of gcd(c, n) on Z against the
+    lift of a, with r mapped back to Z/n: it has the same prime properties
+    (see there), so the argument above goes through unchanged.
     """
     ring = a.ring
     if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing, ModularRing)):
         raise UnsupportedRing(f"no adequate-split capability over {ring}")
-    inner = gcd_bezout(a, b)
-    outer = gcd_bezout(inner.g, c)
-    if not is_unit(outer.g):
+    one, zero = ring.one, ring.zero
+    if ideal_combination([a, b, c], one) is None:
         raise NotUnimodular("gcd(a, b, c) is not a unit")
 
-    one, zero = ring.one, ring.zero
+    # both pairs below are unimodular: (a, b) as c = 0, (t, c*r) as shown above
     if c.is_zero():  # zero has no split
-        p, q = _normalized_unit_combo(a, b)
+        p, q = ideal_combination([a, b], one)
         P = [[p, q], [-b, a]]  # det p*a + q*b = 1
         Q = [[one, zero], [zero, one]]
     else:
-        if isinstance(ring, ModularRing):
-            zz = IntegerRing()
-            split = adequate_split(zz.from_int(math.gcd(c.payload, ring.n)), zz.from_int(a.payload))
-            r = ring.from_int(split.r.payload)
-        else:
-            r = adequate_split(c, a).r
+        r = ring.element(lifted_split(c, a).r.payload)
         t = a + b * r
-        x, y = _normalized_unit_combo(t, c * r)
+        x, y = ideal_combination([t, c * r], one)
         lower = -(b * x + c * y)
         P = [[one, r], [lower, one + lower * r]]  # [[1,0],[lower,1]] * [[1,r],[0,1]]
         Q = [[x, -(c * r)], [y, t]]  # det x*t + y*c*r = 1

@@ -50,6 +50,7 @@ __all__ = [
     "jacobson_member",
     "canonical_associate",
     "bezout_combination",
+    "ideal_combination",
     "xgcd",
     "is_prime",
     "factorize",
@@ -1106,3 +1107,14 @@ def bezout_combination(elements) -> tuple[RingElement, list[RingElement]]:
         tail = bd.x * tail
     coeffs.append(tail)
     return g, coeffs[::-1]
+
+
+def ideal_combination(elements, target: RingElement) -> list[RingElement] | None:
+    """Coefficients c with sum(c[i] * elements[i]) == target when target lies
+    in the ideal the elements generate, else None. They are
+    bezout_combination's coefficients times the exact quotient target / g;
+    with target = 1 that quotient is unit_inverse(g), so the coefficients
+    witness that the elements are unimodular."""
+    g, coeffs = bezout_combination(elements)
+    w = exact_quotient(target, g)
+    return None if w is None else [c * w for c in coeffs]

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from edr.errors import ScaleExceeded, UnsupportedRing
 from edr.matrices import RingMatrix
-from edr.rings import IntegerRing, PrimeFieldPolynomialRing, divide_exact, gcd_bezout
+from edr.rings import IntegerRing, PrimeFieldPolynomialRing, ProductRing, RingElement, divide_exact, gcd_bezout
 
 
 def int_divisors(n):
@@ -353,6 +353,24 @@ def elementary_divisors_oracle(A):
         out.append(ring.zero if dk.is_zero() else divide_exact(dk, prev))
         prev = dk
     return out
+
+
+def in_ideal(ring, elements, target):
+    """Whether target lies in the ideal the elements generate, from plain
+    gcds of the payloads: math.gcd over Z and Z/n (n joins the gcd), Euclid
+    on coefficient tuples over GF(p)[x], and componentwise over products."""
+    if isinstance(ring, ProductRing):
+        return all(
+            in_ideal(f, [RingElement(f, e.payload[i]) for e in elements], RingElement(f, target.payload[i]))
+            for i, f in enumerate(ring.factors)
+        )
+    if isinstance(ring, PrimeFieldPolynomialRing):
+        g = ()
+        for e in elements:
+            g = poly_gcd(g, e.payload, ring.p)
+        return not poly_divmod(target.payload, g, ring.p)[1] if g else not target.payload
+    g = math.gcd(*(e.payload for e in elements), getattr(ring, "n", 0))
+    return target.payload % g == 0 if g else target.payload == 0
 
 
 def pair_unimodular_by_scan(a, b):

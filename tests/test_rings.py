@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edr.errors import DescriptorMismatch, NotDivisible, ScaleExceeded, UnsupportedRing
 from edr.rings import (
@@ -18,6 +20,7 @@ from edr.rings import (
     exact_quotient,
     factorize,
     gcd_bezout,
+    ideal_combination,
     int_from_decimal,
     int_to_decimal,
     is_prime,
@@ -28,7 +31,9 @@ from edr.rings import (
 
 from oracles import (
     canonical_associate_zn,
+    in_ideal,
     jacobson_brute_zn,
+    pair_unimodular_by_scan,
     sieve_factorizations,
     trial_factorize,
 )
@@ -270,6 +275,47 @@ def test_bezout_combination_folds():
     for c, a in zip(coeffs, [Z.from_int(6), Z.from_int(10), Z.from_int(15)]):
         total = total + c * a
     assert total == g
+
+
+IDEAL_RINGS = [Z, ModularRing(360), ModularRing(97 * 89), PrimeFieldPolynomialRing(3), ProductRing([ModularRing(4), ModularRing(6)])]
+
+
+def _ideal_elements(ring):
+    if isinstance(ring, IntegerRing):
+        return st.integers(-60, 60).map(ring.from_int)
+    if isinstance(ring, ModularRing):
+        return st.integers(0, ring.n - 1).map(ring.from_int)
+    if isinstance(ring, PrimeFieldPolynomialRing):
+        return st.lists(st.integers(0, ring.p - 1), max_size=4).map(ring.element)
+    return st.tuples(*map(_ideal_elements, ring.factors)).map(lambda cs: ring.element(tuple(c.payload for c in cs)))
+
+
+@st.composite
+def _ideal_cases(draw):
+    ring = draw(st.sampled_from(IDEAL_RINGS))
+    elements = draw(st.lists(_ideal_elements(ring), min_size=1, max_size=4))
+    target = draw(st.one_of(st.just(ring.one), _ideal_elements(ring)))
+    return ring, elements, target
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_ideal_cases())
+def test_ideal_combination_writes_exactly_the_ideal_members(case):
+    ring, elements, target = case
+    coeffs = ideal_combination(elements, target)
+    assert (coeffs is None) == (not in_ideal(ring, elements, target))
+    if coeffs is not None:
+        total = ring.zero
+        for c, e in zip(coeffs, elements):
+            total = total + c * e
+        assert total == target
+    if target == ring.one and len(elements) == 2:
+        # the normalised pair the lifts and the 2x2 step used to build by hand
+        bd = gcd_bezout(*elements)
+        inv = unit_inverse(bd.g)
+        assert coeffs == (None if inv is None else [bd.x * inv, bd.y * inv])
+        if isinstance(ring, ProductRing):
+            assert (coeffs is not None) == pair_unimodular_by_scan(*elements)
 
 
 def test_exact_quotient_returns_none_instead_of_raising():
