@@ -7,12 +7,16 @@ nested products flatten), numbering its elements 0..N-1 in `iter_elements()`
 order. The ideal of a is fixed by its class, the tuple gcd(a_i, n_i):
 aR + bR = R iff two classes are coprime in each factor, and a is in J iff
 each gcd(a_i, n_i) is nilpotent, so the filters read classes only. An inner
-exists-y runs per factor on plain residues, as some y in prod R_i has
-phi_i(y_i) for all i iff each R_i has some y_i with phi_i(y_i). Since
-a + bR = a + gcd(b, n)R and comaximality with a depends on aR alone, the
-StableRange1 inner clause sees b, and the JStableCondition one a and c, only
-through their classes: it runs once per class of the last variable, whose
-tuples are counted by class sizes. Only a failure is walked in order, so
+exists-z splits by factor, as some z in prod R_i has phi_i(z_i) for all i iff
+each R_i has some z_i with phi_i(z_i), and in Z/n it is one gcd: for x and g
+dividing n, some r + g*z is coprime to x iff gcd(x, g, r) = 1 (a prime of x
+dividing g must not divide r, one not dividing g is avoided by some z, and
+the CRT joins the choices, as every prime of x divides n). Since
+p + qR = p + gcd(q, n)R and gcd(x, g, r) = gcd(x, g, gcd(r, n)), the
+StableRange1 and JStableCondition inner clauses see every variable through
+its class only: each scan decides them once per triple of classes (target,
+last prefix element, last variable), and counts a prefix's tuples by class
+sizes. Only a failure is walked in order, so
 `elements_scanned` and the first witness are those of the plain nested loop.
 A clause quantifying q variables (Clean 2, StableRange1 and PmRing 3,
 JStableCondition 4) is refused with ScaleExceeded when N^q > 10^8, the plain
@@ -143,22 +147,20 @@ def _scan_elements(moduli, table):
     return False, (a,), size
 
 
-def _reaches(xs, rs, gs, moduli):
-    # in each factor, some r + g*y (y mod n) is coprime to x, a divisor of n
-    return all(
-        any(math.gcd(x, r + g * y) == 1 for y in range(n)) for x, r, g, n in zip(xs, rs, gs, moduli)
-    )
+def _reaches(xs, rs, gs):
+    # in each factor, some r + g*z is coprime to x, where x and g divide n
+    return all(math.gcd(x, g, r) == 1 for x, r, g in zip(xs, rs, gs))
 
 
 class _IdealClasses:
-    """Each element's residues and class id, each class's gcd tuple, which
-    classes are comaximal and how many elements are comaximal to each."""
+    """Each element's class id, each class's gcd tuple, which classes are
+    comaximal and how many elements are comaximal to each."""
 
     def __init__(self, moduli):
         self.moduli = moduli
-        self.residues = list(itertools.product(*map(range, moduli)))
+        residues = itertools.product(*map(range, moduli))
         ids = {}
-        self.of = [ids.setdefault(tuple(map(math.gcd, r, moduli)), len(ids)) for r in self.residues]
+        self.of = [ids.setdefault(tuple(map(math.gcd, r, moduli)), len(ids)) for r in residues]
         self.gcds = list(ids)
         self.comax = [[all(math.gcd(x, y) == 1 for x, y in zip(gx, gy)) for gy in ids] for gx in ids]
         sizes = Counter(self.of)
@@ -167,27 +169,34 @@ class _IdealClasses:
     def scan(self, prefixes, target):
         """Scan t + (y,) for each prefix t in order and each y comaximal to
         p = t[-1] in order, on the clause: some p + y*z is comaximal to the
-        class target(t). (holds, first failing tuple or None, tuples scanned)"""
-        scanned, gcds, moduli = 0, self.gcds, self.moduli
+        class id target(t). The classes of y that fail depend on the pair
+        (target(t), class of p) alone and are found once per pair.
+        (holds, first failing tuple or None, tuples scanned)"""
+        scanned, gcds, of, fails = 0, self.gcds, self.of, {}
         for t in prefixes:
-            x, r, row = target(t), self.residues[t[-1]], self.comax[self.of[t[-1]]]
-            bad = {C for C, ok in enumerate(row) if ok and not _reaches(x, r, gcds[C], moduli)}
+            X, P = target(t), of[t[-1]]
+            row, bad = self.comax[P], fails.get((X, P))
+            if bad is None:
+                bad = fails[X, P] = {
+                    C for C, ok in enumerate(row) if ok and not _reaches(gcds[X], gcds[P], gcds[C])
+                }
             if bad:  # walk the tuples of this prefix up to the first failure
-                y = next(y for y, Y in enumerate(self.of) if Y in bad)
-                return False, t + (y,), scanned + sum(row[Y] for Y in self.of[: y + 1])
-            scanned += self.count[self.of[t[-1]]]
+                y = next(y for y, Y in enumerate(of) if Y in bad)
+                return False, t + (y,), scanned + sum(row[Y] for Y in of[: y + 1])
+            scanned += self.count[P]
         return True, None, scanned
 
     def sr1(self):
-        # (a, b) comaximal => some a + b*y is a unit: comaximal to 0, of class n
-        return self.scan([(a,) for a in range(len(self.of))], lambda t: self.moduli)
+        # (a, b) comaximal => some a + b*y is a unit: comaximal to 0, whose
+        # class (gcd n in each factor) has id 0, as 0 comes first
+        return self.scan([(a,) for a in range(len(self.of))], lambda t: 0)
 
     def jstable(self):
         # a not in J and (b, c) comaximal => some b + c*y is comaximal to a
         gcds, of, elements = self.gcds, self.of, range(len(self.of))
         in_j = [all(pow(g, n.bit_length(), n) == 0 for g, n in zip(gx, self.moduli)) for gx in gcds]
         prefixes = ((a, b) for a in elements if not in_j[of[a]] for b in elements)
-        return self.scan(prefixes, lambda t: gcds[of[t[0]]])
+        return self.scan(prefixes, lambda t: of[t[0]])
 
 
 def _clean_table(n):

@@ -98,6 +98,43 @@ def test_pm_gcd_test_agrees_with_the_double_loop():
             assert checkers._pm_holds(a, n) == loop, (a, n)
 
 
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_reach_gcd_agrees_with_the_search_over_z():
+    # some r + g*z (z mod n) is coprime to x iff gcd(x, g, r) = 1, for x and
+    # g dividing n and every residue r
+    for n in range(2, 61):
+        for x, g in itertools.product(_divisors(n), repeat=2):
+            for r in range(n):
+                loop = any(math.gcd(x, r + g * z) == 1 for z in range(n))
+                assert checkers._reaches((x,), (r,), (g,)) == loop, (n, x, g, r)
+    # two factors: one z in Z/4 x Z/6 must serve both at once
+    moduli = (4, 6)
+    for xs, gs in itertools.product(
+        itertools.product(*map(_divisors, moduli)), itertools.product(*map(_divisors, moduli))
+    ):
+        for rs in itertools.product(*map(range, moduli)):
+            loop = any(
+                all(math.gcd(x, r + g * z) == 1 for x, r, g, z in zip(xs, rs, gs, zs))
+                for zs in itertools.product(*map(range, moduli))
+            )
+            assert checkers._reaches(xs, rs, gs) == loop, (xs, rs, gs)
+
+
+def test_scan_decides_each_class_triple_once(monkeypatch):
+    # the failing classes depend only on the classes of the target and of the
+    # prefix's last element, so the inner clause runs at most once per
+    # triple of classes, not once per prefix
+    calls = []
+    reaches = checkers._reaches
+    monkeypatch.setattr(checkers, "_reaches", lambda *args: calls.append(args) or reaches(*args))
+    assert check_finite_predicate(ModularRing(72), "JStableCondition").holds
+    classes = len(checkers._IdealClasses([72]).gcds)
+    assert classes == 12 and 0 < len(calls) <= classes**3
+
+
 def test_clean_quotient_examples():
     assert check_clean_quotient(Z.from_int(12)).holds
     rep = check_clean_quotient(Z.one)
@@ -260,7 +297,7 @@ def test_failure_walk_finds_the_first_tuple_in_order(monkeypatch):
                     return t, count
 
     for g in (1, 2, 4):
-        monkeypatch.setattr(checkers, "_reaches", lambda xs, rs, gs, moduli: gs[2] != g)
+        monkeypatch.setattr(checkers, "_reaches", lambda xs, rs, gs: gs[2] != g)
         for predicate in ("StableRange1", "JStableCondition"):
             rep = check_finite_predicate(ring, predicate)
             assert not rep.holds

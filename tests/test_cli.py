@@ -506,6 +506,25 @@ def test_check_past_the_work_bound_is_refused_at_once(capsys, predicate):
     assert code == 2 and json.loads(out)["error"] == "ScaleExceeded"
 
 
+@pytest.mark.parametrize(
+    "predicate, largest, refused",
+    [
+        ("Clean", ["Z/10000"], "Z/10001"),
+        ("StableRange1", ["Z/464"], "Z/465"),
+        ("PmRing", ["Z/464"], "Z/465"),
+        ("JStableCondition", ["Z/100", "prod(Z/4,Z/25)", "prod(Z/10,Z/10)"], "Z/101"),
+    ],
+)
+def test_check_at_the_work_bound(capsys, predicate, largest, refused):
+    # the largest rings with N^q <= 10^8 are scanned to the end; one more
+    # element is refused
+    for ring in largest:
+        code, out, _ = run(capsys, "check", "--ring", ring, "--predicate", predicate)
+        assert code == 0 and json.loads(out)["holds"] is True, ring
+    code, out, _ = run(capsys, "check", "--ring", refused, "--predicate", predicate)
+    assert code == 2 and json.loads(out)["error"] == "ScaleExceeded"
+
+
 # psi_13 = P13 * Q13 passes every Miller-Rabin base is_prime uses; GF(p)[x]
 # is refused from psi_13 up and accepted for the largest prime below it
 P13, Q13 = 1287836182261, 2575672364521
