@@ -56,9 +56,6 @@ __all__ = [
     "pair_unimodular",
 ]
 
-PREDICATES = ("StableRange1", "Clean", "PmRing", "JStableCondition")
-
-
 @dataclass(frozen=True)
 class PredicateReport:
     predicate: str
@@ -113,16 +110,9 @@ def _jstable_clause(ring, a, b, c):
 def predicate_clause_holds(predicate: str, witness) -> bool:
     """Re-evaluate the inner clause of `predicate` on a witness tuple; a
     genuine counterexample returns False."""
-    ring = witness[0].ring
-    if predicate == "StableRange1":
-        return _sr1_clause(ring, *witness)
-    if predicate == "Clean":
-        return _clean_clause(ring, *witness)
-    if predicate == "PmRing":
-        return _pm_clause(ring, *witness)
-    if predicate == "JStableCondition":
-        return _jstable_clause(ring, *witness)
-    raise ValueError(f"unknown predicate {predicate!r}")
+    if predicate not in _PREDICATES:
+        raise ValueError(f"unknown predicate {predicate!r}")
+    return _PREDICATES[predicate][2](witness[0].ring, *witness)
 
 
 # ---------------------------------------------------------------------------
@@ -213,25 +203,27 @@ def _pm_holds(a, n):
     return any(math.gcd(b, n // math.gcd(1 - a * x, n)) == 1 for x in range(n))
 
 
-# each predicate's scan and the number of variables its clause quantifies
-_SCANS = {
-    "StableRange1": (3, lambda moduli: _IdealClasses(moduli).sr1()),
-    "Clean": (2, partial(_scan_elements, table=_clean_table)),
-    "PmRing": (3, partial(_scan_elements, table=lambda n: [_pm_holds(a, n) for a in range(n)])),
-    "JStableCondition": (4, lambda moduli: _IdealClasses(moduli).jstable()),
+# each predicate, in the order the CLI lists them: the number of variables
+# its clause quantifies, its scan and its clause's replay
+_PREDICATES = {
+    "StableRange1": (3, lambda moduli: _IdealClasses(moduli).sr1(), _sr1_clause),
+    "Clean": (2, partial(_scan_elements, table=_clean_table), _clean_clause),
+    "PmRing": (3, partial(_scan_elements, table=lambda n: [_pm_holds(a, n) for a in range(n)]), _pm_clause),
+    "JStableCondition": (4, lambda moduli: _IdealClasses(moduli).jstable(), _jstable_clause),
 }
+PREDICATES = tuple(_PREDICATES)
 
 
 def check_finite_predicate(ring: Ring, predicate: str) -> PredicateReport:
     """Exhaustively evaluate one of StableRange1, Clean, PmRing,
     JStableCondition over a finite ring of N elements. A clause that
     quantifies q variables is refused with ScaleExceeded when N^q > 10^8."""
-    if predicate not in _SCANS:
+    if predicate not in _PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     card = ring.cardinality()
     if card is None:
         raise UnsupportedRing(f"{ring} is not finite")
-    q, scan = _SCANS[predicate]
+    q, scan, _ = _PREDICATES[predicate]
     if card**q > 10**8:
         raise ScaleExceeded(f"{predicate} on N elements: N^{q} exceeds the bound 10^8")
     holds, witness, scanned = scan(_moduli(ring))

@@ -22,7 +22,6 @@ derail the radical case analysis.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -43,7 +42,6 @@ from .rings import (
     ProductRing,
     RingElement,
     bezout_combination,
-    crt,
     exact_quotient,
     gcd_bezout,
     ideal_combination,
@@ -113,16 +111,21 @@ def sr1_quotient_lift(a: RingElement, b: RingElement, c: RingElement) -> RingEle
     if jacobson_member(a):
         raise PreconditionFailed("a lies in the radical")
 
-    # r and s are coprime (primes of s divide b, those of r do not), and y =
-    # r*x with x*r + (.)*s = 1 vanishes mod r and is 1 mod s, so b + c*y
-    # dodges every prime of a: primes of r miss b, primes of s miss c
-    split = lifted_split(a, b)
-    x, _ = ideal_combination([split.r, split.s], split.r.ring.one)
-    y = ring.element((split.r * x).payload)
-
+    y = _lift(a, b)
     if not is_unit(gcd_bezout(a, b + c * y).g):
         raise PostconditionFailed("lift postcondition failed")
     return y
+
+
+def _lift(a, b):
+    """sr1_quotient_lift's y, unchecked: it depends on a and b alone."""
+    # r and s are coprime (primes of s divide b, those of r do not), and y =
+    # r*x with x*r + (.)*s = 1 vanishes mod r and is 1 mod s, so for any c
+    # with (a, b, c) unimodular b + c*y dodges every prime of a: primes of r
+    # miss b, primes of s miss c
+    split = lifted_split(a, b)
+    x, _ = ideal_combination([split.r, split.s], split.r.ring.one)
+    return a.ring.element((split.r * x).payload)
 
 
 def sr2_reduce(a1: RingElement, a2: RingElement, a3: RingElement):
@@ -224,9 +227,12 @@ def _complete(ring, row, q, x):
         # now a leading quotient escapes the radical: lift the last-but-one
         # slot into a unimodular position against their gcd
         g, s_coeffs = bezout_combination(q[: k - 2])
-        z = sr1_quotient_lift(g, q[k - 2], t)
+        z = _lift(g, q[k - 2])
         target = q[k - 2] + t * z
-        alpha, beta = ideal_combination([g, target], one)  # unimodular: the lift's postcondition
+        combo = ideal_combination([g, target], one)  # checks the lift too
+        if combo is None:
+            raise PostconditionFailed("lift postcondition failed")
+        alpha, beta = combo
 
         shift = x[k - 1] * z
         last = row.pop()
@@ -260,10 +266,12 @@ def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
     """Square matrix with the given first row and determinant the idempotent
     e, provided e lies in the ideal the row generates.
 
-    Over Z/n the idempotent splits the ring into coprime halves: complete to
-    determinant 1 where e acts as the identity, park zero rows where it
-    vanishes, and glue with the remainder theorem. Products, nested ones
-    too, work componentwise."""
+    That ideal is (g), g the row's gcd, so e = g*w: the ordinary completion
+    to g, its second row scaled by w, keeps the first row and has
+    determinant g*w = e exactly, over Z/n as over any lift ring. e = 0
+    parks zero rows under the row instead. A product, nested ones too,
+    completes componentwise: the lift behind the completion exists over
+    its factors, not over the product."""
     row = list(row)
     if len(row) < 2:
         raise PreconditionFailed("need at least two row entries")
@@ -278,43 +286,23 @@ def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
     if ideal_combination(row, e) is None:
         raise NotInIdeal("e is not in the ideal generated by the row")
 
-    return _certify(ring, _component_complete(ring, row, e), row, e)
+    return _certify(ring, _idempotent_rows(ring, row, e), row, e)
 
 
-def _zero_det_rows(ring, row):
-    n = len(row)
-    return [list(row)] + [[ring.zero] * n for _ in range(n - 1)]
-
-
-def _component_complete(ring, row, e):
-    """Entry rows (lists of RingElements) completing `row` to determinant e;
-    idempotent_complete certifies them once, glued. A product completes
-    componentwise, nested factors included."""
+def _idempotent_rows(ring, row, t):
+    """Entry rows completing `row` to a determinant t in the row's ideal;
+    idempotent_complete certifies them once."""
     n = len(row)
     if isinstance(ring, ProductRing):
         parts = [
-            _component_complete(f, [RingElement(f, a.payload[k]) for a in row], RingElement(f, e.payload[k]))
+            _idempotent_rows(f, [RingElement(f, a.payload[k]) for a in row], RingElement(f, t.payload[k]))
             for k, f in enumerate(ring.factors)
         ]
         return [[RingElement(ring, tuple(p[i][j].payload for p in parts)) for j in range(n)] for i in range(n)]
-    if e == ring.one:
-        return _completion_rows(row, ring.one)
-    if e.is_zero():
-        return _zero_det_rows(ring, row)
-    if not isinstance(ring, ModularRing):
-        # domains only carry the idempotents 0 and 1, handled above
-        raise NotIdempotent(f"{ring.element_str(e)} is not idempotent over {ring}")
-    n_mod = ring.n
-    n2 = math.gcd(e.payload, n_mod)
-    n1 = n_mod // n2
-    sub = ModularRing(n1)
-    rows1 = _completion_rows([sub.from_int(a.payload) for a in row], sub.one)
-    rows = []
-    for i in range(n):
-        out = []
-        for j in range(n):
-            r1 = rows1[i][j].payload
-            r2 = row[j].payload % n2 if i == 0 else 0
-            out.append(ring.from_int(crt([r1, r2], [n1, n2])))
-        rows.append(out)
+    if t.is_zero():
+        return [list(row)] + [[ring.zero] * n for _ in range(n - 1)]
+    g, coeffs = bezout_combination(row)
+    rows = _complete(ring, list(row), [exact_quotient(a, g) for a in row], coeffs)
+    w = exact_quotient(t, g)
+    rows[1] = [a * w for a in rows[1]]
     return rows

@@ -275,7 +275,7 @@ def test_failure_walk_finds_the_first_tuple_in_order(monkeypatch):
     elements = list(ring.iter_elements())
     fake = lambda n: [r != 1 for r in range(n)] if n == 4 else [True] * n
     monkeypatch.setitem(
-        checkers._SCANS, "Clean", (2, lambda moduli: checkers._scan_elements(moduli, fake))
+        checkers._PREDICATES, "Clean", (2, lambda moduli: checkers._scan_elements(moduli, fake), checkers._clean_clause)
     )
     rep = check_finite_predicate(ring, "Clean")
     first = next(e for e in elements if e.payload[1] == 1)

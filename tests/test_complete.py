@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 import sys
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from edr import complete
+from edr import complete, rings
 from edr.complete import (
     complete_row,
     idempotent_complete,
@@ -37,7 +38,7 @@ from edr.rings import (
 )
 from edr.serialize import completion_certificate_to_doc, dumps
 
-from oracles import perm_det, sr1_solution_exists_z
+from oracles import in_ideal, perm_det, sr1_solution_exists_z
 
 Z = IntegerRing()
 M12 = ModularRing(12)
@@ -313,6 +314,25 @@ def test_completion_products_grow_at_most_quadratically(monkeypatch):
     assert products[1] <= 16 * products[0], products
 
 
+def test_completion_checks_each_lift_once(monkeypatch):
+    # complete_row([6, 16, 26], 2) folds the row (2 gcds), splits for the
+    # lift and combines its parts (1 + 1) and checks the lifted pair (1):
+    # the pass's combination is the lift's only check
+    calls = [0]
+    gcd = rings.gcd_bezout
+
+    def counted(a, b):
+        calls[0] += 1
+        return gcd(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "edr" and getattr(module, "gcd_bezout", None) is gcd:
+            monkeypatch.setattr(module, "gcd_bezout", counted)
+    cert = complete_row(_long_row(3), Z.from_int(2))
+    assert cert.det_value == Z.from_int(2)
+    assert calls[0] <= 5, calls
+
+
 def _completion_corpus():
     """Seeded rows over Z, seven Z/n (half their entries drawn from the
     nilradical), GF(2)[x] and GF(5)[x], each with the row's gcd or some other
@@ -390,20 +410,20 @@ def test_idempotent_zero_and_errors():
 
 
 def test_idempotent_exhaustive_small_moduli():
-    for n in (6, 12, 30):
+    # every row of length 2 (and 3 for n = 6, 12) and every idempotent:
+    # refused exactly where e is outside the row's ideal, certified with
+    # determinant e everywhere else
+    for n, k in [(6, 2), (12, 2), (30, 2), (36, 2), (6, 3), (12, 3)]:
         ring = ModularRing(n)
-        idems = [e for e in range(n) if e * e % n == e]
-        rng = random.Random(n)
-        for e in idems:
-            for _ in range(20):
-                k = rng.randint(2, 4)
-                row = [ring.from_int(rng.randrange(n)) for _ in range(k)]
-                g, _ = bezout_combination(row)
-                if math.gcd(e, n) % math.gcd(g.payload, n):
-                    continue  # e outside the row ideal
-                cert = idempotent_complete(row, ring.from_int(e))
-                assert verify_completion(cert).ok
-                assert cert.det_value == ring.from_int(e)
+        idems = [ring.from_int(e) for e in range(n) if e * e % n == e]
+        for row, e in itertools.product(itertools.product(map(ring.from_int, range(n)), repeat=k), idems):
+            if not in_ideal(ring, row, e):
+                with pytest.raises(NotInIdeal):
+                    idempotent_complete(row, e)
+                continue
+            cert = idempotent_complete(row, e)
+            assert cert.det_value == e
+            assert verify_completion(cert).ok
 
 
 def test_idempotent_product_ring():
@@ -420,6 +440,21 @@ def test_idempotent_product_ring():
     cert = idempotent_complete(row, e0)
     assert cert.det_value == e0
     assert verify_completion(cert).ok
+
+    # a polynomial factor next to a modular one, every idempotent of the
+    # product: the first row's ideal is (x + 1) x (2), the second's all
+    ring = ProductRing([PrimeFieldPolynomialRing(3), M12])
+    idems = [ring.element((p, m)) for p in ((), (1,)) for m in (0, 1, 4, 9)]
+    for payloads in ([((1, 1), 2), ((2, 0, 1), 6), ((), 10)], [((1, 1), 3), ((0, 2, 1), 4)]):
+        row = [ring.element(v) for v in payloads]
+        for e in idems:
+            if not in_ideal(ring, row, e):
+                with pytest.raises(NotInIdeal):
+                    idempotent_complete(row, e)
+                continue
+            cert = idempotent_complete(row, e)
+            assert cert.det_value == e
+            assert verify_completion(cert).ok
 
 
 def test_idempotent_nested_product_ring():
