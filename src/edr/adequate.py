@@ -3,10 +3,12 @@
 An element a is adequate to b when a = r*s with r coprime to b while every
 non-invertible divisor of s shares a factor with b. Over a PID the split
 falls out of repeated gcd extraction; over Z/n some power a^m splits through
-a pair of idempotents; in the truncated series ring the integer split of the
-constant term lifts coefficient by coefficient. verify_adequate re-checks a
-split without any of these: its divisor clause is the one remainder test
-s | b^k, written over the ring's op table.
+a pair of idempotents, m the least power at which a and b vanish on the
+prime powers of n that their primes divide, found by gcds and squarings, so
+no Z/n split factors n; in the truncated series ring the integer split of
+the constant term lifts coefficient by coefficient. verify_adequate
+re-checks a split without any of these: its divisor clause is the one
+remainder test s | b^k, written over the ring's op table.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .rings import (
     coprime_divisor,
     crt,
     divide_exact,
-    factorize,
     gcd_bezout,
     is_unit,
     unit_inverse,
@@ -101,28 +102,52 @@ def lifted_split(a: RingElement, b: RingElement) -> AdequateSplit:
     return adequate_split(a, b)
 
 
-def pi_adequate_split_zn(a: RingElement, b: RingElement) -> AdequateSplit:
-    """Split a^m over Z/n through idempotents, m = largest prime-power
-    exponent of n (which makes a^m and b^m unit-regular componentwise).
-    Finding m is the one step that factors n: a modulus whose factorization
-    exceeds factorize's budget is refused with ScaleExceeded.
+def _nilpotency_index(x: int, n: int) -> int:
+    """The least m >= 1 with x^m = 0 mod n, given that one exists (n >= 1):
+    square x until it vanishes, then descend through the kept squares
+    x^(2^j), taking each one that keeps the product nonzero. The products
+    that stay nonzero are exactly x^t for t < m, so the descent builds the
+    largest such t = m - 1 bit by bit, in O(log m) products mod n."""
+    squares = [x % n]
+    while squares[-1]:
+        squares.append(squares[-1] * squares[-1] % n)
+    acc, t = 1, 0  # acc = x^t mod n, never 0
+    for j in range(len(squares) - 2, -1, -1):
+        nxt = acc * squares[j] % n
+        if nxt:
+            acc, t = nxt, t + (1 << j)
+    return t + 1
 
-    With u, v units satisfying a^m*u*a^m = a^m and b^m*v*b^m = b^m, the
-    idempotents e = a^m*u and f = b^m*v combine into e+f-ef and 1-f+ef whose
-    product is e; the factor 1-f+ef is coprime to b and every non-unit
-    divisor of (e+f-ef)*u^{-1} divides f up to units, hence meets b. Both
-    conditions are re-verified exactly before returning.
+
+def pi_adequate_split_zn(a: RingElement, b: RingElement) -> AdequateSplit:
+    """Split a^m over Z/n through idempotents, with m taken from gcds: n is
+    never factored.
+
+    For x in {a, b}, d_x = coprime_divisor(n, x) is the largest divisor of n
+    prime to x, n_x = n / d_x carries the full prime powers of n whose primes
+    divide x, and m_x is the least m >= 1 with x^m = 0 mod n_x (it exists:
+    x^k = 0 mod n_x for k the largest prime exponent of n, which therefore
+    bounds m_x). Take m = max(m_a, m_b). A prime of n that divides x then
+    has its full power dividing x^m, and on every other prime x is a unit.
+    So with u = 1 mod n_x and u = (x^m)^-1 mod d_x, a unit, x^m*u is 0 or 1
+    on each prime power of n: an idempotent.
+
+    The idempotents e = a^m*u and f = b^m*v combine into e+f-ef and 1-f+ef
+    whose product is e; the factor 1-f+ef is coprime to b and every
+    non-unit divisor of (e+f-ef)*u^{-1} divides f up to units, hence meets
+    b. Both conditions are re-verified exactly before returning.
     """
     ring = a.ring
     if not isinstance(ring, ModularRing):
         raise UnsupportedRing("pi_adequate_split_zn needs a Z/n ring")
     n = ring.n
-    m = max(factorize(n).values())
+    free = {x: coprime_divisor(n, x) for x in (a.payload, b.payload)}
+    m = max(_nilpotency_index(x, n // d) for x, d in free.items())
 
     def regular_unit(x: int) -> int:
-        # 1 on the prime powers that divide x, (x^m)^-1 on the rest
-        free = coprime_divisor(n, x)
-        return crt([1, pow(pow(x, m, free), -1, free)], [n // free, free])
+        # 1 on the prime powers that divide x^m, (x^m)^-1 on the rest
+        d = free[x]
+        return crt([1, pow(pow(x, m, d), -1, d)], [n // d, d])
 
     am = pow(a.payload, m, n)
     bm = pow(b.payload, m, n)

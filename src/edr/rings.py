@@ -140,6 +140,10 @@ def factorize(n: int) -> dict[int, int]:
     given n fits the budget is not proved: rho needs about sqrt(p)
     squarings to split off a prime p, so factors below 2^24 or so are found
     and two primes of 2^40 each are not.
+
+    No edr command calls it: the pi-split over Z/n takes its exponent from
+    gcds. It stays only as a public utility, which the benchmark's tracer
+    (perfbench/tracing.py) wraps by name.
     """
     if n < 1:
         raise ValueError("factorize expects a positive integer")
@@ -204,11 +208,14 @@ def _rho_divisor(n: int, budget: int) -> tuple[int, int]:
 
 
 def coprime_divisor(n: int, a: int) -> int:
-    """The largest divisor of n coprime to a (n >= 1), by gcds alone."""
+    """The largest divisor of n coprime to a (n >= 1), by gcds alone. g
+    holds every prime of a still dividing n; squaring it before the next gcd
+    doubles the exponent each division strips, so a prime of exponent k in
+    n costs O(log k) gcds, not k."""
     g = math.gcd(n, a)
     while g != 1:
         n //= g
-        g = math.gcd(n, g)
+        g = math.gcd(n, g * g)
     return n
 
 

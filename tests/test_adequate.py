@@ -261,7 +261,7 @@ def test_verify_polynomial_divisor_condition():
 def test_pi_split_examples():
     M12 = ModularRing(12)
     sp = pi_adequate_split_zn(M12.one, M12.from_int(5))
-    assert sp.m == 2
+    assert sp.m == 1  # both are units: no prime power needs a^m to vanish
     assert sp.r * sp.s == M12.one and is_unit(sp.r)
 
     sp = pi_adequate_split_zn(M12.from_int(6), M12.from_int(4))
@@ -289,6 +289,52 @@ def test_pi_split_passes_verifier_exhaustively_small():
             for b in range(n):
                 sp = pi_adequate_split_zn(ring.from_int(a), ring.from_int(b))
                 assert verify_adequate(ring.from_int(a), ring.from_int(b), sp.r, sp.s, sp.m).ok
+
+
+@st.composite
+def pi_cases(draw):
+    prime_power = st.builds(pow, st.sampled_from([2, 3, 5, 7, 11, 13, 97]), st.integers(1, 40))
+    n = draw(st.integers(2, 10**4) | prime_power)
+    primes = sorted(trial_factorize(n))
+
+    def element():
+        # a multiple of some of n's primes, times a random residue
+        x = draw(st.integers(0, n - 1))
+        for p in draw(st.lists(st.sampled_from(primes), max_size=3)):
+            x = x * p
+        return x * draw(st.sampled_from([1, *primes])) % n
+
+    return n, element(), element()
+
+
+@settings(max_examples=300, deadline=None)
+@given(pi_cases())
+def test_pi_split_exponent_is_least_that_clears_each_touched_prime(case):
+    n, a, b = case
+    ring = ModularRing(n)
+    sp = pi_adequate_split_zn(ring.from_int(a), ring.from_int(b))
+    assert verify_adequate(ring.from_int(a), ring.from_int(b), sp.r, sp.s, sp.m).ok
+    exponents = trial_factorize(n)
+    assert 1 <= sp.m <= max(exponents.values())
+    # n_x: the full prime powers of n whose primes divide x
+    touched = {x: math.prod(p**e for p, e in exponents.items() if x % p == 0) for x in (a, b)}
+    assert all(pow(x, sp.m, nx) == 0 for x, nx in touched.items())
+    # m - 1 leaves a prime power uncleared for whichever of a and b attains m
+    assert sp.m == 1 or any(pow(x, sp.m - 1, nx) != 0 for x, nx in touched.items())
+
+
+def test_pi_split_exponent_at_scale():
+    # a = 3u with u a large unit: m = 20000 is found by squarings and a
+    # binary descent, where a walk over m would take 20000 products
+    n = 3**20000 * 2
+    ring = ModularRing(n)
+    a = ring.from_int(3 * 5**10000 % n)
+    b = ring.from_int(2 * 7**3000 % n)
+    start = time.perf_counter()
+    sp = pi_adequate_split_zn(a, b)
+    assert verify_adequate(a, b, sp.r, sp.s, sp.m).ok
+    assert time.perf_counter() - start < 1.0
+    assert sp.m == 20000
 
 
 def test_power_stability_of_splits():

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edr import errors
+from edr.adequate import verify_adequate
 from edr.checkers import PREDICATES
 from edr.cli import main
 from edr.parsing import parse_element, parse_ring
@@ -480,11 +481,15 @@ def test_commands_over_a_128_bit_modulus(capsys, tmp_path, prime_pair_128):
         assert code == 0 and err == "", argv[0]
     assert json.loads(out)["det"] == "1"
 
-    # the pi-split needs the largest prime exponent of n: refused, not hung
+    # the pi-split takes its exponent from gcds, so n is not factored
     start = time.perf_counter()
-    code, out, _ = run(capsys, "split", "--ring", ring, "--a", a, "--b", b, "--pi")
-    assert time.perf_counter() - start < 2.0
-    assert code == 2 and json.loads(out)["error"] == "ScaleExceeded"
+    code, out, err = run(capsys, "split", "--ring", ring, "--a", a, "--b", b, "--pi")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    zn = ModularRing(n)
+    r, s = (zn.from_int(int(doc[key])) for key in "rs")
+    assert verify_adequate(zn.from_int(int(a)), zn.from_int(int(b)), r, s, doc["m"]).ok
 
 
 def test_oversized_series_order_is_refused_before_parsing_elements(capsys, tmp_path):

@@ -11,6 +11,7 @@ import edr.adequate
 import edr.matrices
 import edr.reduce
 import edr.rings
+from edr.adequate import pi_adequate_split_zn, verify_adequate
 from edr.errors import EdrError, NotUnimodular, ScaleExceeded, UnsupportedRing
 from edr.matrices import RingMatrix
 from edr.parsing import parse_ring
@@ -202,9 +203,10 @@ def test_kaplansky_never_factors_the_modulus(monkeypatch, prime_pair_128):
     def refuse(n):
         raise AssertionError(f"factorize({n}) called")
 
-    for module in (edr.rings, edr.adequate):
-        monkeypatch.setattr(module, "factorize", refuse)
-    rng = random.Random(37)
+    # the pi-split takes its exponent from gcds: factorize is not even imported
+    assert not hasattr(edr.adequate, "factorize")
+    monkeypatch.setattr(edr.rings, "factorize", refuse)
+    rng, split_rng = random.Random(37), random.Random(38)
     for n in (12, 360, 2**20 * 3**5, 1001 * 1001, prime_pair_128[0] * prime_pair_128[1]):
         ring = ModularRing(n)
         done = 0
@@ -216,6 +218,10 @@ def test_kaplansky_never_factors_the_modulus(monkeypatch, prime_pair_128):
             cert = kaplansky_2x2(ring.from_int(a), ring.from_int(b), ring.from_int(c))
             A = RingMatrix.from_payloads(ring, [[a, 0], [b, c]])
             assert verify_reduction(A, cert).ok, (n, a, b, c)
+        for a, b in [(0, 0), (1, n - 1), (6, 4), (split_rng.randrange(n), split_rng.randrange(n) * 6 % n)]:
+            a_el, b_el = ring.from_int(a), ring.from_int(b)
+            sp = pi_adequate_split_zn(a_el, b_el)
+            assert verify_adequate(a_el, b_el, sp.r, sp.s, sp.m).ok, (n, a, b)
 
 
 def test_kaplansky_not_unimodular():

@@ -381,6 +381,7 @@ def test_coprime_divisor_examples():
     assert coprime_divisor(360, 7) == 360
     assert coprime_divisor(360, 0) == 1
     assert coprime_divisor(1, 12) == 1
+    assert coprime_divisor(3**20000 * 2, 3 * 5**10) == 2  # about 15 gcds, not 20,000
 
 
 def test_modular_primitives_match_factorization_formulas():
