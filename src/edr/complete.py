@@ -14,7 +14,7 @@ operations that undo its shifts; the 2x2 base then grows back, one row and
 column per pass, and the recorded operations are replayed innermost first.
 A pass costs O(k) ring operations, so the construction takes O(k^2) on a
 row of k entries and dominates long rows: the certifying determinant
-peels the matrix down to a core of a few rows (matrices._peel). The
+peels singleton lines and triangularises what is left (matrices._det). The
 quotient/coefficient witnesses are carried from pass to pass algebraically;
 recomputing them modulo n could displace them by annihilators of d and
 derail the radical case analysis.

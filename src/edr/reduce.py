@@ -65,9 +65,9 @@ takes det P from det P * det A * det Q = d_1 * ... * d_n once P*A*Q = D has
 passed with D diagonal and A square, over a domain (Z, GF(p)[x], or such a
 product factor) where det A is not 0 and det Q is a unit: there the test
 proves the recorded det P, and det A, with A's short entries, is far
-cheaper than det P. Anywhere else, Bareiss on P. The verifier calls no
-construction code; it is the ground truth for every certificate this
-module emits.
+cheaper than det P. Anywhere else, det P is taken on P. The verifier
+calls no construction code; it is the ground truth for every certificate
+this module emits.
 """
 
 from __future__ import annotations
@@ -301,15 +301,15 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
     """Re-derive every certificate clause from scratch; lists all violations.
 
     P*A*Q is multiplied out on payloads and compared with D, and det Q is
-    computed (RingMatrix.det's peeled Bareiss). det P comes from the
+    computed (matrices._det: peeled, then eliminated). det P comes from the
     identity det P * det A * det Q = det D when all of these hold: P*A*Q = D
     has passed, D is diagonal, A is square, and, on the ring or each product
     factor, the ring is a domain (Z or GF(p)[x]), det A is not 0 and det Q
     is a unit. Then recorded * det A * det Q = d_1 * ... * d_n holds only if
     the recorded value is det P, since det A * det Q cancels in a domain.
-    In every other case, and wherever that test fails, det P comes from
-    Bareiss on P, so a tampered certificate names the same clauses as
-    under a verifier that always runs Bareiss on P."""
+    In every other case, and wherever that test fails, det P is taken on
+    P itself, so a tampered certificate names the same clauses as under a
+    verifier that always takes det P on P."""
     failures = []
     ring = A.ring
     if (
@@ -369,7 +369,7 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
 
 def _det_from_identity(ring, P, A, detQ, recorded, diagonal):
     """det P's payload, by the identity where verify_reduction's conditions
-    hold and by Bareiss on P elsewhere (payloads: `diagonal` holds the
+    hold and by _det on P elsewhere (payloads: `diagonal` holds the
     d_i). Products go componentwise."""
     if isinstance(ring, ProductRing):
         return tuple(

@@ -290,7 +290,7 @@ def crt(residues, moduli) -> int:
 # divides through one Newton reciprocal of the reversed d per call once d
 # has _NEWTON_CROSSOVER coefficients or more. Both are None for the series,
 # which has no matrices, and for products, which reduce and take
-# determinants componentwise.
+# determinants componentwise; quo is None over Z/n too (matrices._zn_det).
 PayloadOps = namedtuple("PayloadOps", "zero one add sub mul neg size div bezout normal comb quo")
 
 
@@ -816,8 +816,7 @@ class ModularRing(Ring):
             0, 1, lambda a, b: (a + b) % n, lambda a, b: (a - b) % n, lambda a, b: a * b % n,
             lambda a: -a % n, lambda a: a and math.gcd(a, n), partial(_zn_div, n),
             partial(_zn_bezout, n), lambda a: pow(_zn_unit(n, a)[0], -1, n),
-            lambda a, xs, b, ys: [(a * x - b * y) % n for x, y in zip(xs, ys)],
-            partial(_row_quo, partial(_zn_div, n)),
+            lambda a, xs, b, ys: [(a * x - b * y) % n for x, y in zip(xs, ys)], None,
         )
 
     def jacobson_member(self, a):

@@ -5,8 +5,16 @@ import math
 from fractions import Fraction
 
 from edr.errors import ScaleExceeded, UnsupportedRing
-from edr.matrices import RingMatrix
-from edr.rings import IntegerRing, PrimeFieldPolynomialRing, ProductRing, RingElement, divide_exact, gcd_bezout
+from edr.matrices import RingMatrix, _bareiss
+from edr.rings import (
+    IntegerRing,
+    ModularRing,
+    PrimeFieldPolynomialRing,
+    ProductRing,
+    RingElement,
+    divide_exact,
+    gcd_bezout,
+)
 
 
 def int_divisors(n):
@@ -169,6 +177,19 @@ def perm_det(rows):
             prod *= rows[i][perm[i]]
         total += -prod if inversions % 2 else prod
     return total
+
+
+def lifted_bareiss_det(ring, rows):
+    """The determinant's payload from square payload rows by Bareiss on the
+    whole matrix, no peeling. Over Z/n it runs on the integer lift and
+    reduces the result mod n, since the determinant commutes with Z -> Z/n:
+    the reference for the Z/n elimination, which never leaves Z/n. Products
+    split componentwise."""
+    if isinstance(ring, ProductRing):
+        return tuple(lifted_bareiss_det(f, [[v[i] for v in row] for row in rows]) for i, f in enumerate(ring.factors))
+    if isinstance(ring, ModularRing):
+        return _bareiss([row[:] for row in rows], IntegerRing().ops) % ring.n
+    return _bareiss([row[:] for row in rows], ring.ops)
 
 
 def sr1_solution_exists_z(a, b, c, bound):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -273,6 +274,27 @@ def test_complete_row_accepts_associate_determinants():
     cert = complete_row([Z.from_int(4), Z.from_int(6)], Z.from_int(-2))
     assert cert.det_value == Z.from_int(-2)
     assert verify_completion(cert).ok
+
+
+@pytest.mark.parametrize("ring", [Z, ModularRing(360), ModularRing(2**64 + 13)], ids=str)
+def test_verify_completion_names_a_tampered_determinant(ring):
+    # each tamper leaves the first row alone, so the determinant check is
+    # the only one that can see it: an entry of A moved so that det A
+    # moves, det_value alone and det_target alone
+    row = [ring.from_int(v) for v in (6, 10, 15, 7)]
+    cert = complete_row(row, ring.one)
+    assert verify_completion(cert).ok
+    rows = cert.A.payload_lists()
+    for j in range(len(rows)):  # det A is linear in row 1, and some cofactor on it is not 0
+        rows[1][j] += 1
+        if ring.from_int(perm_det(rows)) != cert.det_value:
+            break
+        rows[1][j] -= 1
+    moved = dataclasses.replace(cert, A=RingMatrix.from_payloads(ring, rows))
+    assert moved.A.entries[0] == cert.A.entries[0] and moved.A != cert.A
+    two = ring.from_int(2)
+    for tampered in (moved, dataclasses.replace(cert, det_value=two), dataclasses.replace(cert, det_target=two)):
+        assert verify_completion(tampered).failures == ("det = target",)
 
 
 def _long_row(k):

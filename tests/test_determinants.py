@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edr.errors import DescriptorMismatch, UnsupportedRing
-from edr.matrices import RingMatrix, _bareiss, _det, _peel
+from edr.matrices import RingMatrix, _det, _peel, _zn_det
 from edr.complete import complete_row
 from edr.reduce import ReductionCertificate, diagonal_reduce, kaplansky_2x2, verify_reduction
 from edr.rings import (
@@ -21,10 +21,11 @@ from edr.rings import (
     ProductRing,
     TruncatedSeriesRing,
     gcd_bezout,
+    is_prime,
     is_unit,
 )
 
-from oracles import perm_det
+from oracles import lifted_bareiss_det, perm_det
 
 Z = IntegerRing()
 Z360 = ModularRing(360)
@@ -162,15 +163,6 @@ def _peelable(ring, rng, n, core, empty):
     return rows
 
 
-def _bareiss_alone(ring, rows):
-    """The determinant's payload by Bareiss on the whole matrix, no peeling."""
-    if isinstance(ring, ProductRing):
-        return tuple(_bareiss_alone(f, [[v[i] for v in row] for row in rows]) for i, f in enumerate(ring.factors))
-    if isinstance(ring, ModularRing):
-        return _bareiss([row[:] for row in rows], Z.ops) % ring.n
-    return _bareiss([row[:] for row in rows], ring.ops)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     ring=st.sampled_from(DET_RINGS),
@@ -185,7 +177,7 @@ def test_peeled_det_matches_bareiss_alone_and_leibniz(ring, n, core, empty, seed
         core = 0
     rows = _peelable(ring, random.Random(seed), n, core, empty)
     det = _det(ring, [row[:] for row in rows])
-    assert det == _bareiss_alone(ring, rows)
+    assert det == lifted_bareiss_det(ring, rows)
     if isinstance(ring, IntegerRing):
         assert det == perm_det(rows)
     if not isinstance(ring, ProductRing):
@@ -194,6 +186,70 @@ def test_peeled_det_matches_bareiss_alone_and_leibniz(ring, n, core, empty, seed
             assert peeled is None and not det
         else:
             assert len(peeled[1]) == len(peeled[2]) == core
+
+
+def _prime_above(v):
+    while not is_prime(v):
+        v += 1
+    return v
+
+
+_P256 = _prime_above(2**127 + 1)
+_Q256 = _prime_above(_P256 + 2)
+# each modulus with a proper divisor (1 for a prime), so that draws hit the
+# zero divisors of every non-prime n, the 256-bit p*q among them
+ZN_MODULI = [(2, 1), (4, 2), (12, 6), (36, 6), (97, 1), (360, 12), (1024, 32), (8633, 89), (2**64 + 13, 1), (_P256 * _Q256, _P256)]
+
+
+def _zn_block(rng, n, f, m, cols):
+    """m x cols residues mod n: about 30 % zeros, then multiples of f and
+    free residues in equal parts."""
+    def entry():
+        roll = rng.random()
+        return 0 if roll < 0.3 else f * rng.randrange(n) % n if roll < 0.65 else rng.randrange(n)
+    return [[entry() for _ in range(cols)] for _ in range(m)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    modulus=st.sampled_from(ZN_MODULI),
+    shape=st.sampled_from(["Z/n", "prod(Z,Z/n)", "prod(Z/n,Z/12)"]),
+    peeled=st.integers(0, 3),
+    core=st.integers(0, 8),
+    zero_pivot=st.booleans(),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+def test_zn_det_matches_the_lifted_bareiss(modulus, shape, peeled, core, zero_pivot, zero_column, seed):
+    # [[T, X], [0, C]]: T upper triangular with `peeled` rows, which peel one
+    # by one when T's diagonal is nonzero, and C a core x core block that the
+    # Z/n elimination sees, its first pivot zero or a column zeroed if drawn
+    n, f = modulus
+    rng = random.Random(seed)
+    if not core:  # a matrix has at least one row
+        peeled = max(peeled, 1)
+    size = peeled + core
+    C = _zn_block(rng, n, f, core, core)
+    if core and zero_pivot:
+        C[0][0] = 0
+    if core and zero_column:
+        k = rng.randrange(core)
+        for row in C:
+            row[k] = 0
+    T = _zn_block(rng, n, f, peeled, size)
+    for i, row in enumerate(T):
+        row[:i] = [0] * i
+    rows = T + [[0] * peeled + row for row in C]
+    if core:
+        assert _zn_det([row[:] for row in C], n) == lifted_bareiss_det(ModularRing(n), C)
+    ring = ModularRing(n)
+    if shape == "prod(Z,Z/n)":
+        ring, parts = ProductRing([Z, ring]), ([[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)], rows)
+    elif shape == "prod(Z/n,Z/12)":
+        ring, parts = ProductRing([ring, ModularRing(12)]), (rows, _zn_block(rng, 12, 2, size, size))
+    if shape != "Z/n":
+        rows = [list(zip(*lines)) for lines in zip(*parts)]
+    assert _det(ring, [row[:] for row in rows]) == lifted_bareiss_det(ring, rows)
 
 
 def test_peel_finds_singletons_that_appear_as_lines_are_peeled():

@@ -229,6 +229,9 @@ def test_comb_and_quo_match_the_scalar_table_over_z_zn_and_gfpx():
             width = rng.randint(0, 5)
             (a, b), xs, ys = (_draw_row(rng, ring, k) for k in (2, width, width))
             assert ops.comb(a, xs, b, ys) == scalar_comb(ops, a, xs, b, ys), ring
+            if isinstance(ring, ModularRing):  # Z/n determinants divide nothing (matrices._zn_det)
+                assert ops.quo is None, ring
+                continue
             (d,) = _draw_row(rng, ring, 1, nonzero=True)
             assert ops.quo(xs, d) == scalar_quo(ops, xs, d), ring
             exact = [ops.mul(d, x) for x in xs]

@@ -423,10 +423,12 @@ def test_identity_path_names_what_bareiss_on_p_names(ring, monkeypatch):
         assert verify_reduction(A, cert).failures == failures, name
 
 
-def _count_bareiss(monkeypatch):
+def _count_cores(monkeypatch, kernel):
+    """Record the size of each core that `kernel`, the determinant's
+    elimination (_bareiss, or _zn_det over Z/n), is called on."""
     calls = []
-    bareiss = edr.matrices._bareiss
-    monkeypatch.setattr(edr.matrices, "_bareiss", lambda a, ops: calls.append(len(a)) or bareiss(a, ops))
+    eliminate = getattr(edr.matrices, kernel)
+    monkeypatch.setattr(edr.matrices, kernel, lambda a, arg: calls.append(len(a)) or eliminate(a, arg))
     return calls
 
 
@@ -437,7 +439,7 @@ def test_verify_runs_bareiss_on_p_only_off_the_domains(spec, monkeypatch):
     draw = (lambda: rng.randint(-9, 9)) if spec == "Z" else (lambda: rng.randrange(360))
     A = RingMatrix.from_payloads(ring, [[draw() for _ in range(12)] for _ in range(12)])
     cert = diagonal_reduce(A)
-    calls = _count_bareiss(monkeypatch)
+    calls = _count_cores(monkeypatch, "_bareiss" if spec == "Z" else "_zn_det")
     cert.P.det()
     on_p = calls[:]
     assert on_p  # P keeps a core after peeling (10 rows over Z, 2 over Z/360)
