@@ -358,8 +358,11 @@ def test_completion_checks_each_lift_once(monkeypatch):
 def _completion_corpus():
     """Seeded rows over Z, seven Z/n (half their entries drawn from the
     nilradical), GF(2)[x] and GF(5)[x], each with the row's gcd or some other
-    determinant (often refused), and three long rows over Z: the number of
-    cases and the sha256 of every certificate document or refusal in turn."""
+    determinant (often refused), and three long rows over Z. Two (number of
+    cases, sha256 of every certificate document or refusal in turn) pairs:
+    the refused cases with those whose target is the row's canonical nonzero
+    gcd (bezout_combination's g), then the others (zero targets and other
+    generators of the row's ideal)."""
     rng = random.Random(2024)
     cases = [(Z, [6 + 10 * i for i in range(k)], 2) for k in (3, 17, 40)]
     for _ in range(120):
@@ -375,25 +378,30 @@ def _completion_corpus():
         for _ in range(40):
             row = [[rng.randrange(p) for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(2, 6))]
             cases.append((PrimeFieldPolynomialRing(p), row, None if rng.random() < 0.8 else [rng.randrange(p)] * 2))
-    digest = hashlib.sha256()
+    counts, digests = [0, 0], [hashlib.sha256(), hashlib.sha256()]
     for ring, payloads, d in cases:
         row = [ring.from_int(v) if isinstance(v, int) else ring.element(v) for v in payloads]
+        g, _ = bezout_combination(row)
         if d is None:
-            target, _ = bezout_combination(row)
+            target = g
         else:
             target = ring.from_int(d) if isinstance(d, int) else ring.element(d)
         try:
             text = dumps(completion_certificate_to_doc(ring, complete_row(row, target)))
+            other = target != g or target.is_zero()
         except EdrError as exc:
-            text = f"{exc.code}: {exc.message}\n"
-        digest.update(text.encode())
-    return len(cases), digest.hexdigest()
+            text, other = f"{exc.code}: {exc.message}\n", False
+        counts[other] += 1
+        digests[other].update(text.encode())
+    return [(k, h.hexdigest()) for k, h in zip(counts, digests)]
 
 
 def test_completion_documents_match_the_recorded_corpus():
     # recorded from the recursive construction the loop replaced; the corpus
     # takes every branch of the induction step (89 of its cases are refused)
-    assert _completion_corpus() == (413, "b55c76f1aae7ca769621c26f6e81737aa24ccb18a14685611e5b88593969609d")
+    kept, other = _completion_corpus()
+    assert kept == (385, "353d18ea4f108c078b783879e5442d636c0d47e4263cb402f52cf944fc2fe043")
+    assert other == (28, "f164c457b8716653a091afbee4491cd9a553d6e91a7b86b95d3a1aa79331e139")
 
 
 # ---------------------------------------------------------------------------
