@@ -4,14 +4,16 @@ The ternary lift finds y with aR + (b + cy)R = R whenever (a, b, c) is
 unimodular and a avoids the radical: split a = r*s against b (r coprime to
 b, every prime of s divides b), then y = 0 mod r and y = 1 mod s does it.
 The split is adequate.lifted_split's, which over Z/n splits gcd(a, n) on
-Z; y is found there and reduced mod n. Each combination of 1 or d from
-given elements, and each test that one exists, is rings.ideal_combination.
+Z; y is found there and reduced mod n. Each combination of 1 from given
+elements, and each test that one exists, is rings.ideal_combination.
 
-Row completion runs the induction on the row length as one loop: each pass
-folds the leading quotients into one generator, lifts the last-but-one slot
-into a unimodular position and drops the last slot, recording the column
-operations that undo its shifts; the 2x2 base then grows back, one row and
-column per pass, and the recorded operations are replayed innermost first.
+Both row completions have one builder, _rows_to: the row completes to its
+gcd g and the second row is scaled by t / g for a target t in (g). The
+completion to g runs the induction on the row length as one loop: each
+pass folds the leading quotients into one generator, lifts the last-but-one
+slot into a unimodular position and drops the last slot, recording the
+column operations that undo its shifts; the 2x2 base then grows back, one
+row and column per pass, and the recorded operations replay innermost first.
 A pass costs O(k) ring operations, so the construction takes O(k^2) on a
 row of k entries and dominates long rows: the certifying determinant
 peels singleton lines and triangularises what is left (matrices._det). The
@@ -158,46 +160,73 @@ def sr2_reduce(a1: RingElement, a2: RingElement, a3: RingElement):
 
 def complete_row(row, d: RingElement) -> CompletionCertificate:
     """Square matrix with the given first row and determinant exactly d;
-    requires the row to generate the ideal (d) and length >= 2."""
+    requires the row to generate the ideal (d) and length >= 2. The row
+    completes to its gcd g, the second row scaled by d / g (_rows_to)."""
+    row, ring = _entries(row, d, _LIFT_RINGS, "completion", "target")
+    for i, a in enumerate(row):
+        if exact_quotient(a, d) is None:
+            raise NotPrincipal(f"d does not divide row entry {i}")
+    rows = _rows_to(ring, row, d)
+    if rows is None:
+        raise NotPrincipal("d is not an element combination of the row")
+    return _certify(ring, rows, row, d)
+
+
+def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
+    """Square matrix with the given first row and determinant the idempotent
+    e, provided e lies in the ideal the row generates, over Z/n and over
+    products (nested ones too); built as complete_row's matrix is."""
+    row, ring = _entries(row, e, (ModularRing, ProductRing), "idempotent completion", "idempotent")
+    if e * e != e:
+        raise NotIdempotent("e*e != e")
+    rows = _rows_to(ring, row, e)
+    if rows is None:
+        raise NotInIdeal("e is not in the ideal generated by the row")
+    return _certify(ring, rows, row, e)
+
+
+def _entries(row, target, rings, job, name):
+    """The row as a list and the target's ring, checked to be one of `rings`
+    and to hold every entry of a row of two or more."""
     row = list(row)
-    rows = _completion_rows(row, d)
-    return _certify(d.ring, rows, row, d)
-
-
-def _completion_rows(row, d):
-    """complete_row's entry rows, preconditions checked, not yet certified."""
     if len(row) < 2:
         raise PreconditionFailed("need at least two row entries")
-    ring = d.ring
-    if not isinstance(ring, _LIFT_RINGS):
-        raise UnsupportedRing(f"completion is not supported over {ring}")
+    ring = target.ring
+    if not isinstance(ring, rings):
+        raise UnsupportedRing(f"{job} is not supported over {ring}")
     for a in row:
         if a.ring != ring:
-            raise PreconditionFailed("row entries must share the target's ring")
+            raise PreconditionFailed(f"row entries must share the {name}'s ring")
+    return row, ring
 
-    quotients = [exact_quotient(a, d) for a in row]
-    if None in quotients:
-        raise NotPrincipal(f"d does not divide row entry {quotients.index(None)}")
-    witnesses = ideal_combination(row, d)  # sum(witnesses[i] * row[i]) == d
-    if witnesses is None:
-        raise NotPrincipal("d is not an element combination of the row")
 
-    if d.is_zero():
-        # the zero ideal forces a zero row; park a shifted identity below it
-        zero, one = ring.zero, ring.one
-        n = len(row)
-        rows = [list(row)]
-        for i in range(1, n):
-            rows.append([one if j == i - 1 else zero for j in range(n)])
-        return rows
-
-    return _complete(ring, list(row), quotients, witnesses)
+def _rows_to(ring, row, t):
+    """Entry rows completing `row` to determinant t, or None when t is not
+    in the row's ideal (g): the completion to g, its second row scaled by
+    t / g, or zero rows under the row when t = 0. A product completes factor
+    by factor: the lift behind the completion exists over its factors."""
+    n = len(row)
+    if isinstance(ring, ProductRing):
+        parts = [_rows_to(f, [RingElement(f, a.payload[k]) for a in row], RingElement(f, t.payload[k]))
+                 for k, f in enumerate(ring.factors)]
+        if None in parts:
+            return None
+        return [[RingElement(ring, tuple(p[i][j].payload for p in parts)) for j in range(n)] for i in range(n)]
+    if t.is_zero():
+        return [list(row)] + [[ring.zero] * n for _ in range(n - 1)]
+    g, coeffs = bezout_combination(row)
+    w = exact_quotient(t, g)
+    if w is None:
+        return None
+    rows = _complete(ring, list(row), [exact_quotient(a, g) for a in row], coeffs)
+    rows[1] = [a * w for a in rows[1]]
+    return rows
 
 
 def _complete(ring, row, q, x):
     """Entry rows completing `row` (the list is consumed) to determinant d,
     where d*q[i] == row[i] and sum(x[i]*row[i]) == d at the top of every
-    pass."""
+    pass; _rows_to calls it with d the row's gcd."""
     zero, one = ring.zero, ring.one
     steps = []
     while len(row) > 2:
@@ -255,54 +284,4 @@ def _complete(ring, row, q, x):
             j, coef = undo
             for r in rows:
                 r[0] = r[0] - coef * r[j]
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# idempotent-determinant completion
-
-
-def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
-    """Square matrix with the given first row and determinant the idempotent
-    e, provided e lies in the ideal the row generates.
-
-    That ideal is (g), g the row's gcd, so e = g*w: the ordinary completion
-    to g, its second row scaled by w, keeps the first row and has
-    determinant g*w = e exactly, over Z/n as over any lift ring. e = 0
-    parks zero rows under the row instead. A product, nested ones too,
-    completes componentwise: the lift behind the completion exists over
-    its factors, not over the product."""
-    row = list(row)
-    if len(row) < 2:
-        raise PreconditionFailed("need at least two row entries")
-    ring = e.ring
-    if not isinstance(ring, (ModularRing, ProductRing)):
-        raise UnsupportedRing(f"idempotent completion is not supported over {ring}")
-    for a in row:
-        if a.ring != ring:
-            raise PreconditionFailed("row entries must share the idempotent's ring")
-    if e * e != e:
-        raise NotIdempotent("e*e != e")
-    if ideal_combination(row, e) is None:
-        raise NotInIdeal("e is not in the ideal generated by the row")
-
-    return _certify(ring, _idempotent_rows(ring, row, e), row, e)
-
-
-def _idempotent_rows(ring, row, t):
-    """Entry rows completing `row` to a determinant t in the row's ideal;
-    idempotent_complete certifies them once."""
-    n = len(row)
-    if isinstance(ring, ProductRing):
-        parts = [
-            _idempotent_rows(f, [RingElement(f, a.payload[k]) for a in row], RingElement(f, t.payload[k]))
-            for k, f in enumerate(ring.factors)
-        ]
-        return [[RingElement(ring, tuple(p[i][j].payload for p in parts)) for j in range(n)] for i in range(n)]
-    if t.is_zero():
-        return [list(row)] + [[ring.zero] * n for _ in range(n - 1)]
-    g, coeffs = bezout_combination(row)
-    rows = _complete(ring, list(row), [exact_quotient(a, g) for a in row], coeffs)
-    w = exact_quotient(t, g)
-    rows[1] = [a * w for a in rows[1]]
     return rows

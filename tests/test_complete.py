@@ -7,6 +7,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from edr import complete, rings
 from edr.complete import (
@@ -180,7 +182,7 @@ def test_complete_row_examples():
     assert perm_det([[e.payload for e in row] for row in cert.A.entries]) == 2
 
     cert = complete_row([Z.zero, Z.zero], Z.zero)
-    assert cert.A.to_lists() == [[Z.zero, Z.zero], [Z.one, Z.zero]]
+    assert cert.A.to_lists() == [[Z.zero, Z.zero], [Z.zero, Z.zero]]
     assert cert.det_value == Z.zero
 
 
@@ -276,6 +278,38 @@ def test_complete_row_accepts_associate_determinants():
     assert verify_completion(cert).ok
 
 
+def _generators(ring, g):
+    """Generators of the ideal (g) to complete to: every one over Z/n, g and
+    -g over Z, c*g for each nonzero constant c over GF(5)[x]."""
+    if isinstance(ring, ModularRing):
+        return [ring.from_int(t) for t in range(ring.n) if math.gcd(t, ring.n) == math.gcd(g.payload, ring.n)]
+    return [ring.from_int(c) * g for c in ((1, -1) if ring == Z else range(1, 5))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ring=st.sampled_from([ModularRing(4), M12, ModularRing(36), Z, GF5]), k=st.integers(2, 5), seed=st.integers(0, 2**32))
+@example(ring=M12, k=2, seed=11)  # the row [8, 4]: g = 4, and t = 8 scales by the non-unit 2
+def test_complete_row_meets_every_generator_of_the_row_ideal(ring, k, seed):
+    # the row completes to its gcd g and the second row is scaled by t / g,
+    # which over Z/n need not be a unit: each certificate keeps the row and
+    # has determinant exactly t
+    rng = random.Random(seed)
+    if isinstance(ring, ModularRing):
+        f = rng.choice([f for f in range(1, ring.n + 1) if ring.n % f == 0])
+        row = [ring.from_int(f * rng.randrange(ring.n)) for _ in range(k)]
+    elif ring == Z:
+        row = [Z.from_int(rng.randint(-30, 30)) for _ in range(k)]
+    else:
+        common = GF5.element([rng.randrange(5) for _ in range(rng.randint(0, 2))] + [1])
+        row = [common * GF5.element([rng.randrange(5) for _ in range(rng.randint(0, 3))]) for _ in range(k)]
+    g, _ = bezout_combination(row)
+    for t in _generators(ring, g):
+        cert = complete_row(row, t)
+        assert tuple(cert.A.entries[0]) == tuple(row)
+        assert cert.det_value == t
+        assert verify_completion(cert).ok, (str(ring), row, t)
+
+
 @pytest.mark.parametrize("ring", [Z, ModularRing(360), ModularRing(2**64 + 13)], ids=str)
 def test_verify_completion_names_a_tampered_determinant(ring):
     # each tamper leaves the first row alone, so the determinant check is
@@ -331,7 +365,7 @@ def test_completion_products_grow_at_most_quadratically(monkeypatch):
     products = []
     for k in (50, 200):
         count[0] = 0
-        complete._completion_rows(_long_row(k), Z.from_int(2))
+        complete._rows_to(Z, _long_row(k), Z.from_int(2))
         products.append(count[0])
     assert products[1] <= 16 * products[0], products
 
@@ -352,6 +386,24 @@ def test_completion_checks_each_lift_once(monkeypatch):
             monkeypatch.setattr(module, "gcd_bezout", counted)
     cert = complete_row(_long_row(3), Z.from_int(2))
     assert cert.det_value == Z.from_int(2)
+    assert calls[0] <= 5, calls
+
+
+def test_idempotent_completion_folds_the_row_once(monkeypatch):
+    # idempotent_complete([3, 4, 5], 4) over Z/12 folds the row (2 gcds) and
+    # completes it to 1 as complete_row does (3): the ideal test reuses the fold
+    calls = [0]
+    gcd = rings.gcd_bezout
+
+    def counted(a, b):
+        calls[0] += 1
+        return gcd(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "edr" and getattr(module, "gcd_bezout", None) is gcd:
+            monkeypatch.setattr(module, "gcd_bezout", counted)
+    cert = idempotent_complete([M12.from_int(v) for v in (3, 4, 5)], M12.from_int(4))
+    assert cert.det_value == M12.from_int(4)
     assert calls[0] <= 5, calls
 
 
@@ -397,11 +449,15 @@ def _completion_corpus():
 
 
 def test_completion_documents_match_the_recorded_corpus():
-    # recorded from the recursive construction the loop replaced; the corpus
-    # takes every branch of the induction step (89 of its cases are refused)
+    # the corpus takes every branch of the induction step (89 of its cases
+    # are refused). The first pin was recorded from the recursive
+    # construction the loop replaced. The second was re-recorded when both
+    # completions became one builder that completes to the row's gcd and
+    # scales the second row: another generator of the ideal gets other
+    # entries (same first row and determinant), a zero target zero rows
     kept, other = _completion_corpus()
     assert kept == (385, "353d18ea4f108c078b783879e5442d636c0d47e4263cb402f52cf944fc2fe043")
-    assert other == (28, "f164c457b8716653a091afbee4491cd9a553d6e91a7b86b95d3a1aa79331e139")
+    assert other == (28, "db33094540b65a562f542b009f15d57fa8c7046647f6853458e686a1c0ffeaf3")
 
 
 # ---------------------------------------------------------------------------
