@@ -410,10 +410,10 @@ def test_idempotent_completion_folds_the_row_once(monkeypatch):
 def _completion_corpus():
     """Seeded rows over Z, seven Z/n (half their entries drawn from the
     nilradical), GF(2)[x] and GF(5)[x], each with the row's gcd or some other
-    determinant (often refused), and three long rows over Z. Two (number of
+    determinant (often refused), and three long rows over Z. Three (number of
     cases, sha256 of every certificate document or refusal in turn) pairs:
-    the refused cases with those whose target is the row's canonical nonzero
-    gcd (bezout_combination's g), then the others (zero targets and other
+    the refused cases, those whose target is the row's canonical nonzero gcd
+    (bezout_combination's g), then the others (zero targets and other
     generators of the row's ideal)."""
     rng = random.Random(2024)
     cases = [(Z, [6 + 10 * i for i in range(k)], 2) for k in (3, 17, 40)]
@@ -430,7 +430,7 @@ def _completion_corpus():
         for _ in range(40):
             row = [[rng.randrange(p) for _ in range(rng.randint(0, 4))] for _ in range(rng.randint(2, 6))]
             cases.append((PrimeFieldPolynomialRing(p), row, None if rng.random() < 0.8 else [rng.randrange(p)] * 2))
-    counts, digests = [0, 0], [hashlib.sha256(), hashlib.sha256()]
+    counts, digests = [0, 0, 0], [hashlib.sha256() for _ in range(3)]
     for ring, payloads, d in cases:
         row = [ring.from_int(v) if isinstance(v, int) else ring.element(v) for v in payloads]
         g, _ = bezout_combination(row)
@@ -440,23 +440,25 @@ def _completion_corpus():
             target = ring.from_int(d) if isinstance(d, int) else ring.element(d)
         try:
             text = dumps(completion_certificate_to_doc(ring, complete_row(row, target)))
-            other = target != g or target.is_zero()
+            kind = 2 if target != g or target.is_zero() else 1
         except EdrError as exc:
-            text, other = f"{exc.code}: {exc.message}\n", False
-        counts[other] += 1
-        digests[other].update(text.encode())
+            text, kind = f"{exc.code}: {exc.message}\n", 0
+        counts[kind] += 1
+        digests[kind].update(text.encode())
     return [(k, h.hexdigest()) for k, h in zip(counts, digests)]
 
 
 def test_completion_documents_match_the_recorded_corpus():
-    # the corpus takes every branch of the induction step (89 of its cases
-    # are refused). The first pin was recorded from the recursive
-    # construction the loop replaced. The second was re-recorded when both
-    # completions became one builder that completes to the row's gcd and
-    # scales the second row: another generator of the ideal gets other
-    # entries (same first row and determinant), a zero target zero rows
-    kept, other = _completion_corpus()
-    assert kept == (385, "353d18ea4f108c078b783879e5442d636c0d47e4263cb402f52cf944fc2fe043")
+    # the refusals (codes and messages) are pinned apart from the
+    # certificates, so that a change of construction that keeps every
+    # refusal leaves their digest as it is. The certificate pins were
+    # re-recorded when both completions became one builder that completes
+    # to the row's gcd and scales the second row: another generator of the
+    # ideal gets other entries (same first row and determinant), a zero
+    # target zero rows
+    refused, canonical, other = _completion_corpus()
+    assert refused == (89, "d27babc2ca4394c48eecbaeebdc9f778e4541cde771d707c040fed5b5aab5337")
+    assert canonical == (296, "ccf71aa36b98fefed44cafbd280941eada4732114d5de919fcd9a19b64fe866c")
     assert other == (28, "db33094540b65a562f542b009f15d57fa8c7046647f6853458e686a1c0ffeaf3")
 
 
