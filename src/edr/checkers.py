@@ -1,4 +1,4 @@
-"""Exhaustive predicate checks on finite rings plus a bounded refuter.
+"""Exhaustive predicate checks on finite rings plus an exact lift decision.
 
 Each check evaluates its quantified clause over every element (or tuple) of
 the ring and reports a replayable witness when the clause fails. One engine
@@ -42,9 +42,11 @@ from .rings import (
     Ring,
     RingElement,
     gcd_bezout,
+    int_to_decimal,
     is_unit,
     jacobson_member,
 )
+from .complete import sr1_quotient_lift
 
 __all__ = [
     "PREDICATES",
@@ -246,19 +248,18 @@ def check_clean_quotient(a: RingElement) -> PredicateReport:
     return check_finite_predicate(ModularRing(v), "Clean")
 
 
-def bounded_refute_sr1(ring: ProductRing, triple, bound: int) -> PredicateReport:
-    """Search |y_i| <= bound for a lift aR + (b + c*y)R = R over a product
-    of copies of Z. A failed search is evidence against the lift condition,
-    not a proof, and the report says so.
-
-    The components of y act independently, so the scan runs per component;
-    the counted work is the same as walking the full cube."""
+def bounded_refute_sr1(ring: ProductRing, triple) -> PredicateReport:
+    """Decide whether some y gives aR + (b + c*y)R = R over a product of
+    copies of Z, one component at a time. A component with a_i != 0 lifts
+    by sr1_quotient_lift (Z/a_iZ is finite, so it has stable range 1); one
+    with a_i = 0 lifts iff b_i + c_i*y_i = +-1 is solvable, i.e. c_i divides
+    b_i - 1 or b_i + 1 (c_i = 0 forces b_i = +-1). A failure's note names
+    the component and both remainders, which prove it; elements_scanned is
+    the number of components decided."""
     if not isinstance(ring, ProductRing) or not all(
         isinstance(f, IntegerRing) for f in ring.factors
     ):
         raise UnsupportedRing("refuter expects a product of copies of Z")
-    if bound < 0:
-        raise PreconditionFailed("the search bound must be >= 0")
     a, b, c = triple
     if a.ring != ring or b.ring != ring or c.ring != ring:
         raise PreconditionFailed("triple must live in the given product ring")
@@ -267,25 +268,16 @@ def bounded_refute_sr1(ring: ProductRing, triple, bound: int) -> PredicateReport
     if jacobson_member(a):
         raise PreconditionFailed("a lies in the radical")
 
-    scanned = 0
     found: list[int] = []
-    for ai, bi, ci in zip(a.payload, b.payload, c.payload):
-        hit = None
-        for y in range(-bound, bound + 1):
-            scanned += 1
-            if math.gcd(ai, bi + ci * y) == 1:
-                hit = y
-                break
-        if hit is None:
-            return PredicateReport(
-                "JStableCondition",
-                False,
-                (a, b, c),
-                scanned,
-                note=f"bounded evidence, not proof: no |y| <= {bound} lifts this triple",
-            )
-        found.append(hit)
-    lift = "(" + ",".join(str(v) for v in found) + ")"
-    return PredicateReport(
-        "JStableCondition", True, None, scanned, note=f"lift found: y = {lift}"
-    )
+    for i, (f, ai, bi, ci) in enumerate(zip(ring.factors, a.payload, b.payload, c.payload)):
+        if ai:
+            found.append(sr1_quotient_lift(*(RingElement(f, v) for v in (ai, bi, ci))).payload)
+            continue
+        (q1, r1), (q2, r2) = f.ops.div(bi - 1, ci), f.ops.div(bi + 1, ci)  # div(x, 0) = (0, x)
+        if r1 and r2:
+            note = (f"no lift: in component {i}, a = 0 and c = {int_to_decimal(ci)} divides neither "
+                    f"b - 1 nor b + 1 (remainders {int_to_decimal(r1)}, {int_to_decimal(r2)})")
+            return PredicateReport("JStableCondition", False, (a, b, c), i + 1, note=note)
+        found.append(-q2 if r1 else -q1)  # b + c*(-q) = b - (b -+ 1) = +-1
+    lift = "(" + ",".join(int_to_decimal(v) for v in found) + ")"
+    return PredicateReport("JStableCondition", True, None, len(found), note=f"lift found: y = {lift}")

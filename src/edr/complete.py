@@ -7,19 +7,18 @@ The split is adequate.lifted_split's, which over Z/n splits gcd(a, n) on
 Z; y is found there and reduced mod n. Each combination of 1 from given
 elements, and each test that one exists, is rings.ideal_combination.
 
-Both row completions have one builder, _rows_to: the row completes to its
-gcd g and the second row is scaled by t / g for a target t in (g). The
-completion to g runs the induction on the row length as one loop: each
-pass folds the leading quotients into one generator, lifts the last-but-one
-slot into a unimodular position and drops the last slot, recording the
-column operations that undo its shifts; the 2x2 base then grows back, one
-row and column per pass, and the recorded operations replay innermost first.
-A pass costs O(k) ring operations, so the construction takes O(k^2) on a
-row of k entries and dominates long rows: the certifying determinant
-peels singleton lines and triangularises what is left (matrices._det). The
-quotient/coefficient witnesses are carried from pass to pass algebraically;
-recomputing them modulo n could displace them by annihilators of d and
-derail the radical case analysis.
+Both row completions have one builder, _rows_to, which runs Euclid on the
+row's payloads with the sweep's division rule (reduce._pivot; Kannan &
+Bachem, SIAM J. Comput. 8(4), 1979): swap the entry of least ops.size to
+the front, divide every other entry by it with ops.div, and repeat until
+the row is (d, 0, ..., 0). A matrix V, the identity at the start, keeps
+row = (current row) * V: a swap swaps two rows of V and negates the sign
+det V, and a[j] -= q*a[0] adds q*V[j] to V[0] (one ops.comb). Then
+row = d*V[0], and V with the row in place of V[0] and V[1] scaled by
+sign*w, where w = t / d for the target t, has determinant d*w = t; t
+outside (d) is refused. Over Z, GF(p)[x] and Z/n (where size is
+gcd(a, n)) every remainder is smaller than its divisor, so the loop ends.
+A product completes factor by factor: its table has no size or comb.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from .rings import (
     PrimeFieldPolynomialRing,
     ProductRing,
     RingElement,
-    bezout_combination,
     exact_quotient,
     gcd_bezout,
     ideal_combination,
@@ -113,21 +111,16 @@ def sr1_quotient_lift(a: RingElement, b: RingElement, c: RingElement) -> RingEle
     if jacobson_member(a):
         raise PreconditionFailed("a lies in the radical")
 
-    y = _lift(a, b)
-    if not is_unit(gcd_bezout(a, b + c * y).g):
-        raise PostconditionFailed("lift postcondition failed")
-    return y
-
-
-def _lift(a, b):
-    """sr1_quotient_lift's y, unchecked: it depends on a and b alone."""
     # r and s are coprime (primes of s divide b, those of r do not), and y =
     # r*x with x*r + (.)*s = 1 vanishes mod r and is 1 mod s, so for any c
     # with (a, b, c) unimodular b + c*y dodges every prime of a: primes of r
     # miss b, primes of s miss c
     split = lifted_split(a, b)
     x, _ = ideal_combination([split.r, split.s], split.r.ring.one)
-    return a.ring.element((split.r * x).payload)
+    y = ring.element((split.r * x).payload)
+    if not is_unit(gcd_bezout(a, b + c * y).g):
+        raise PostconditionFailed("lift postcondition failed")
+    return y
 
 
 def sr2_reduce(a1: RingElement, a2: RingElement, a3: RingElement):
@@ -160,8 +153,7 @@ def sr2_reduce(a1: RingElement, a2: RingElement, a3: RingElement):
 
 def complete_row(row, d: RingElement) -> CompletionCertificate:
     """Square matrix with the given first row and determinant exactly d;
-    requires the row to generate the ideal (d) and length >= 2. The row
-    completes to its gcd g, the second row scaled by d / g (_rows_to)."""
+    requires the row to generate the ideal (d) and length >= 2 (_rows_to)."""
     row, ring = _entries(row, d, _LIFT_RINGS, "completion", "target")
     for i, a in enumerate(row):
         if exact_quotient(a, d) is None:
@@ -202,9 +194,7 @@ def _entries(row, target, rings, job, name):
 
 def _rows_to(ring, row, t):
     """Entry rows completing `row` to determinant t, or None when t is not
-    in the row's ideal (g): the completion to g, its second row scaled by
-    t / g, or zero rows under the row when t = 0. A product completes factor
-    by factor: the lift behind the completion exists over its factors."""
+    in the ideal the row generates (see the module docstring)."""
     n = len(row)
     if isinstance(ring, ProductRing):
         parts = [_rows_to(f, [RingElement(f, a.payload[k]) for a in row], RingElement(f, t.payload[k]))
@@ -212,76 +202,25 @@ def _rows_to(ring, row, t):
         if None in parts:
             return None
         return [[RingElement(ring, tuple(p[i][j].payload for p in parts)) for j in range(n)] for i in range(n)]
-    if t.is_zero():
-        return [list(row)] + [[ring.zero] * n for _ in range(n - 1)]
-    g, coeffs = bezout_combination(row)
-    w = exact_quotient(t, g)
-    if w is None:
+    ops = ring.ops
+    a = [x.payload for x in row]
+    V = [[ops.one if i == j else ops.zero for j in range(n)] for i in range(n)]
+    sign = ops.one
+    cells = [j for j in range(n) if a[j]]
+    while cells:
+        j = min(cells, key=lambda j: ops.size(a[j]))
+        if j:
+            a[0], a[j] = a[j], a[0]
+            V[0], V[j] = V[j], V[0]
+            sign = ops.neg(sign)
+        for j in range(1, n):
+            q, a[j] = ops.div(a[j], a[0])
+            if q:
+                V[0] = ops.comb(ops.one, V[0], ops.neg(q), V[j])
+        cells = [j for j in range(1, n) if a[j]]
+    w, r = ops.div(t.payload, a[0])
+    if r:
         return None
-    rows = _complete(ring, list(row), [exact_quotient(a, g) for a in row], coeffs)
-    rows[1] = [a * w for a in rows[1]]
-    return rows
-
-
-def _complete(ring, row, q, x):
-    """Entry rows completing `row` (the list is consumed) to determinant d,
-    where d*q[i] == row[i] and sum(x[i]*row[i]) == d at the top of every
-    pass; _rows_to calls it with d the row's gcd."""
-    zero, one = ring.zero, ring.one
-    steps = []
-    while len(row) > 2:
-        k = len(row)
-        c = -one
-        for xi, qi in zip(x, q):
-            c = c + xi * qi  # d*c == 0
-        t = q[-1] * x[-1] - c
-
-        undo = None
-        if all(jacobson_member(qi) for qi in q[: k - 2]):
-            if not jacobson_member(q[k - 2]):
-                # shift the next-to-last slot onto the first; x needs no
-                # update, the lift below reads only x[k-1] and rebuilds x
-                undo = (k - 2, one)
-                row[0] = row[0] + row[k - 2]
-                q[0] = q[0] + q[k - 2]
-            else:
-                # last resort: q[-1]*x[-1] - c escapes the radical (the three
-                # classes cannot all sit inside it, their witness combination
-                # sums to 1)
-                undo = (k - 1, x[k - 1])
-                row[0] = row[0] + row[k - 1] * x[k - 1]
-                q[0] = q[0] + t
-                x[k - 1] = x[k - 1] * (one - x[0])
-
-        # now a leading quotient escapes the radical: lift the last-but-one
-        # slot into a unimodular position against their gcd
-        g, s_coeffs = bezout_combination(q[: k - 2])
-        z = _lift(g, q[k - 2])
-        target = q[k - 2] + t * z
-        combo = ideal_combination([g, target], one)  # checks the lift too
-        if combo is None:
-            raise PostconditionFailed("lift postcondition failed")
-        alpha, beta = combo
-
-        shift = x[k - 1] * z
-        last = row.pop()
-        steps.append((last, shift, undo))
-        row[k - 2] = row[k - 2] + last * shift
-        q[k - 2 :] = [target]
-        x = [alpha * sc for sc in s_coeffs] + [beta]
-
-    rows = [[row[0], row[1]], [-x[1], x[0]]]
-    for last, shift, undo in reversed(steps):
-        k = len(rows) + 1
-        for i, r in enumerate(rows):
-            r.append(last if i == 0 else zero)
-        rows.append([zero] * (k - 1) + [one])
-        # undo the lift's shift: col[k-2] -= x[k-1]*z * col[k-1]
-        for r in rows:
-            r[k - 2] = r[k - 2] - shift * r[k - 1]
-        if undo is not None:
-            # and the leading one: col[0] -= coef * col[j]
-            j, coef = undo
-            for r in rows:
-                r[0] = r[0] - coef * r[j]
-    return rows
+    c = ops.mul(sign, w)
+    V[1] = [ops.mul(c, x) for x in V[1]]
+    return [list(row)] + [[RingElement(ring, x) for x in v] for v in V[1:]]

@@ -2,11 +2,12 @@
 
 Every finite commutative ring here is a product of local rings, so the four
 predicates genuinely hold on every Z/n; the false branch of the report is
-reachable only through the bounded refuter over infinite products, whose
-witness gets re-verified by direct componentwise gcd below. One engine scans
-Z/n and products alike; it is checked against the brute RingElement scan of
-`oracles.brute_predicate_scan`, its documents are pinned, and its
-failure walk (unreachable on real rings) is checked on its own.
+reachable only through the lift decision over products of copies of Z,
+whose obstruction gets re-verified by direct componentwise gcd below. One
+engine scans Z/n and products alike; it is checked against the brute
+RingElement scan of `oracles.brute_predicate_scan`, its documents are
+pinned, and its failure walk (unreachable on real rings) is checked on its
+own.
 """
 
 import hashlib
@@ -155,16 +156,16 @@ def test_clean_quotient_guards():
 
 
 def test_bounded_refuter_finds_failing_triple_by_search():
-    # search small triples for one with no bounded lift, then re-verify the
-    # witness by direct componentwise gcd
-    bound = 50
+    # search small triples for one with no lift, then check the obstruction
+    # its note names: a = 0 in that component and c divides neither b - 1
+    # nor b + 1, so no y up to 10^4 either way gives a coprime pair
     found = None
     for a2, b2, c2 in itertools.product(range(0, 6), range(0, 6), range(0, 6)):
         a = ZxZ.element((2, a2))
         b = ZxZ.element((3, b2))
         c = ZxZ.element((5, c2))
         try:
-            rep = bounded_refute_sr1(ZxZ, (a, b, c), bound)
+            rep = bounded_refute_sr1(ZxZ, (a, b, c))
         except PreconditionFailed:
             continue
         if not rep.holds:
@@ -172,28 +173,42 @@ def test_bounded_refuter_finds_failing_triple_by_search():
             break
     assert found is not None
     a, b, c, rep = found
-    assert "bounded evidence" in rep.note
     assert rep.witness == (a, b, c)
-    # replay: the second component really admits no bounded lift
+    assert rep.elements_scanned == 2
     a2, b2, c2 = a.payload[1], b.payload[1], c.payload[1]
-    assert all(math.gcd(a2, b2 + c2 * y) != 1 for y in range(-bound, bound + 1))
+    assert a2 == 0 and (b2 - 1) % c2 and (b2 + 1) % c2
+    r1, r2 = (r if 2 * r <= c2 else r - c2 for r in ((b2 - 1) % c2, (b2 + 1) % c2))
+    assert rep.note == (f"no lift: in component 1, a = 0 and c = {c2} divides neither "
+                        f"b - 1 nor b + 1 (remainders {r1}, {r2})")
+    assert all(math.gcd(a2, b2 + c2 * y) != 1 for y in range(-10**4, 10**4 + 1))
 
 
 def test_bounded_refuter_trivial_cases():
     a = ZxZ.element((1, 1))
     b = ZxZ.element((3, 0))
     c = ZxZ.element((0, 1))
-    rep = bounded_refute_sr1(ZxZ, (a, b, c), 10)
-    assert rep.holds and "lift found" in rep.note
+    rep = bounded_refute_sr1(ZxZ, (a, b, c))
+    assert rep.holds and "lift found" in rep.note and rep.elements_scanned == 2
 
     # c = (1,1) always succeeds: solve each component directly
     a = ZxZ.element((4, 9))
     b = ZxZ.element((6, 3))
     c = ZxZ.element((1, 1))
-    rep = bounded_refute_sr1(ZxZ, (a, b, c), 10)
+    rep = bounded_refute_sr1(ZxZ, (a, b, c))
     assert rep.holds
     ys = [int(v) for v in rep.note.split("(")[1].rstrip(")").split(",")]
     assert math.gcd(4, 6 + ys[0]) == 1 and math.gcd(9, 3 + ys[1]) == 1
+
+    # a = 0 lifts through b + c*y = +-1, and c = 0 only at b = +-1
+    a = ZxZ.element((0, 1))
+    for b2, c2 in ((3, 2), (4, 5), (-1, 0), (1, 0)):
+        rep = bounded_refute_sr1(ZxZ, (a, ZxZ.element((b2, 0)), ZxZ.element((c2, 0))))
+        assert rep.holds, (b2, c2)
+        y = int(rep.note.split("(")[1].split(",")[0])
+        assert abs(b2 + c2 * y) == 1
+    rep = bounded_refute_sr1(ZxZ, (a, ZxZ.element((2, 0)), ZxZ.element((5, 0))))
+    assert not rep.holds and rep.elements_scanned == 1
+    assert "component 0" in rep.note and "(remainders 1, -2)" in rep.note
 
 
 def test_bounded_refuter_preconditions():
@@ -201,22 +216,15 @@ def test_bounded_refuter_preconditions():
         bounded_refute_sr1(
             ZxZ,
             (ZxZ.element((2, 2)), ZxZ.element((4, 2)), ZxZ.element((6, 2))),
-            5,
         )
     with pytest.raises(PreconditionFailed):
         bounded_refute_sr1(
-            ZxZ, (ZxZ.element((0, 0)), ZxZ.element((1, 1)), ZxZ.element((1, 1))), 5
-        )
-    # a negative bound scans nothing, which is no evidence either way
-    with pytest.raises(PreconditionFailed):
-        bounded_refute_sr1(
-            ZxZ, (ZxZ.element((2, 3)), ZxZ.element((3, 2)), ZxZ.element((1, 1))), -1
+            ZxZ, (ZxZ.element((0, 0)), ZxZ.element((1, 1)), ZxZ.element((1, 1)))
         )
     with pytest.raises(UnsupportedRing):
         bounded_refute_sr1(
             ProductRing([ModularRing(4), ModularRing(9)]),
             (None, None, None),
-            5,
         )
 
 

@@ -33,7 +33,6 @@ from edr.rings import (
     ModularRing,
     PrimeFieldPolynomialRing,
     ProductRing,
-    RingElement,
     TruncatedSeriesRing,
     bezout_combination,
     gcd_bezout,
@@ -201,10 +200,12 @@ def test_complete_row_rejects_non_principal():
 
 
 def test_complete_row_radical_cases():
-    # leading quotients inside the radical exercise both shift sub-cases
+    # rows with zero entries or entries in the radical (2 and 4 over Z/4
+    # and Z/8): the entry of least size (gcd(a, n) over Z/n) goes first and
+    # the others are divided by it, whatever the radical holds
     cases = [
-        (Z, [0, 3, 5], 1),  # next-to-last quotient escapes the radical
-        (Z, [0, 0, 5], 5),  # only the witness combination escapes
+        (Z, [0, 3, 5], 1),  # a zero in front: 3 is swapped there
+        (Z, [0, 0, 5], 5),  # one nonzero entry, swapped to the front
         (Z, [0, 0, 0, 7], 7),
         (ModularRing(4), [2, 3, 1], 1),
         (ModularRing(4), [2, 2, 1], 1),
@@ -354,57 +355,54 @@ def test_completion_depth_does_not_grow_with_the_row():
 
 
 def test_completion_products_grow_at_most_quadratically(monkeypatch):
-    count = [0]
-    mul = RingElement.__mul__
+    # the construction forms its entries in the op table's row kernel: each
+    # pass divides the row by its least entry and adds one row of V per
+    # nonzero quotient, so a row of k entries forms O(k^2) of them
+    formed = [0]
+    comb = IntegerRing.ops.comb
+
+    def counted(a, xs, b, ys):
+        out = comb(a, xs, b, ys)
+        formed[0] += len(out)
+        return out
+
+    monkeypatch.setattr(IntegerRing, "ops", IntegerRing.ops._replace(comb=counted))
+    for k in (50, 200):
+        formed[0] = 0
+        complete._rows_to(Z, _long_row(k), Z.from_int(2))
+        assert 0 < formed[0] <= 2 * k * k, (k, formed[0])
+
+
+def _count_gcd_bezout(monkeypatch):
+    calls = [0]
+    gcd = rings.gcd_bezout
 
     def counted(a, b):
-        count[0] += 1
-        return mul(a, b)
+        calls[0] += 1
+        return gcd(a, b)
 
-    monkeypatch.setattr(RingElement, "__mul__", counted)
-    products = []
-    for k in (50, 200):
-        count[0] = 0
-        complete._rows_to(Z, _long_row(k), Z.from_int(2))
-        products.append(count[0])
-    assert products[1] <= 16 * products[0], products
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "edr" and getattr(module, "gcd_bezout", None) is gcd:
+            monkeypatch.setattr(module, "gcd_bezout", counted)
+    return calls
 
 
 def test_completion_checks_each_lift_once(monkeypatch):
-    # complete_row([6, 16, 26], 2) folds the row (2 gcds), splits for the
-    # lift and combines its parts (1 + 1) and checks the lifted pair (1):
-    # the pass's combination is the lift's only check
-    calls = [0]
-    gcd = rings.gcd_bezout
-
-    def counted(a, b):
-        calls[0] += 1
-        return gcd(a, b)
-
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "edr" and getattr(module, "gcd_bezout", None) is gcd:
-            monkeypatch.setattr(module, "gcd_bezout", counted)
+    # complete_row runs Euclid on the row's payloads through the op table's
+    # div: the construction takes no Bezout gcd and no stable-range lift
+    calls = _count_gcd_bezout(monkeypatch)
     cert = complete_row(_long_row(3), Z.from_int(2))
     assert cert.det_value == Z.from_int(2)
-    assert calls[0] <= 5, calls
+    assert calls[0] == 0, calls
 
 
 def test_idempotent_completion_folds_the_row_once(monkeypatch):
-    # idempotent_complete([3, 4, 5], 4) over Z/12 folds the row (2 gcds) and
-    # completes it to 1 as complete_row does (3): the ideal test reuses the fold
-    calls = [0]
-    gcd = rings.gcd_bezout
-
-    def counted(a, b):
-        calls[0] += 1
-        return gcd(a, b)
-
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "edr" and getattr(module, "gcd_bezout", None) is gcd:
-            monkeypatch.setattr(module, "gcd_bezout", counted)
+    # idempotent_complete([3, 4, 5], 4) over Z/12 runs the same Euclid as
+    # complete_row, and the ideal test is its last division: no Bezout gcd
+    calls = _count_gcd_bezout(monkeypatch)
     cert = idempotent_complete([M12.from_int(v) for v in (3, 4, 5)], M12.from_int(4))
     assert cert.det_value == M12.from_int(4)
-    assert calls[0] <= 5, calls
+    assert calls[0] == 0, calls
 
 
 def _completion_corpus():
@@ -450,16 +448,14 @@ def _completion_corpus():
 
 def test_completion_documents_match_the_recorded_corpus():
     # the refusals (codes and messages) are pinned apart from the
-    # certificates, so that a change of construction that keeps every
-    # refusal leaves their digest as it is. The certificate pins were
-    # re-recorded when both completions became one builder that completes
-    # to the row's gcd and scales the second row: another generator of the
-    # ideal gets other entries (same first row and determinant), a zero
-    # target zero rows
+    # certificates and were recorded from the stable-range induction that
+    # Euclid on the payloads replaced, which refuses exactly the same cases.
+    # The two certificate pins are recorded from the Euclid construction: it
+    # keeps each first row and determinant but gives other entries
     refused, canonical, other = _completion_corpus()
     assert refused == (89, "d27babc2ca4394c48eecbaeebdc9f778e4541cde771d707c040fed5b5aab5337")
-    assert canonical == (296, "ccf71aa36b98fefed44cafbd280941eada4732114d5de919fcd9a19b64fe866c")
-    assert other == (28, "db33094540b65a562f542b009f15d57fa8c7046647f6853458e686a1c0ffeaf3")
+    assert canonical == (296, "a19a23f10147e654ab3e6bd8ac19cd9e0c806aefcadb920558b0fe02c8c8aabe")
+    assert other == (28, "931c924564d29e2ef9e539f547ae147b54e779454d082d3cfa106d5f4d604963")
 
 
 # ---------------------------------------------------------------------------
