@@ -184,6 +184,11 @@ def test_complete_row_examples():
     assert cert.A.to_lists() == [[Z.zero, Z.zero], [Z.zero, Z.zero]]
     assert cert.det_value == Z.zero
 
+    # a zero target zeroes the second row; the rows of V below it stay
+    cert = complete_row([Z.zero] * 3, Z.zero)
+    assert [[e.payload for e in row] for row in cert.A.entries] == [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+    assert verify_completion(cert).ok
+
 
 def test_complete_row_rejects_non_principal():
     with pytest.raises(NotPrincipal):
