@@ -2,7 +2,7 @@
 
 An element a is adequate to b when a = r*s with r coprime to b while every
 non-invertible divisor of s shares a factor with b. Over a PID the split
-falls out of repeated gcd extraction; over Z/n some power a^m splits through
+divides out squared gcds with b; over Z/n some power a^m splits through
 a pair of idempotents, m the least power at which a and b vanish on the
 prime powers of n that their primes divide, found by gcds and squarings, so
 no Z/n split factors n; in the truncated series ring the integer split of
@@ -65,28 +65,25 @@ class AdequateSplit:
 
 
 def adequate_split(a: RingElement, b: RingElement) -> AdequateSplit:
-    """Split a = r*s relative to b by extracting gcd(r, b) until coprime.
-
-    Works over Z and GF(p)[x]; a must be nonzero. The loop terminates since
-    each extraction strictly shrinks r; the iteration cap is defensive only.
-    """
+    """Split a = r*s, r coprime to b and s holding every prime of a that
+    divides b, over Z and GF(p)[x] (a nonzero). g = gcd(a, b); while g is
+    not a unit, r is divided by g and g becomes gcd(r, g^2), which holds the
+    primes of b still dividing r. Squaring doubles the multiplicity each
+    division strips, so a prime of multiplicity k costs O(log k) gcds, not
+    k. rings.coprime_divisor runs this rule on integers with math.gcd,
+    cheaper per call; here a and b may be polynomials. The witness is
+    gcd_bezout(r, b), the first gcd when nothing was stripped."""
     ring = a.ring
     if not isinstance(ring, (IntegerRing, PrimeFieldPolynomialRing)):
         raise UnsupportedRing(f"adequate_split is not defined over {ring}")
     if a.is_zero():
         raise ZeroElement("cannot split zero")
-    r, s = a, ring.one
-    if isinstance(ring, IntegerRing):
-        cap = abs(a.payload).bit_length() + 1
-    else:
-        cap = len(a.payload) + 1
-    for _ in range(cap):
-        bd = gcd_bezout(r, b)
-        if is_unit(bd.g):
-            return AdequateSplit(r, s, 1, bd)
-        r = divide_exact(r, bd.g)
-        s = s * bd.g
-    raise PostconditionFailed("gcd extraction failed to terminate")
+    bd = gcd_bezout(a, b)
+    r, s, g = a, ring.one, bd.g
+    while not is_unit(g):
+        r, s = divide_exact(r, g), s * g
+        g = gcd_bezout(r, g * g).g
+    return AdequateSplit(r, s, 1, bd if s == ring.one else gcd_bezout(r, b))
 
 
 def lifted_split(a: RingElement, b: RingElement) -> AdequateSplit:
@@ -254,8 +251,8 @@ def verify_adequate(
     passes over Z and GF(p)[x] only with b = 0. The test costs O(log k)
     products, each reduced mod s, and a^m costs O(log m) products: nothing
     is factored, so s and n are not bounded. It shares no algorithm with
-    the constructions above (gcd extraction, idempotents), only the ring's
-    op table and gcd_bezout.
+    the constructions above (squared-gcd stripping, idempotents), only the
+    ring's op table and gcd_bezout.
     """
     ring = _same_ring(a, b, r, s)
     if isinstance(ring, IntegerRing):

@@ -211,7 +211,8 @@ def coprime_divisor(n: int, a: int) -> int:
     """The largest divisor of n coprime to a (n >= 1), by gcds alone. g
     holds every prime of a still dividing n; squaring it before the next gcd
     doubles the exponent each division strips, so a prime of exponent k in
-    n costs O(log k) gcds, not k."""
+    n costs O(log k) gcds, not k. adequate.adequate_split runs this rule on
+    Bezout gcds; math.gcd is several times cheaper per call."""
     g = math.gcd(n, a)
     while g != 1:
         n //= g

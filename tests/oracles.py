@@ -14,6 +14,7 @@ from edr.rings import (
     RingElement,
     divide_exact,
     gcd_bezout,
+    is_unit,
 )
 
 
@@ -37,6 +38,21 @@ def divisors_meet_z(s, b):
     if s == 0:
         return b == 0  # only b = 0 meets every integer
     return all(math.gcd(d, b) != 1 for d in int_divisors(s) if d > 1)
+
+
+def split_one_gcd_per_pass(a, b):
+    """(r, s, witness) of the adequate split of a against b over Z or
+    GF(p)[x] by the plain loop: strip g = gcd(r, b) from r, one gcd per
+    pass, until g is a unit; that last gcd's Bezout data is the witness. A
+    prime of multiplicity k in a costs k passes; the reference for
+    adequate_split."""
+    r, s = a, a.ring.one
+    while True:
+        bd = gcd_bezout(r, b)
+        if is_unit(bd.g):
+            return r, s, bd
+        r = divide_exact(r, bd.g)
+        s = s * bd.g
 
 
 def valid_adequate_split_z(a, b, r, s, m=1):

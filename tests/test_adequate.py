@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from edr.adequate import (
     adequate_split,
+    lifted_split,
     pi_adequate_split_zn,
     series_adequate_split,
     verify_adequate,
@@ -26,6 +27,7 @@ from edr.rings import (
     PrimeFieldPolynomialRing,
     ProductRing,
     TruncatedSeriesRing,
+    gcd_bezout,
     is_unit,
 )
 
@@ -37,6 +39,7 @@ from oracles import (
     poly_irreducible_factors,
     poly_mul,
     poly_trim,
+    split_one_gcd_per_pass,
     trial_factorize,
     valid_adequate_split_gfpx,
     valid_adequate_split_z,
@@ -94,6 +97,78 @@ def test_split_with_negative_and_zero_b():
     assert valid_adequate_split_z(-12, 10, sp.r.payload, sp.s.payload)
     sp = adequate_split(Z.from_int(12), Z.zero)
     assert valid_adequate_split_z(12, 0, sp.r.payload, sp.s.payload)
+
+
+@st.composite
+def split_cases(draw):
+    """(a, b) over Z, GF(p)[x] or Z/n: a carries high powers of some primes
+    (irreducibles), and b often meets them; over Z, a may be negative and b
+    zero."""
+    kind = draw(st.sampled_from(["Z", "GF(p)[x]", "Z/n"]))
+    if kind == "Z":
+        primes = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 65537]), max_size=3))
+        a = draw(st.integers(1, 10**6)) * math.prod(q ** draw(st.integers(1, 80)) for q in primes)
+        b = draw(st.integers(-(10**4), 10**4) | st.builds(lambda k: k * math.prod(primes), st.integers(-30, 30)))
+        return Z.from_int(draw(st.sampled_from([1, -1])) * a), Z.from_int(b)
+    if kind == "Z/n":
+        n = draw(st.integers(2, 10**6) | st.builds(pow, st.sampled_from([2, 3, 7, 65537]), st.integers(1, 60)))
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            b = a * b % n
+        return ModularRing(n).from_int(a), ModularRing(n).from_int(b)
+    p = draw(st.sampled_from([2, 5, 65537]))
+    ring = PrimeFieldPolynomialRing(p)
+
+    def poly(max_deg):
+        return poly_trim(draw(st.lists(st.integers(0, p - 1), max_size=max_deg + 1)))
+
+    monic = st.lists(st.integers(0, p - 1), min_size=1, max_size=2).map(lambda cs: (*cs, 1))
+    factors = draw(st.lists(monic, max_size=3))
+    a = poly(4) or (1,)
+    for q in factors:
+        for _ in range(draw(st.integers(1, 20))):
+            a = poly_mul(a, q, p)
+    b = poly(3)
+    if factors and draw(st.booleans()):
+        b = poly_mul(b or (1,), draw(st.sampled_from(factors)), p)
+    return ring.element(a), ring.element(b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(split_cases())
+def test_split_matches_one_gcd_per_pass(case):
+    # the squared-gcd loop gives the plain loop's r, s and witness; over Z/n
+    # both split gcd(a, n) against b's lift on Z
+    a, b = case
+    sp = lifted_split(a, b)
+    if isinstance(a.ring, ModularRing):
+        a, b = Z.from_int(math.gcd(a.payload, a.ring.n)), Z.from_int(b.payload)
+    assert (sp.r, sp.s, sp.witness, sp.m) == (*split_one_gcd_per_pass(a, b), 1)
+
+
+def test_split_gcd_count_grows_by_a_constant_per_doubling(monkeypatch):
+    # a prime of multiplicity k costs O(log k) gcds: 2^k against 2 and x^k
+    # against x add at most two gcd_bezout calls per doubling of k; a split
+    # that strips one power per gcd fails at the 65th call, not the 65,537th
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        if len(calls) > 64:
+            pytest.fail("more than 64 gcd_bezout calls in one split")
+        return gcd_bezout(x, y)
+
+    monkeypatch.setattr("edr.adequate.gcd_bezout", counted)
+    gf5 = PrimeFieldPolynomialRing(5)
+    for power, prime in ((lambda k: Z.from_int(2**k), Z.from_int(2)),
+                         (lambda k: gf5.element([0] * k + [1]), gf5.element([0, 1]))):
+        counts = []
+        for k in (2**j for j in range(10, 17)):
+            calls.clear()
+            sp = adequate_split(power(k), prime)
+            assert (sp.r, sp.s) == (prime.ring.one, power(k))
+            counts.append(len(calls))
+        assert all(c1 - c0 <= 2 for c0, c1 in zip(counts, counts[1:])), counts
 
 
 def test_verify_examples():
