@@ -74,8 +74,10 @@ class CompletionCertificate:
 
 
 def _certify(ring, rows, first_row, target) -> CompletionCertificate:
-    A = RingMatrix(ring, rows)
-    if tuple(A.entries[0]) != tuple(first_row):
+    """Wrap the payload rows, without re-checking an entry, and check on
+    payloads that the first row is `first_row`, then the determinant."""
+    A = RingMatrix.wrap(ring, rows)
+    if A.payloads[0] != tuple(e.payload for e in first_row):
         raise PostconditionFailed("first row was not preserved")
     det = A.det()
     if det != target:
@@ -84,11 +86,15 @@ def _certify(ring, rows, first_row, target) -> CompletionCertificate:
 
 
 def verify_completion(cert: CompletionCertificate) -> CheckReport:
-    """Independent re-check: first row entries and exact determinant."""
+    """Independent re-check: first row entries and exact determinant. The
+    first row matches when each of its elements lies in A's ring and has
+    the payload of A's entry."""
     failures = []
+    ring = cert.A.ring
     if cert.A.rows != cert.A.cols or cert.A.rows != len(cert.first_row):
         return CheckReport.from_failures(["shapes consistent"])
-    if tuple(cert.A.entries[0]) != tuple(cert.first_row):
+    if not all(isinstance(e, RingElement) and e.ring == ring and e.payload == v
+               for e, v in zip(cert.first_row, cert.A.payloads[0])):
         failures.append("first row match")
     det = cert.A.det()
     if det != cert.det_target or det != cert.det_value:
@@ -158,7 +164,7 @@ def complete_row(row, d: RingElement) -> CompletionCertificate:
     for i, a in enumerate(row):
         if exact_quotient(a, d) is None:
             raise NotPrincipal(f"d does not divide row entry {i}")
-    rows = _rows_to(ring, row, d)
+    rows = _rows_to(ring, [a.payload for a in row], d.payload)
     if rows is None:
         raise NotPrincipal("d is not an element combination of the row")
     return _certify(ring, rows, row, d)
@@ -171,7 +177,7 @@ def idempotent_complete(row, e: RingElement) -> CompletionCertificate:
     row, ring = _entries(row, e, (ModularRing, ProductRing), "idempotent completion", "idempotent")
     if e * e != e:
         raise NotIdempotent("e*e != e")
-    rows = _rows_to(ring, row, e)
+    rows = _rows_to(ring, [a.payload for a in row], e.payload)
     if rows is None:
         raise NotInIdeal("e is not in the ideal generated by the row")
     return _certify(ring, rows, row, e)
@@ -193,17 +199,18 @@ def _entries(row, target, rings, job, name):
 
 
 def _rows_to(ring, row, t):
-    """Entry rows completing `row` to determinant t, or None when t is not
-    in the ideal the row generates (see the module docstring)."""
+    """Payload rows completing the payload row `row` to the payload t, or
+    None when t is not in the ideal the row generates (see the module
+    docstring). A product completes each factor's component row and zips
+    the components' rows back together."""
     n = len(row)
     if isinstance(ring, ProductRing):
-        parts = [_rows_to(f, [RingElement(f, a.payload[k]) for a in row], RingElement(f, t.payload[k]))
-                 for k, f in enumerate(ring.factors)]
+        parts = [_rows_to(f, [a[k] for a in row], t[k]) for k, f in enumerate(ring.factors)]
         if None in parts:
             return None
-        return [[RingElement(ring, tuple(p[i][j].payload for p in parts)) for j in range(n)] for i in range(n)]
+        return [list(zip(*rows)) for rows in zip(*parts)]
     ops = ring.ops
-    a = [x.payload for x in row]
+    a = list(row)
     V = [[ops.one if i == j else ops.zero for j in range(n)] for i in range(n)]
     sign = ops.one
     cells = [j for j in range(n) if a[j]]
@@ -218,9 +225,9 @@ def _rows_to(ring, row, t):
             if q:
                 V[0] = ops.comb(ops.one, V[0], ops.neg(q), V[j])
         cells = [j for j in range(1, n) if a[j]]
-    w, r = ops.div(t.payload, a[0])
+    w, r = ops.div(t, a[0])
     if r:
         return None
     c = ops.mul(sign, w)
     V[1] = [ops.mul(c, x) for x in V[1]]
-    return [list(row)] + [[RingElement(ring, x) for x in v] for v in V[1:]]
+    return [list(row)] + V[1:]

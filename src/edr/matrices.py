@@ -14,30 +14,35 @@ __all__ = ["RingMatrix"]
 
 
 class RingMatrix:
-    """An immutable m x n matrix of ring elements sharing one descriptor.
+    """An immutable m x n matrix over one ring descriptor, held as payload rows.
 
-    Only rings with Bezout gcds carry matrices (Z, Z/n, GF(p)[x] and their
-    products); the truncated series Zser<k> is refused with UnsupportedRing."""
+    `payloads` is a tuple of row tuples of the entries' canonical payloads,
+    the form every kernel below and in reduce and complete reads. `entries`
+    wraps them into RingElements afresh on each access, so a caller that
+    reads many entries takes it once. Only rings with Bezout gcds carry
+    matrices (Z, Z/n, GF(p)[x] and their products); the truncated series
+    Zser<k> is refused with UnsupportedRing."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = ("ring", "rows", "cols", "payloads")
 
     def __init__(self, ring: Ring, entries):
+        rows = [tuple(row) for row in entries]
+        if not all(isinstance(e, RingElement) and (e.ring is ring or e.ring == ring) for row in rows for e in row):
+            raise DescriptorMismatch("entry from a different ring")
+        self._set(ring, [[e.payload for e in row] for row in rows])
+
+    def _set(self, ring: Ring, payload_rows):
+        """Check the ring and the shape, then store the payload rows."""
         if ring.ops.bezout is None:
             raise UnsupportedRing(f"no matrix arithmetic over {ring}")
-        rows = tuple(tuple(row) for row in entries)
+        rows = tuple(tuple(row) for row in payload_rows)
         if not rows or not rows[0]:
             raise ValueError("matrices must have at least one row and column")
         cols = len(rows[0])
-        for row in rows:
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for e in row:
-                if not isinstance(e, RingElement) or (e.ring is not ring and e.ring != ring):
-                    raise DescriptorMismatch("entry from a different ring")
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", rows)
+        if any(len(row) != cols for row in rows):
+            raise ValueError("ragged rows")
+        for name, value in (("ring", ring), ("rows", len(rows)), ("cols", cols), ("payloads", rows)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("RingMatrix is immutable")
@@ -46,17 +51,8 @@ class RingMatrix:
     def from_payloads(cls, ring: Ring, payload_rows) -> "RingMatrix":
         """Build from raw payloads (ints for Z and Z/n, coefficient lists for
         polynomials, tuples for products)."""
-        conv = []
-        for row in payload_rows:
-            out = []
-            for v in row:
-                if isinstance(v, RingElement):
-                    out.append(v)
-                elif isinstance(v, int):
-                    out.append(ring.from_int(v))
-                else:
-                    out.append(ring.element(v))
-            conv.append(out)
+        conv = [[v if isinstance(v, RingElement) else ring.from_int(v) if isinstance(v, int) else ring.element(v)
+                 for v in row] for row in payload_rows]
         return cls(ring, conv)
 
     @classmethod
@@ -64,32 +60,31 @@ class RingMatrix:
         """Build from canonical payloads of `ring` (as payload_lists gives
         them), without the per-entry checks of the constructor."""
         M = object.__new__(cls)
-        entries = tuple(tuple(RingElement(ring, v) for v in row) for row in payload_rows)
-        for name, value in (("ring", ring), ("rows", len(entries)), ("cols", len(entries[0])), ("entries", entries)):
-            object.__setattr__(M, name, value)
+        M._set(ring, payload_rows)
         return M
 
     @classmethod
     def identity(cls, ring: Ring, n: int) -> "RingMatrix":
-        one, zero = ring.one, ring.zero
-        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+        one, zero = ring.ops.one, ring.ops.zero
+        return cls.wrap(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+    @property
+    def entries(self):
+        """The entries as RingElements, built on each access."""
+        return tuple(tuple(RingElement(self.ring, v) for v in row) for row in self.payloads)
 
     def to_lists(self):
         return [list(row) for row in self.entries]
 
     def payload_lists(self):
         """Fresh lists of the entries' payloads."""
-        return [[e.payload for e in row] for row in self.entries]
+        return [list(row) for row in self.payloads]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, RingMatrix)
-            and self.ring == other.ring
-            and self.entries == other.entries
-        )
+        return isinstance(other, RingMatrix) and self.ring == other.ring and self.payloads == other.payloads
 
     def __hash__(self):
-        return hash((self.ring, self.entries))
+        return hash((self.ring, self.payloads))
 
     def __mul__(self, other: "RingMatrix") -> "RingMatrix":
         if not isinstance(other, RingMatrix):
@@ -98,7 +93,7 @@ class RingMatrix:
             raise DescriptorMismatch("matrix rings differ")
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        return RingMatrix.wrap(self.ring, _matmul(self.ring, self.payload_lists(), other.payload_lists()))
+        return RingMatrix.wrap(self.ring, _matmul(self.ring, self.payloads, other.payloads))
 
     def det(self) -> RingElement:
         """Exact determinant in polynomial time, chosen by the ring.
@@ -124,7 +119,7 @@ class RingMatrix:
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return RingElement(self.ring, _det(self.ring, self.payload_lists()))
+        return RingElement(self.ring, _det(self.ring, self.payloads))
 
     def __repr__(self):
         body = "; ".join(
@@ -161,8 +156,9 @@ def _matmul(ring: Ring, a, b):
 
 
 def _det(ring: Ring, rows):
-    """The determinant's payload, from square payload rows: singleton lines
-    are peeled first (_peel), and _zn_det (Z/n) or _bareiss takes the core."""
+    """The determinant's payload, from square payload rows, which it only
+    reads: singleton lines are peeled first (_peel), and _zn_det (Z/n) or
+    _bareiss takes a copy of the core."""
     if isinstance(ring, ProductRing):
         return tuple(_det(f, [[v[i] for v in row] for row in rows]) for i, f in enumerate(ring.factors))
     ops = ring.ops

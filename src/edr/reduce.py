@@ -33,16 +33,17 @@ over prod(Z,Z/12) verifies too, but it ran 2-4x slower, and its Z part
 loses the Euclidean size control.
 
 The sweep, the chain repair and the normalization work on lists of raw
-payloads through the ring's PayloadOps table (rings.py). Elements appear
-only at the API boundary: diagonal_reduce unwraps A once and wraps P, D, Q
-and the two recorded determinants once, on the way out. A row step is one
-call of the table's row kernel comb for each matrix it changes. In the
-column phase the pivot is the only nonzero entry of its column of A (the
-rows below were cleared first, and the rows above belong to finished
-pivots), so subtracting q times the pivot column from column j changes A
-in the pivot row alone, where the entry becomes div's remainder. On Q the
-same step is a row step on Q's transpose, which diagonal_reduce holds from
-the sweep to the end of the chain repair.
+payloads through the ring's PayloadOps table (rings.py). A RingMatrix holds
+payload rows, so diagonal_reduce copies A's rows and stores P, D and Q
+without wrapping an entry; the two recorded determinants are the only
+elements it builds. A row step is one call of the table's row kernel comb
+for each matrix it changes. In the column phase the pivot is the only
+nonzero entry of its column of A (the rows below were cleared first, and
+the rows above belong to finished pivots), so subtracting q times the
+pivot column from column j changes A in the pivot row alone, where the
+entry becomes div's remainder. On Q the same step is a row step on Q's
+transpose, which diagonal_reduce holds from the sweep to the end of the
+chain repair.
 
 No determinant is computed while a certificate is built: every step applied
 to P and Q has a known determinant, and the construction multiplies them up
@@ -326,17 +327,16 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
         return CheckReport.from_failures(["shapes consistent"])
 
     zero = ring.ops.zero
-    P, D = cert.P.payload_lists(), cert.D.payload_lists()
-    paq_ok = _matmul(ring, _matmul(ring, P, A.payload_lists()), cert.Q.payload_lists()) == D
+    P, D = cert.P.payloads, cert.D.payloads
+    paq_ok = tuple(map(tuple, _matmul(ring, _matmul(ring, P, A.payloads), cert.Q.payloads))) == D
     if not paq_ok:
         failures.append("PAQ=D")
     diag_ok = all(v == zero for i, row in enumerate(D) for j, v in enumerate(row) if i != j)
+    diagonal = [D[i][i] for i in range(min(A.rows, A.cols))]
 
-    detQ = _det(ring, cert.Q.payload_lists())
+    detQ = _det(ring, cert.Q.payloads)
     if paq_ok and diag_ok and A.rows == A.cols and cert.detP_unit.ring == ring:
-        detP = _det_from_identity(
-            ring, P, A.payload_lists(), detQ, cert.detP_unit.payload, [D[i][i] for i in range(A.rows)]
-        )
+        detP = _det_from_identity(ring, P, A.payloads, detQ, cert.detP_unit.payload, diagonal)
     else:
         detP = _det(ring, P)
     detP, detQ = RingElement(ring, detP), RingElement(ring, detQ)
@@ -352,17 +352,11 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
     if not diag_ok:
         failures.append("D diagonal")
 
-    r = min(cert.D.rows, cert.D.cols)
-    for i in range(r - 1):
-        if exact_quotient(cert.D.entries[i + 1][i + 1], cert.D.entries[i][i]) is None:
-            failures.append("divisibility chain")
-            break
-
-    for i in range(r):
-        d = cert.D.entries[i][i]
-        if canonical_associate(d)[1] != d:
-            failures.append("canonical associates")
-            break
+    ds = [RingElement(ring, d) for d in diagonal]
+    if any(exact_quotient(b, a) is None for a, b in zip(ds, ds[1:])):
+        failures.append("divisibility chain")
+    if any(canonical_associate(d)[1] != d for d in ds):
+        failures.append("canonical associates")
 
     return CheckReport.from_failures(failures)
 

@@ -8,7 +8,8 @@ Matrix files are bit-exact:
 
 Certificates and reports serialize to JSON with a fixed key order, so equal
 inputs always produce equal bytes. Matrices inside JSON documents keep the
-row-major literal form.
+row-major literal form. parse_element's elements are canonical and of the
+ring it is given, so the readers wrap their payload rows unchecked.
 """
 
 from __future__ import annotations
@@ -81,12 +82,12 @@ def matrix_from_text(text: str) -> RingMatrix:
         toks = ln.split()
         if len(toks) != n:
             raise ParseError(f"expected {n} entries, found {len(toks)}", pos)
-        rows.append([parse_element(ring, tok) for tok in toks])
+        rows.append([parse_element(ring, tok).payload for tok in toks])
         taken += 1
         pos += len(ln) + 1
     if taken != m:
         raise ParseError(f"expected {m} rows, found {taken}", pos)
-    return RingMatrix(ring, rows)
+    return RingMatrix.wrap(ring, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +109,7 @@ def matrix_from_doc(ring: Ring, doc) -> RingMatrix:
         raise ParseError("matrix 'rows' must be a nonempty list of nonempty lists")
     if any(len(row) != len(rows[0]) for row in rows):
         raise ParseError("matrix 'rows' are ragged")
-    M = RingMatrix(ring, [[parse_element(ring, lit) for lit in row] for row in rows])
+    M = RingMatrix.wrap(ring, [[parse_element(ring, lit).payload for lit in row] for row in rows])
     shape = doc.get("shape")
     if shape is not None and (not isinstance(shape, (list, tuple)) or list(shape) != [M.rows, M.cols]):
         raise ParseError("matrix document shape disagrees with its rows")

@@ -337,6 +337,18 @@ def test_verify_completion_names_a_tampered_determinant(ring):
         assert verify_completion(tampered).failures == ("det = target",)
 
 
+@pytest.mark.parametrize("ring", [Z, ModularRing(360), ModularRing(2**64 + 13)], ids=str)
+def test_verify_completion_names_a_first_row_from_another_ring(ring):
+    # the first row is compared on payloads, so its ring is checked apart:
+    # 6, 10, 15 and 7 are canonical payloads of Z and of each Z/n here
+    cert = complete_row([ring.from_int(v) for v in (6, 10, 15, 7)], ring.one)
+    other = ModularRing(16) if ring == Z else Z
+    first_row = tuple(other.from_int(v) for v in (6, 10, 15, 7))
+    assert tuple(e.payload for e in first_row) == cert.A.payloads[0]
+    moved = dataclasses.replace(cert, first_row=first_row)
+    assert verify_completion(moved).failures == ("first row match",)
+
+
 def _long_row(k):
     # 6, 16, 26, ...: gcd 2, every quotient odd or a multiple of 4 apart
     return [Z.from_int(6 + 10 * i) for i in range(k)]
@@ -374,7 +386,7 @@ def test_completion_products_grow_at_most_quadratically(monkeypatch):
     monkeypatch.setattr(IntegerRing, "ops", IntegerRing.ops._replace(comb=counted))
     for k in (50, 200):
         formed[0] = 0
-        complete._rows_to(Z, _long_row(k), Z.from_int(2))
+        complete._rows_to(Z, [a.payload for a in _long_row(k)], 2)
         assert 0 < formed[0] <= 2 * k * k, (k, formed[0])
 
 

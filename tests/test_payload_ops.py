@@ -1,13 +1,16 @@
 """Properties of the payload op tables against the element-level surface."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edr.complete import complete_row, idempotent_complete
 from edr.errors import UnsupportedRing
 from edr.matrices import RingMatrix
+from edr.reduce import diagonal_reduce, verify_reduction
 from edr.rings import (
     IntegerRing,
     ModularRing,
@@ -109,6 +112,22 @@ def test_matrix_product_matches_the_element_triple_loop(case):
     a = A.payload_lists()
     b_cols = [list(col) for col in zip(*B.payload_lists())]
     assert C.payload_lists() == [[plain_dot(ring, row, col) for col in b_cols] for row in a]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix_pairs())
+def test_constructors_store_one_payload_form(case):
+    # a matrix is its ring and its payload rows, however it was built
+    ring, A, _ = case
+    B, C = RingMatrix(ring, A.entries), RingMatrix.wrap(ring, A.payload_lists())
+    assert B == A == C and hash(B) == hash(A) == hash(C)
+    assert A.payloads == tuple(tuple(e.payload for e in row) for row in A.entries)
+
+
+def test_equal_payloads_over_different_rings_differ():
+    rows = [[1, 2], [3, 4]]
+    A, B = RingMatrix.from_payloads(Z, rows), RingMatrix.from_payloads(ModularRing(7), rows)
+    assert A.payloads == B.payloads and A != B
 
 
 @pytest.mark.parametrize("ring", PRODUCT_RINGS, ids=str)
@@ -260,3 +279,48 @@ def test_big_modulus_is_the_product_of_two_primes():
 
     assert is_prime(2**64 - 59) and is_prime(2**64 - 83)
     assert BIG.n.bit_length() == 128
+
+
+def _count_elements(monkeypatch):
+    """A counter of RingElement constructions from here on."""
+    built = [0]
+    init = RingElement.__init__
+
+    def counted(self, ring, payload):
+        built[0] += 1
+        init(self, ring, payload)
+
+    monkeypatch.setattr(RingElement, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("ring", [Z, ModularRing(360), ProductRing([Z, ModularRing(12)])], ids=str)
+def test_matrix_boundaries_build_few_elements(ring, monkeypatch):
+    # a RingMatrix holds payload rows, so reducing, verifying and completing
+    # wrap no entry: diagonal_reduce builds its two recorded determinants and
+    # a few elements to test them (3n^2 + 5 when it wrapped P, D and Q),
+    # verify_reduction a few per diagonal entry of D, and the completions a
+    # few per row entry (about k^2 + k when they wrapped the rows)
+    rnd = random.Random(3)
+
+    def draw():
+        v = rnd.randint(-9, 9)
+        return (v, rnd.randrange(12)) if isinstance(ring, ProductRing) else v
+
+    for n in (12, 24):
+        A = RingMatrix.from_payloads(ring, [[draw() for _ in range(n)] for _ in range(n)])
+        row = [ring.from_int(6 + 10 * i) for i in range(n)]
+        if isinstance(ring, ProductRing):  # the idempotent (0, 4) lies in the row's ideal (2) x (2)
+            complete, target = idempotent_complete, ring.element((0, 4))
+        else:
+            complete, target = complete_row, ring.from_int(2)
+        built = _count_elements(monkeypatch)
+        cert = diagonal_reduce(A)
+        assert built[0] <= 10, ("diagonal_reduce", n, built[0])
+        built[0] = 0
+        assert verify_reduction(A, cert).ok
+        assert built[0] <= 8 * n, ("verify_reduction", n, built[0])
+        built[0] = 0
+        complete(row, target)
+        assert built[0] <= 2 * n + 10, (complete.__name__, n, built[0])
+        monkeypatch.undo()
