@@ -20,8 +20,8 @@ import sys
 from . import checkers, complete, reduce, serialize
 from .adequate import adequate_split, pi_adequate_split_zn, series_adequate_split
 from .errors import DescriptorMismatch, EdrError, ParseError
-from .parsing import element_to_str, parse_element, parse_ring, ring_to_str, split_top_level
-from .rings import ModularRing, TruncatedSeriesRing
+from .parsing import element_to_str, parse_element, parse_ring, parse_row, ring_to_str, split_top_level
+from .rings import ModularRing, RingElement, TruncatedSeriesRing
 
 
 class _UsageError(Exception):
@@ -116,7 +116,7 @@ def _run(args) -> int:
 
     if args.command == "complete":
         ring = _need_ring(args)
-        row = [parse_element(ring, tok) for tok in split_top_level(args.row)]
+        row = [RingElement(ring, v) for v in parse_row(ring, split_top_level(args.row))]
         det = parse_element(ring, args.det)
         cert = complete.complete_row(row, det)
         _emit(args, serialize.dumps(serialize.completion_certificate_to_doc(ring, cert)))

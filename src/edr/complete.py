@@ -42,7 +42,6 @@ from .rings import (
     PrimeFieldPolynomialRing,
     ProductRing,
     RingElement,
-    exact_quotient,
     gcd_bezout,
     ideal_combination,
     is_unit,
@@ -65,10 +64,11 @@ _LIFT_RINGS = (IntegerRing, ModularRing, PrimeFieldPolynomialRing)
 
 @dataclass(frozen=True)
 class CompletionCertificate:
-    """Square matrix whose first row and exact determinant are prescribed."""
+    """Square matrix whose first row and exact determinant are prescribed.
+    The first row is held as canonical payloads of A's ring, as A's rows are."""
 
     A: RingMatrix
-    first_row: tuple[RingElement, ...]
+    first_row: tuple
     det_target: RingElement
     det_value: RingElement
 
@@ -77,24 +77,22 @@ def _certify(ring, rows, first_row, target) -> CompletionCertificate:
     """Wrap the payload rows, without re-checking an entry, and check on
     payloads that the first row is `first_row`, then the determinant."""
     A = RingMatrix.wrap(ring, rows)
-    if A.payloads[0] != tuple(e.payload for e in first_row):
+    first_row = tuple(e.payload for e in first_row)
+    if A.payloads[0] != first_row:
         raise PostconditionFailed("first row was not preserved")
     det = A.det()
     if det != target:
         raise PostconditionFailed("determinant misses the target")
-    return CompletionCertificate(A, tuple(first_row), target, det)
+    return CompletionCertificate(A, first_row, target, det)
 
 
 def verify_completion(cert: CompletionCertificate) -> CheckReport:
     """Independent re-check: first row entries and exact determinant. The
-    first row matches when each of its elements lies in A's ring and has
-    the payload of A's entry."""
+    first row matches when its payloads are those of A's first row."""
     failures = []
-    ring = cert.A.ring
     if cert.A.rows != cert.A.cols or cert.A.rows != len(cert.first_row):
         return CheckReport.from_failures(["shapes consistent"])
-    if not all(isinstance(e, RingElement) and e.ring == ring and e.payload == v
-               for e, v in zip(cert.first_row, cert.A.payloads[0])):
+    if tuple(cert.first_row) != cert.A.payloads[0]:
         failures.append("first row match")
     det = cert.A.det()
     if det != cert.det_target or det != cert.det_value:
@@ -161,8 +159,9 @@ def complete_row(row, d: RingElement) -> CompletionCertificate:
     """Square matrix with the given first row and determinant exactly d;
     requires the row to generate the ideal (d) and length >= 2 (_rows_to)."""
     row, ring = _entries(row, d, _LIFT_RINGS, "completion", "target")
+    ops = ring.ops
     for i, a in enumerate(row):
-        if exact_quotient(a, d) is None:
+        if ops.div(a.payload, d.payload)[1]:
             raise NotPrincipal(f"d does not divide row entry {i}")
     rows = _rows_to(ring, [a.payload for a in row], d.payload)
     if rows is None:

@@ -122,9 +122,7 @@ class RingMatrix:
         return RingElement(self.ring, _det(self.ring, self.payloads))
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.ring.element_str(e) for e in row) for row in self.entries
-        )
+        body = "; ".join(" ".join(map(self.ring.payload_str, row)) for row in self.payloads)
         return f"<{self.ring} {self.rows}x{self.cols}: {body}>"
 
 

@@ -1,4 +1,4 @@
-"""Text grammar for ring descriptors and element literals.
+r"""Text grammar for ring descriptors and element literals.
 
 Descriptors:  Z | Z/<n> | GF(<p>)[x] | Zser<k> | prod(<desc>,<desc>[,...])
               (Zser orders above 256, primes p >= psi_13 and prod nesting
@@ -10,10 +10,17 @@ Elements:     decimal integers; polynomials as [c0,c1,...]; truncated series
 Writers emit literals with no internal whitespace so they can live in
 whitespace-separated matrix rows; the parser tolerates spaces around
 punctuation for hand-written input. Errors carry the character offset.
+
+Literals of Z, Z/n and GF(p)[x] are read by one compiled pattern each,
+straight to their payloads; a literal the pattern rejects, and every
+series or product literal, goes through the cursor parser, which raises
+the ParseError with its position. The cursor skips the whitespace that
+str.isspace names, which is the pattern's \s.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, ScaleExceeded
@@ -25,8 +32,10 @@ from .rings import (
     Ring,
     RingElement,
     TruncatedSeriesRing,
+    _DECIMAL_CHUNK,
     _MR_BOUND,
     _PRODUCT_DEPTH_BOUND,
+    _ptrim,
     int_from_decimal,
     is_prime,
 )
@@ -35,9 +44,19 @@ __all__ = [
     "parse_ring",
     "ring_to_str",
     "parse_element",
+    "parse_row",
     "element_to_str",
     "split_top_level",
 ]
+
+
+_SIGNED = r"[+-]?[0-9]+"
+_WS = re.compile(r"\s*")
+_INTEGER = re.compile(r"\s*([+-]?)([0-9]*)")
+# whole literals, with the whitespace the cursor skips around each token
+_DECIMAL = re.compile(rf"\s*({_SIGNED})\s*")
+_POLYNOMIAL = re.compile(rf"\s*\[\s*(?:{_SIGNED}\s*(?:,\s*{_SIGNED}\s*)*)?\]\s*")
+_TOKEN = re.compile(_SIGNED)
 
 
 class _Cursor:
@@ -46,8 +65,7 @@ class _Cursor:
         self.pos = pos
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _WS.match(self.text, self.pos).end()
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -66,17 +84,13 @@ class _Cursor:
         return False
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.peek() in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
-            self.pos += 1
-        if self.pos == digits:
-            raise ParseError("expected an integer", start)
-        value = int_from_decimal(self.text[digits : self.pos])
-        return -value if self.text[start] == "-" else value
+        m = _INTEGER.match(self.text, self.pos)
+        sign, digits = m.groups()
+        if not digits:
+            raise ParseError("expected an integer", m.start(1))
+        self.pos = m.end()
+        value = int_from_decimal(digits)
+        return -value if sign == "-" else value
 
     def rational(self) -> Fraction:
         num = self.integer()
@@ -166,10 +180,12 @@ def ring_to_str(ring: Ring) -> str:
 # elements
 
 
-def _parse_element_at(c: _Cursor, ring: Ring) -> RingElement:
+def _payload_at(c: _Cursor, ring: Ring):
     c.skip_ws()
-    if isinstance(ring, (IntegerRing, ModularRing)):
-        return ring.from_int(c.integer())
+    if isinstance(ring, IntegerRing):
+        return c.integer()
+    if isinstance(ring, ModularRing):
+        return c.integer() % ring.n
     if isinstance(ring, PrimeFieldPolynomialRing):
         c.expect("[")
         coeffs = []
@@ -178,7 +194,7 @@ def _parse_element_at(c: _Cursor, ring: Ring) -> RingElement:
             while c.match(","):
                 coeffs.append(c.integer())
             c.expect("]")
-        return ring.element(coeffs)
+        return _ptrim(tuple(v % ring.p for v in coeffs))
     if isinstance(ring, TruncatedSeriesRing):
         c.expect("{")
         z0 = c.integer()
@@ -195,23 +211,74 @@ def _parse_element_at(c: _Cursor, ring: Ring) -> RingElement:
             raise ParseError(
                 f"series literal has {len(coeffs)} coefficients, order is {ring.order}", start
             )
-        return ring.element(coeffs)
+        return ring.element(coeffs).payload
     if isinstance(ring, ProductRing):
         c.expect("(")
-        comps = [_parse_element_at(c, ring.factors[0])]
+        comps = [_payload_at(c, ring.factors[0])]
         for f in ring.factors[1:]:
             c.expect(",")
-            comps.append(_parse_element_at(c, f))
+            comps.append(_payload_at(c, f))
         c.expect(")")
-        return ring.element(comps)
+        return tuple(comps)
     raise ParseError(f"no element grammar for {ring}", c.pos)
 
 
-def parse_element(ring: Ring, text: str) -> RingElement:
+def _cursor_payload(ring: Ring, text):
+    """The payload of the literal `text` by the cursor parser."""
     c = _Cursor(_text(text, "an element literal"))
-    el = _parse_element_at(c, ring)
+    v = _payload_at(c, ring)
     c.done()
-    return el
+    return v
+
+
+def _pattern_payload(ring: Ring, text):
+    """The payload of the literal `text` by its ring kind's pattern, or None
+    where there is no pattern or it does not match."""
+    if not isinstance(text, str):
+        return None
+    if isinstance(ring, (IntegerRing, ModularRing)):
+        m = _DECIMAL.fullmatch(text)
+        if m is None:
+            return None
+        v = _signed(m[1])
+        return v % ring.n if isinstance(ring, ModularRing) else v
+    if isinstance(ring, PrimeFieldPolynomialRing) and _POLYNOMIAL.fullmatch(text):
+        p = ring.p
+        return _ptrim(tuple(_signed(c) % p for c in _TOKEN.findall(text)))
+    return None
+
+
+def _signed(token: str) -> int:
+    """The int of a signed decimal token of any length."""
+    v = int_from_decimal(token.lstrip("+-"))
+    return -v if token[0] == "-" else v
+
+
+def _payload(ring: Ring, text):
+    v = _pattern_payload(ring, text)
+    return _cursor_payload(ring, text) if v is None else v
+
+
+def parse_element(ring: Ring, text: str) -> RingElement:
+    return RingElement(ring, _payload(ring, text))
+
+
+def parse_row(ring: Ring, literals) -> list:
+    """The payloads of a row of element literals, as parse_element reads
+    each. Over Z and Z/n a row of bare signed decimals, each short enough
+    for int(), is matched and converted without a Python call per entry."""
+    literals = list(literals)
+    if isinstance(ring, (IntegerRing, ModularRing)) and _bare_decimals(literals):
+        values = list(map(int, literals))
+        return [v % ring.n for v in values] if isinstance(ring, ModularRing) else values
+    return [_payload(ring, lit) for lit in literals]
+
+
+def _bare_decimals(literals) -> bool:
+    """Whether the literals are strings, each a signed decimal without
+    whitespace of at most _DECIMAL_CHUNK characters."""
+    return (set(map(type, literals)) == {str} and all(map(_TOKEN.fullmatch, literals))
+            and max(map(len, literals)) <= _DECIMAL_CHUNK)
 
 
 def element_to_str(el: RingElement) -> str:

@@ -86,8 +86,6 @@ from .rings import (
     PrimeFieldPolynomialRing,
     ProductRing,
     RingElement,
-    canonical_associate,
-    exact_quotient,
     gcd_bezout,
     ideal_combination,
     is_unit,
@@ -326,7 +324,8 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
     ):
         return CheckReport.from_failures(["shapes consistent"])
 
-    zero = ring.ops.zero
+    ops = ring.ops
+    zero = ops.zero
     P, D = cert.P.payloads, cert.D.payloads
     paq_ok = tuple(map(tuple, _matmul(ring, _matmul(ring, P, A.payloads), cert.Q.payloads))) == D
     if not paq_ok:
@@ -339,23 +338,23 @@ def verify_reduction(A: RingMatrix, cert: ReductionCertificate) -> CheckReport:
         detP = _det_from_identity(ring, P, A.payloads, detQ, cert.detP_unit.payload, diagonal)
     else:
         detP = _det(ring, P)
-    detP, detQ = RingElement(ring, detP), RingElement(ring, detQ)
-    if not is_unit(detP):
+    if ops.div(ops.one, detP)[1] != zero:
         failures.append("det(P) unit")
-    if not is_unit(detQ):
+    if ops.div(ops.one, detQ)[1] != zero:
         failures.append("det(Q) unit")
-    if detP != cert.detP_unit:
+    if cert.detP_unit.ring != ring or cert.detP_unit.payload != detP:
         failures.append("detP recorded")
-    if detQ != cert.detQ_unit:
+    if cert.detQ_unit.ring != ring or cert.detQ_unit.payload != detQ:
         failures.append("detQ recorded")
 
     if not diag_ok:
         failures.append("D diagonal")
 
-    ds = [RingElement(ring, d) for d in diagonal]
-    if any(exact_quotient(b, a) is None for a, b in zip(ds, ds[1:])):
+    # b = q*a + r with r = 0 iff a divides b, and normal(d) * d is the
+    # canonical associate of d: exact_quotient's and canonical_associate's tests
+    if any(ops.div(b, a)[1] != zero for a, b in zip(diagonal, diagonal[1:])):
         failures.append("divisibility chain")
-    if any(canonical_associate(d)[1] != d for d in ds):
+    if any(ops.mul(ops.normal(d), d) != d for d in diagonal):
         failures.append("canonical associates")
 
     return CheckReport.from_failures(failures)

@@ -750,6 +750,10 @@ class Ring:
         raise UnsupportedRing(f"{self} is not enumerable")
 
     def element_str(self, a: RingElement) -> str:
+        return self.payload_str(a.payload)
+
+    def payload_str(self, v) -> str:
+        """The literal of the payload v, as parsing reads it back."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -775,11 +779,10 @@ class IntegerRing(Ring):
     def from_int(self, k):
         return RingElement(self, operator.index(k))  # a plain int, never a bool
 
+    payload_str = staticmethod(int_to_decimal)
+
     def jacobson_member(self, a):
         return a.payload == 0
-
-    def element_str(self, a):
-        return int_to_decimal(a.payload)
 
 
 class ModularRing(Ring):
@@ -830,8 +833,7 @@ class ModularRing(Ring):
         for v in range(self.n):
             yield RingElement(self, v)
 
-    def element_str(self, a):
-        return int_to_decimal(a.payload)
+    payload_str = staticmethod(int_to_decimal)
 
 
 class PrimeFieldPolynomialRing(Ring):
@@ -878,8 +880,9 @@ class PrimeFieldPolynomialRing(Ring):
     def jacobson_member(self, a):
         return not a.payload
 
-    def element_str(self, a):
-        return "[" + ",".join(str(c) for c in a.payload) + "]"
+    @staticmethod
+    def payload_str(v):
+        return "[" + ",".join(map(str, v)) + "]"
 
 
 class TruncatedSeriesRing(Ring):
@@ -936,8 +939,9 @@ class TruncatedSeriesRing(Ring):
     def jacobson_member(self, a):
         return a.payload[0] == 0
 
-    def element_str(self, a):
-        z0, *cs = a.payload  # int_to_decimal, unlike str(), has no digit limit
+    @staticmethod
+    def payload_str(v):
+        z0, *cs = v  # int_to_decimal, unlike str(), has no digit limit
         coeffs = (int_to_decimal(c.numerator) + ("" if c.denominator == 1 else "/" + int_to_decimal(c.denominator))
                   for c in cs)
         return "{" + int_to_decimal(z0) + ";" + ",".join(coeffs) + "}"
@@ -1027,8 +1031,8 @@ class ProductRing(Ring):
         for combo in itertools.product(*(f.iter_elements() for f in self.factors)):
             yield RingElement(self, tuple(e.payload for e in combo))
 
-    def element_str(self, a):
-        return "(" + ",".join(f.element_str(RingElement(f, c)) for f, c in zip(self.factors, a.payload)) + ")"
+    def payload_str(self, v):
+        return "(" + ",".join(f.payload_str(c) for f, c in zip(self.factors, v)) + ")"
 
 
 # ---------------------------------------------------------------------------

@@ -8,19 +8,22 @@ Matrix files are bit-exact:
 
 Certificates and reports serialize to JSON with a fixed key order, so equal
 inputs always produce equal bytes. Matrices inside JSON documents keep the
-row-major literal form. parse_element's elements are canonical and of the
-ring it is given, so the readers wrap their payload rows unchecked.
+row-major literal form. The writers format payloads with the ring's
+payload_str and the readers collect them with parse_row, whose payloads
+are canonical and of the ring it is given, so no entry is wrapped in a
+RingElement either way and the matrices are built unchecked.
 """
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii
 
 from .complete import CompletionCertificate
 from .checkers import PredicateReport
 from .errors import ParseError
 from .matrices import RingMatrix
-from .parsing import element_to_str, parse_element, parse_ring, ring_to_str
+from .parsing import element_to_str, parse_element, parse_ring, parse_row, ring_to_str
 from .reduce import ReductionCertificate
 from .report import CheckReport
 from .rings import Ring
@@ -41,7 +44,51 @@ __all__ = [
 
 
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """json.dumps(doc, indent=2) + "\\n", byte for byte, for documents of
+    dicts with string keys, lists, tuples, strings, ints, floats, bools
+    and None. json serves `indent` from its pure-Python encoder; this
+    writer lays out the same text around json's C string encoder, and
+    writes a list of strings (a matrix row) in one join."""
+    out = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(o, nl, out):
+    """Append the indent-2 text of `o` to `out`; `nl` is the newline and
+    indent of o's own line."""
+    if isinstance(o, str):
+        out(encode_basestring_ascii(o))
+    elif o is None:
+        out("null")
+    elif o is True:
+        out("true")
+    elif o is False:
+        out("false")
+    elif isinstance(o, int):
+        out(int.__repr__(o))
+    elif isinstance(o, float):
+        out(float.__repr__(o) if math.isfinite(o) else "NaN" if o != o else "Infinity" if o > 0 else "-Infinity")
+    elif isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        if o and set(map(type, o)) == {str}:
+            out("[" + inner + ("," + inner).join(map(encode_basestring_ascii, o)) + nl + "]")
+            return
+        for i, v in enumerate(o):
+            out(("[" if i == 0 else ",") + inner)
+            _write(v, inner, out)
+        out(nl + "]" if o else "[]")
+    elif isinstance(o, dict):
+        inner = nl + "  "
+        for i, (k, v) in enumerate(o.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out(("{" if i == 0 else ",") + inner + encode_basestring_ascii(k) + ": ")
+            _write(v, inner, out)
+        out(nl + "}" if o else "{}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +96,9 @@ def dumps(doc) -> str:
 
 
 def matrix_to_text(M: RingMatrix) -> str:
+    fmt = M.ring.payload_str
     lines = [f"ring: {ring_to_str(M.ring)}", f"shape: {M.rows} {M.cols}"]
-    for row in M.entries:
-        lines.append(" ".join(element_to_str(e) for e in row))
+    lines += [" ".join(map(fmt, row)) for row in M.payloads]
     return "\n".join(lines) + "\n"
 
 
@@ -82,7 +129,7 @@ def matrix_from_text(text: str) -> RingMatrix:
         toks = ln.split()
         if len(toks) != n:
             raise ParseError(f"expected {n} entries, found {len(toks)}", pos)
-        rows.append([parse_element(ring, tok).payload for tok in toks])
+        rows.append(parse_row(ring, toks))
         taken += 1
         pos += len(ln) + 1
     if taken != m:
@@ -97,7 +144,7 @@ def matrix_from_text(text: str) -> RingMatrix:
 def matrix_to_doc(M: RingMatrix) -> dict:
     return {
         "shape": [M.rows, M.cols],
-        "rows": [[element_to_str(e) for e in row] for row in M.entries],
+        "rows": [list(map(M.ring.payload_str, row)) for row in M.payloads],
     }
 
 
@@ -109,7 +156,7 @@ def matrix_from_doc(ring: Ring, doc) -> RingMatrix:
         raise ParseError("matrix 'rows' must be a nonempty list of nonempty lists")
     if any(len(row) != len(rows[0]) for row in rows):
         raise ParseError("matrix 'rows' are ragged")
-    M = RingMatrix.wrap(ring, [[parse_element(ring, lit).payload for lit in row] for row in rows])
+    M = RingMatrix.wrap(ring, [parse_row(ring, row) for row in rows])
     shape = doc.get("shape")
     if shape is not None and (not isinstance(shape, (list, tuple)) or list(shape) != [M.rows, M.cols]):
         raise ParseError("matrix document shape disagrees with its rows")
@@ -153,7 +200,7 @@ def completion_certificate_to_doc(ring: Ring, cert: CompletionCertificate) -> di
         "kind": "completion-certificate",
         "ring": ring_to_str(ring),
         "A": matrix_to_doc(cert.A),
-        "first_row": [element_to_str(e) for e in cert.first_row],
+        "first_row": list(map(ring.payload_str, cert.first_row)),
         "det": element_to_str(cert.det_target),
     }
 
@@ -166,7 +213,7 @@ def completion_certificate_from_doc(doc) -> tuple[Ring, CompletionCertificate]:
     A = matrix_from_doc(ring, doc["A"])
     if not isinstance(doc["first_row"], list):
         raise ParseError("'first_row' must be a list of element literals")
-    first_row = tuple(parse_element(ring, lit) for lit in doc["first_row"])
+    first_row = tuple(parse_row(ring, doc["first_row"]))
     det = parse_element(ring, doc["det"])
     return ring, CompletionCertificate(A, first_row, det, det)
 

@@ -349,6 +349,18 @@ def test_verify_completion_names_a_first_row_from_another_ring(ring):
     assert verify_completion(moved).failures == ("first row match",)
 
 
+@pytest.mark.parametrize("ring", [Z, ModularRing(360)], ids=str)
+def test_verify_completion_reads_first_row_payloads(ring):
+    # the certificate holds its first row as canonical payloads of A's ring,
+    # as A holds its rows, so a document's first row is read without
+    # wrapping an entry; one changed payload is named
+    row = (6, 10, 15, 7)
+    cert = complete_row([ring.from_int(v) for v in row], ring.one)
+    assert cert.first_row == row == cert.A.payloads[0]
+    moved = dataclasses.replace(cert, first_row=(6, 10, 15, 8))
+    assert verify_completion(moved).failures == ("first row match",)
+
+
 def _long_row(k):
     # 6, 16, 26, ...: gcd 2, every quotient odd or a multiple of 4 apart
     return [Z.from_int(6 + 10 * i) for i in range(k)]

@@ -1,5 +1,6 @@
 """Properties of the payload op tables against the element-level surface."""
 
+import json
 import math
 import random
 
@@ -11,6 +12,15 @@ from edr.complete import complete_row, idempotent_complete
 from edr.errors import UnsupportedRing
 from edr.matrices import RingMatrix
 from edr.reduce import diagonal_reduce, verify_reduction
+from edr.serialize import (
+    completion_certificate_from_doc,
+    completion_certificate_to_doc,
+    dumps,
+    matrix_from_text,
+    matrix_to_text,
+    reduction_certificate_from_doc,
+    reduction_certificate_to_doc,
+)
 from edr.rings import (
     IntegerRing,
     ModularRing,
@@ -299,7 +309,8 @@ def test_matrix_boundaries_build_few_elements(ring, monkeypatch):
     # a RingMatrix holds payload rows, so reducing, verifying and completing
     # wrap no entry: diagonal_reduce builds its two recorded determinants and
     # a few elements to test them (3n^2 + 5 when it wrapped P, D and Q),
-    # verify_reduction a few per diagonal entry of D, and the completions a
+    # verify_reduction none, as it decides every clause on payloads (a few
+    # per diagonal entry of D when it wrapped them), and the completions a
     # few per row entry (about k^2 + k when they wrapped the rows)
     rnd = random.Random(3)
 
@@ -319,8 +330,41 @@ def test_matrix_boundaries_build_few_elements(ring, monkeypatch):
         assert built[0] <= 10, ("diagonal_reduce", n, built[0])
         built[0] = 0
         assert verify_reduction(A, cert).ok
-        assert built[0] <= 8 * n, ("verify_reduction", n, built[0])
+        assert built[0] == 0, ("verify_reduction", n, built[0])
         built[0] = 0
         complete(row, target)
         assert built[0] <= 2 * n + 10, (complete.__name__, n, built[0])
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("ring", [Z, ProductRing([Z, ModularRing(12)])], ids=str)
+def test_documents_build_no_element_per_entry(ring, monkeypatch):
+    # the writers format payload rows and the readers collect them, so a
+    # reduction certificate document and its matrix file (3n^2 + n^2
+    # literals), read and written, build only the recorded determinants;
+    # the readers built one element per literal when they wrapped them
+    rnd = random.Random(4)
+
+    def draw():
+        v = rnd.randint(-9, 9)
+        return (v, rnd.randrange(12)) if isinstance(ring, ProductRing) else v
+
+    for n in (12, 24):
+        A = RingMatrix.from_payloads(ring, [[draw() for _ in range(n)] for _ in range(n)])
+        cert = diagonal_reduce(A)
+        built = _count_elements(monkeypatch)
+        doc = json.loads(dumps(reduction_certificate_to_doc(ring, cert)))
+        text = matrix_to_text(A)
+        assert reduction_certificate_from_doc(doc) == (ring, cert)
+        assert matrix_from_text(text) == A
+        assert built[0] <= 2, (n, built[0])
+        monkeypatch.undo()
+
+
+def test_the_long_completion_document_builds_no_element_per_entry(monkeypatch):
+    # the 520-entry completion: 520^2 + 521 literals, written and read back
+    cert = complete_row([Z.from_int(6 + 10 * i) for i in range(520)], Z.from_int(2))
+    built = _count_elements(monkeypatch)
+    doc = json.loads(dumps(completion_certificate_to_doc(Z, cert)))
+    assert completion_certificate_from_doc(doc) == (Z, cert)
+    assert built[0] <= 2, built[0]

@@ -1,12 +1,14 @@
 """Checks on the source tree under src/edr and on edr commands run as real
 processes: postconditions raise instead of asserting, no import or private
-helper is left behind, inputs that factorize cannot take apart or that
-carry a prime of high multiplicity finish with one JSON document, the
-README's examples run as written, and inputs that once overflowed the
-stack or took seconds (a deep descriptor, long rows) finish."""
+helper is left behind, every name the benchmark's tracer wraps exists,
+inputs that factorize cannot take apart or that carry a prime of high
+multiplicity finish with one JSON document, the README's examples run as
+written, and inputs that once overflowed the stack or took seconds (a deep
+descriptor, long rows) finish."""
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -123,6 +125,26 @@ def test_entries_is_not_read_inside_a_loop_under_src():
     # src/edr takes it once per matrix, never inside a loop
     found = [f"{path}:{line}" for path, tree in _trees() for line in _looped_reads(tree, "entries")]
     assert not found, ".entries read inside a loop under src/edr: " + ", ".join(found)
+
+
+def test_the_benchmark_tracer_names_resolve():
+    # perfbench/tracing.py wraps edr callables by (module, attribute path), so
+    # a renamed one fails here, on every Python, and not only in a traced
+    # benchmark run. The tracer's source is executed rather than imported,
+    # which leaves nothing behind under perfbench/
+    path = ROOT / "perfbench" / "tracing.py"
+    tracing = {"__name__": "tracing"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    missing = []
+    for key, targets in tracing["SPANS"].items():
+        for module, attrs in targets:
+            importlib.import_module(module)
+            owner, attr = tracing["_resolve"](module, attrs)
+            if not callable(getattr(owner, attr, None)):
+                missing.append(f"{key}: {module}.{attrs}")
+    element = importlib.import_module("edr.rings").RingElement
+    missing += [f"RingElement.{attr}" for attr in tracing["ELEMENT_OPS"] if not callable(getattr(element, attr, None))]
+    assert not missing, "names perfbench/tracing.py wraps that edr lacks: " + ", ".join(missing)
 
 
 # the product of the two least primes above 2^40 (which factorize's rho
