@@ -7,15 +7,24 @@ error. Equal input bytes always produce equal output bytes; --seed is
 accepted for harness reproducibility and deliberately unused, since nothing
 in the core is randomized.
 
-The argument parser is built once, when this module is imported; each
-main() call only runs parse_args on it, which parses into a fresh namespace,
-so in-process calls share no state.
+The command line is read against one table: each command's own options
+(_COMMANDS) and the four that every command takes (_COMMON), each one
+required, valued or a flag. One walk over argv fills a fresh namespace, so
+in-process calls share no state. The rules, namespace and messages are
+those of argparse, which edr used before: a value is the next argument, or
+follows "=" (--a=-4,6); a next argument that reads as an option (a "-"
+that is not alone, a negative number or text with a space) is not taken as
+a value; a unique prefix stands for an option name; the last of repeated
+values wins; an absent option is None, an absent flag False; --seed is an
+int. Anything else, "--" included, is an unrecognized argument. -h or
+--help prints a usage text built from the table and returns 0.
 """
 
 from __future__ import annotations
 
-import argparse
+import re
 import sys
+from types import SimpleNamespace
 
 from . import checkers, complete, reduce, serialize
 from .adequate import adequate_split, pi_adequate_split_zn, series_adequate_split
@@ -28,46 +37,131 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse exits 2 by default; we want 1
-        raise _UsageError(message)
+# option -> (kind, help), in argparse's order; a kind is "required", "value" or "flag"
+_HELP = {"-h": ("flag", "print this text and exit"), "--help": ("flag", "print this text and exit")}
+_COMMON = {
+    "--ring": ("value", "ring descriptor, e.g. Z, Z/12, GF(5)[x], Zser8, prod(Z,Z)"),
+    "--matrix": ("value", "matrix file (text format with ring/shape header)"),
+    "--out": ("value", "write the result document here instead of stdout"),
+    "--seed": ("value", "reserved for reproducible harnesses; unused"),
+}
+_ELEMENT = ("required", "element literal")
+_COMMANDS = {
+    "reduce": ("diagonal reduction certificate for a matrix", {}),
+    "complete": ("complete a row to a prescribed determinant", {
+        "--row": ("required", "comma-separated element literals"), "--det": ("required", "target determinant literal")}),
+    "split": ("adequate factorization of a against b", {
+        "--a": _ELEMENT, "--b": _ELEMENT, "--pi": ("flag", "power split through idempotents (Z/n)")}),
+    "lift": ("stable-range lift for a unimodular triple", {
+        "--a": _ELEMENT, "--b": _ELEMENT, "--c": _ELEMENT,
+        "--sr2": ("flag", "reduce the triple to a unimodular pair instead")}),
+    "check": ("exhaustive predicate check on a finite ring", {"--predicate": ("required", "the predicate to check")}),
+    "verify": ("verify an externally supplied certificate", {"--cert": ("required", "certificate JSON file")}),
+}
+_OPTIONS = {command: {**_HELP, **_COMMON, **own} for command, (_, own) in _COMMANDS.items()}
+_DEFAULTS = {command: {name[2:]: False if kind == "flag" else None for name, (kind, _) in {**_COMMON, **own}.items()}
+             for command, (_, own) in _COMMANDS.items()}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="edr", description="exact diagonal reduction toolkit")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--ring", help="ring descriptor, e.g. Z, Z/12, GF(5)[x], Zser8, prod(Z,Z)")
-    common.add_argument("--matrix", help="matrix file (text format with ring/shape header)")
-    common.add_argument("--out", help="write the result document here instead of stdout")
-    common.add_argument("--seed", type=int, help="reserved for reproducible harnesses; unused")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("reduce", parents=[common], help="diagonal reduction certificate for a matrix")
-
-    p = sub.add_parser("complete", parents=[common], help="complete a row to a prescribed determinant")
-    p.add_argument("--row", required=True, help="comma-separated element literals")
-    p.add_argument("--det", required=True, help="target determinant literal")
-
-    p = sub.add_parser("split", parents=[common], help="adequate factorization of a against b")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--pi", action="store_true", help="power split through idempotents (Z/n)")
-
-    p = sub.add_parser("lift", parents=[common], help="stable-range lift for a unimodular triple")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--c", required=True)
-    p.add_argument("--sr2", action="store_true", help="reduce the triple to a unimodular pair instead")
-
-    p = sub.add_parser("check", parents=[common], help="exhaustive predicate check on a finite ring")
-    p.add_argument("--predicate", required=True, choices=checkers.PREDICATES)
-
-    p = sub.add_parser("verify", parents=[common], help="verify an externally supplied certificate")
-    p.add_argument("--cert", required=True, help="certificate JSON file")
-    return parser
+def _option(token, options):
+    """How argparse reads `token` against `options`: None for a value, else
+    (option name, the text after "=" or None), the name "" matching none."""
+    if token[:1] != "-" or token == "-":
+        return None
+    if token in options:
+        return token, None
+    head, eq, value = token.partition("=")
+    if eq and head in options:
+        return head, value
+    if token.startswith("--") and token != "--":
+        found = [name for name in options if name.startswith(head)]
+        if len(found) > 1:
+            raise _UsageError(f"ambiguous option: {token} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
 
 
-_PARSER = _build_parser()
+def _parse(argv):
+    """The namespace for argv, or the usage text when it asks for -h/--help.
+    Before the command only -h/--help are options."""
+    args = SimpleNamespace(command=None)
+    options, extras, i = _HELP, [], 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        read = _option(token, options)
+        if read is None and args.command is None:
+            if token not in _COMMANDS:
+                choices = ", ".join(map(repr, _COMMANDS))
+                raise _UsageError(f"argument command: invalid choice: {token!r} (choose from {choices})")
+            args.command, options = token, _OPTIONS[token]
+            vars(args).update(_DEFAULTS[token])
+            continue
+        if read is None or not read[0]:
+            extras.append(token)
+            continue
+        name, value = read
+        if options[name][0] == "flag":
+            if value is not None:
+                shown = "-h/--help" if name in _HELP else name
+                raise _UsageError(f"argument {shown}: ignored explicit argument {value!r}")
+            if name in _HELP:
+                return _usage(args.command)
+            setattr(args, name[2:], True)
+            continue
+        if value is None:
+            if i == len(argv) or _option(argv[i], options) is not None:
+                raise _UsageError(f"argument {name}: expected one argument")
+            value = argv[i]
+            i += 1
+        if name == "--seed":
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument --seed: invalid int value: {value!r}") from None
+        elif name == "--predicate" and value not in checkers.PREDICATES:
+            choices = ", ".join(map(repr, checkers.PREDICATES))
+            raise _UsageError(f"argument --predicate: invalid choice: {value!r} (choose from {choices})")
+        setattr(args, name[2:], value)
+    if args.command is None:
+        raise _UsageError("the following arguments are required: command")
+    missing = [name for name, (kind, _) in _COMMANDS[args.command][1].items()
+               if kind == "required" and getattr(args, name[2:]) is None]
+    if missing:
+        raise _UsageError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise _UsageError("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
+def _usage(command=None) -> str:
+    """The -h text of one command, or of edr and every command."""
+    def shown(name, kind):
+        if kind == "flag":
+            return name
+        return f"{name} " + ("{" + ",".join(checkers.PREDICATES) + "}" if name == "--predicate" else name[2:].upper())
+
+    def rows(options):
+        for name, (kind, text) in options.items():
+            cell, text = shown(name, kind), text + " (required)" * (kind == "required")
+            yield f"  {cell:<17}  {text}" if len(cell) <= 17 else f"  {cell}\n{'':21}{text}"
+
+    lines = [] if command else ["usage: edr <command> [options]", "", "exact diagonal reduction toolkit"]
+    for name in [command] if command else _COMMANDS:
+        about, own = _COMMANDS[name]
+        call = [shown(o, kind) if kind == "required" else f"[{shown(o, kind)}]" for o, (kind, _) in own.items()]
+        lines += ["", " ".join(["usage: edr" if command else "edr", name, *call, "[options]"]), f"  {about}", *rows(own)]
+    lines += ["", "options of every command:", *rows({"-h, --help": _HELP["--help"], **_COMMON}), "",
+              'A value follows its option or comes after "=" (--a=-4,6); use "=" for a',
+              'value that starts with "-" and is not a number. A unique prefix of an',
+              "option name stands for it (--pred for --predicate)."]
+    return "\n".join(lines).lstrip("\n") + "\n"
+
+
 # kinds of document edr writes that verify does not read
 _UNVERIFIED_KINDS = ("adequate-split", "series-split", "lift", "predicate-report", "verification-report")
 
@@ -217,7 +311,10 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # -h / --help
+            sys.stdout.write(args)
+            return 0
         return _run(args)
     except _UsageError as exc:
         sys.stdout.write(serialize.dumps({"error": "UsageError", "message": str(exc)}))

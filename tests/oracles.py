@@ -1,9 +1,12 @@
 """Brute-force oracles, independent of every library code path they check."""
 
+import argparse
 import itertools
 import math
 from fractions import Fraction
 
+from edr import checkers
+from edr.cli import _UsageError
 from edr.errors import ScaleExceeded, UnsupportedRing
 from edr.matrices import RingMatrix, _bareiss
 from edr.rings import (
@@ -423,3 +426,46 @@ def pair_unimodular_by_scan(a, b):
             if ax + b * y == one:
                 return True
     return False
+
+
+# edr's argparse parser as it was before the command line was read against
+# an option table: the reference the table's namespaces and messages match
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse exits 2 by default; we want 1
+        raise _UsageError(message)
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="edr", description="exact diagonal reduction toolkit")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--ring", help="ring descriptor, e.g. Z, Z/12, GF(5)[x], Zser8, prod(Z,Z)")
+    common.add_argument("--matrix", help="matrix file (text format with ring/shape header)")
+    common.add_argument("--out", help="write the result document here instead of stdout")
+    common.add_argument("--seed", type=int, help="reserved for reproducible harnesses; unused")
+
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("reduce", parents=[common], help="diagonal reduction certificate for a matrix")
+
+    p = sub.add_parser("complete", parents=[common], help="complete a row to a prescribed determinant")
+    p.add_argument("--row", required=True, help="comma-separated element literals")
+    p.add_argument("--det", required=True, help="target determinant literal")
+
+    p = sub.add_parser("split", parents=[common], help="adequate factorization of a against b")
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--pi", action="store_true", help="power split through idempotents (Z/n)")
+
+    p = sub.add_parser("lift", parents=[common], help="stable-range lift for a unimodular triple")
+    p.add_argument("--a", required=True)
+    p.add_argument("--b", required=True)
+    p.add_argument("--c", required=True)
+    p.add_argument("--sr2", action="store_true", help="reduce the triple to a unimodular pair instead")
+
+    p = sub.add_parser("check", parents=[common], help="exhaustive predicate check on a finite ring")
+    p.add_argument("--predicate", required=True, choices=checkers.PREDICATES)
+
+    p = sub.add_parser("verify", parents=[common], help="verify an externally supplied certificate")
+    p.add_argument("--cert", required=True, help="certificate JSON file")
+    return parser

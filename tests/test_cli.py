@@ -15,12 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edr import errors
+from edr import cli, errors, serialize
 from edr.adequate import verify_adequate
 from edr.checkers import PREDICATES
 from edr.cli import main
 from edr.parsing import parse_element, parse_ring
 from edr.rings import _PRODUCT_DEPTH_BOUND, ModularRing, PrimeFieldPolynomialRing
+from oracles import _build_parser
 
 MATRIX = "ring: Z\nshape: 2 2\n2 4\n6 8\n"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -316,6 +317,10 @@ def test_importing_the_library_builds_no_parser():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    # the command line itself is read against a table: no argparse either
+    probe = "import edr.cli, sys; print('argparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_every_emitted_certificate_round_trips(capsys, tmp_path):
@@ -800,3 +805,219 @@ def test_every_cli_run_prints_one_json_object_and_a_documented_exit_code(case):
             (cwd / name).write_text(text, encoding="utf-8")
         if _one_document(argv, cwd)[0] == 0 and follow_up:
             assert _one_document(follow_up, cwd)[0] == 0  # what edr writes, edr verifies
+
+
+# ---------------------------------------------------------------------------
+# the option table against argparse: edr's former argparse parser
+# (oracles._build_parser) reads each argv to the same namespace, or both
+# refuse it; for argv with one fault the messages are byte-equal
+
+
+ARGPARSE = _build_parser()
+COMMANDS = ("reduce", "complete", "split", "lift", "check", "verify")
+# each command's required options in the order argparse lists them, and its flags
+REQUIRED_OPTIONS = {
+    "reduce": (), "complete": ("--row", "--det"), "split": ("--a", "--b"),
+    "lift": ("--a", "--b", "--c"), "check": ("--predicate",), "verify": ("--cert",),
+}
+FLAGS = {"split": ("--pi",), "lift": ("--sr2",)}
+COMMON_OPTIONS = ("--ring", "--matrix", "--out", "--seed")
+EVERY_OPTION = COMMON_OPTIONS + ("--row", "--det", "--a", "--b", "--c", "--pi", "--sr2", "--predicate", "--cert")
+# first the values argparse reads in its own ways: negative numbers,
+# option-like text, "-" alone, a leading space, the empty string, an "=",
+# Unicode digits
+VALUES = ("-5", "-1.5", "-4,6", "-", " -x", "", "1=2", "٣", "-٣", "١٢", "7", "x", "Z", "3,5", "m.txt") + PREDICATES
+STRAYS = ("x", "7", "--bogus", "-x", "-4,6", "1=2", "--bogus=1")
+
+
+def _read(parse, argv):
+    try:
+        return "accepted", vars(parse(argv))
+    except cli._UsageError as exc:
+        return "refused", str(exc)
+
+
+def _table(argv):
+    return _read(cli._parse, argv)
+
+
+def _argparse(argv):
+    return _read(ARGPARSE.parse_args, argv)
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _spellings(name):
+    """The option itself and each longer-than-"--" prefix of it."""
+    return st.integers(3, len(name)).map(lambda k: name[:k])
+
+
+@st.composite
+def _groups(draw, command):
+    """One token group per option of `command`: each required option, some
+    of the others, in any order, any spelling, "=" or a separate value."""
+    names = list(REQUIRED_OPTIONS.get(command, ()))
+    names += draw(st.lists(st.sampled_from(COMMON_OPTIONS + FLAGS.get(command, ())), max_size=3))
+    groups = []
+    for name in draw(st.permutations(names)):
+        spelled = draw(_spellings(name))
+        if name in FLAGS.get(command, ()):
+            groups.append([spelled])
+            continue
+        value = draw(st.sampled_from(VALUES))
+        groups.append([f"{spelled}={value}"] if draw(st.booleans()) else [spelled, value])
+    return groups
+
+
+TOKENS = st.one_of(
+    st.sampled_from(COMMANDS + ("bogus",)),
+    st.sampled_from(EVERY_OPTION).flatmap(_spellings),
+    st.sampled_from(VALUES),
+    st.tuples(st.sampled_from(EVERY_OPTION).flatmap(_spellings), st.sampled_from(VALUES)).map("=".join),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """An argv built like a valid call, then bent: tokens inserted, dropped
+    or repeated anywhere."""
+    command = draw(st.sampled_from(COMMANDS + ("bogus",)))
+    argv = [command, *(token for group in draw(_groups(command)) for token in group)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "drop", "repeat"]))
+        if edit == "insert":
+            argv.insert(at, draw(TOKENS))
+        elif argv and at < len(argv):
+            argv[at:at + 1] = [] if edit == "drop" else [argv[at]] * 2
+    return argv
+
+
+@settings(max_examples=600, deadline=None)
+@given(argv=_argvs())
+def test_the_option_table_reads_argv_as_argparse_did(argv):
+    ours, theirs = _table(argv), _argparse(argv)
+    assert ours[0] == theirs[0], (argv, ours, theirs)
+    if ours[0] == "accepted":
+        assert ours == theirs, argv
+    else:
+        code, out, err = _main(argv)
+        assert (code, json.loads(out), err) == (1, {"error": "UsageError", "message": ours[1]}, f"edr: {ours[1]}\n")
+
+
+def _valid_value(name, draw):
+    if name == "--seed":
+        return draw(st.sampled_from(("7", "-5", "٣", "-٣")))
+    if name == "--predicate":
+        return draw(st.sampled_from(PREDICATES))
+    return draw(st.sampled_from(VALUES).filter(lambda v: v != "-4,6"))  # "-4,6" only after "="
+
+
+def _unique_spellings(name, command):
+    """The option and each prefix of it that no other option of `command`
+    (nor --help) shares."""
+    others = {"--help", *COMMON_OPTIONS, *REQUIRED_OPTIONS[command], *FLAGS.get(command, ())} - {name}
+    return st.sampled_from([name[:k] for k in range(3, len(name) + 1)
+                            if not any(other.startswith(name[:k]) for other in others)])
+
+
+@st.composite
+def _one_fault_argvs(draw):
+    """(family, argv): a valid call with exactly one fault of one family."""
+    family = draw(st.sampled_from(["required", "command", "unrecognized", "expected", "ambiguous", "choice", "int"]))
+    command = draw(st.sampled_from({"ambiguous": ("complete", "lift"), "choice": ("check",), "required": COMMANDS[1:]}
+                                   .get(family, COMMANDS)))
+    names = list(REQUIRED_OPTIONS[command]) + draw(st.lists(st.sampled_from(COMMON_OPTIONS), max_size=2, unique=True))
+    if command in FLAGS:
+        names += draw(st.lists(st.sampled_from(FLAGS[command]), max_size=1))
+    if family == "int" and "--seed" not in names:
+        names.append("--seed")
+    if family == "expected":
+        names.append(draw(st.sampled_from(COMMON_OPTIONS)))
+    if family == "ambiguous":
+        names.append({"complete": "--r", "lift": "--s"}[command])
+    names = draw(st.permutations(names))
+    if family == "required":
+        missing = draw(st.lists(st.sampled_from(REQUIRED_OPTIONS[command]), min_size=1, unique=True))
+        names = [name for name in names if name not in missing]
+    valued = [name for name in names if name not in FLAGS.get(command, ())]
+    faulted = draw(st.sampled_from(valued)) if family == "expected" else None
+    spelling = lambda name: _unique_spellings(name, command) if name in EVERY_OPTION else st.just(name)  # noqa: E731
+    groups = []
+    for name in names:
+        if name in FLAGS.get(command, ()):
+            groups.append([name])
+            continue
+        value = _valid_value(name, draw)
+        if name == "--seed" and family == "int":
+            value = draw(st.sampled_from(("x", "1.5", "-1.5", "", "1=2", " -x", "7x")))
+        if name == "--predicate" and family == "choice":
+            value = draw(st.sampled_from(("Bogus", "stablerange1", "x", "7", "", "٣")))
+        if name == faulted:
+            groups.append(draw(st.sampled_from([[name], [name, "-4,6"]])))
+        elif draw(st.booleans()):
+            groups.append([f"{draw(spelling(name))}={value}"])
+        else:
+            groups.append([draw(spelling(name)), value])
+    if family == "command":
+        command = draw(st.sampled_from(("bogus", "reduc", "Reduce", "x", "-5", "")))
+    if family == "unrecognized":
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(groups)))
+            groups.insert(at, [draw(st.sampled_from(STRAYS))])
+        if draw(st.booleans()):
+            return family, [draw(st.sampled_from(("--bogus", "-x", "-4,6"))), command, *sum(groups, [])]
+    return family, [command, *sum(groups, [])]
+
+
+ONE_FAULT_MESSAGES = {
+    "required": "the following arguments are required: ",
+    "command": "argument command: invalid choice: ",
+    "unrecognized": "unrecognized arguments: ",
+    "expected": ": expected one argument",
+    "ambiguous": "ambiguous option: ",
+    "choice": "argument --predicate: invalid choice: ",
+    "int": "argument --seed: invalid int value: ",
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_one_fault_argvs())
+def test_one_fault_messages_are_argparses(case):
+    family, argv = case
+    theirs = _argparse(argv)
+    assert theirs[0] == "refused" and ONE_FAULT_MESSAGES[family] in theirs[1], (family, argv, theirs)
+    assert _table(argv) == theirs, argv
+    assert _main(argv) == (1, serialize.dumps({"error": "UsageError", "message": theirs[1]}), f"edr: {theirs[1]}\n")
+
+
+def test_double_dash_is_an_unrecognized_argument(matrix_file):
+    # argparse read what follows "--" as positionals, and so refused it as
+    # well, except as the text of an "=" value: --a=-- gave the value [],
+    # where the table keeps the text "--"
+    argv = ["reduce", "--matrix", matrix_file, "--"]
+    assert _table(argv) == ("refused", "unrecognized arguments: --")
+    assert _main(argv)[0] == 1
+    assert _table(["split", "--ring", "Z", "--b", "1", "--a", "--", "5"]) == (
+        "refused", "argument --a: expected one argument")
+    argv = ["split", "--ring", "Z", "--b", "1", "--a=--"]
+    assert _table(argv)[1]["a"] == "--" and _argparse(argv)[1]["a"] == []
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["reduce", "-h"], ["split", "--help"]])
+def test_help_prints_the_usage_and_returns_0(argv, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "edr.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert _main(argv) == (proc.returncode, proc.stdout, proc.stderr) == (0, proc.stdout, "")
+    names = COMMANDS + EVERY_OPTION if len(argv) == 1 else (argv[0], *REQUIRED_OPTIONS[argv[0]], *COMMON_OPTIONS)
+    for name in names:
+        assert name in proc.stdout, name
+    if len(argv) == 1:
+        assert "{" + ",".join(PREDICATES) + "}" in proc.stdout
+        assert proc.stdout.count("(required)") == sum(map(len, REQUIRED_OPTIONS.values()))
