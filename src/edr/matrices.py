@@ -108,14 +108,14 @@ class RingMatrix:
         table: O(c^3) operations, every entry a minor of the core, every
         division exact, the pivot the smallest nonzero entry of its column.
 
-        Each row of a Bareiss step is one call of the table's row
-        kernels (rings.PayloadOps comb and quo). Over GF(p)[x] the exact
-        division by the previous pivot, a minor of growing degree, takes
-        one Newton reciprocal of the reversed pivot for the whole row once
-        the pivot has rings._NEWTON_CROSSOVER coefficients or more (von zur
-        Gathen & Gerhard, Modern Computer Algebra, ch. 9), and then two
-        Kronecker products an entry, one of them the check q*prev = x;
-        shorter pivots use schoolbook long division.
+        Each row of a Bareiss step is one comb call of the table's row
+        kernels (rings.PayloadOps), and the step's whole block is one quo
+        call. Over GF(p)[x] the exact division by the previous pivot, a
+        minor of growing degree, takes one Newton reciprocal of the reversed
+        pivot for the whole step once the pivot has rings._NEWTON_CROSSOVER
+        coefficients or more (von zur Gathen & Gerhard, Modern Computer
+        Algebra, ch. 9), and then two Kronecker products an entry, one of
+        them the check q*prev = x; shorter pivots use schoolbook division.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -252,9 +252,9 @@ def _bareiss(a, ops: PayloadOps):
     After step k every entry of the trailing block is the (k+1) x (k+1)
     minor on the leading pivot rows and columns bordered by that entry, so
     the division by the previous pivot is exact; a remainder raises
-    PostconditionFailed rather than yield a wrong determinant. Each row
-    of a step is one call of the table's row kernels: comb forms
-    pivot*row - f*pivot_row and quo divides it by the previous pivot."""
+    PostconditionFailed rather than yield a wrong determinant. comb forms
+    pivot*row - f*pivot_row, one call a row, and one quo call divides the
+    step's entries, flattened, by the previous pivot."""
     n = len(a)
     negate = False
     prev = None  # the previous pivot; None stands for 1
@@ -266,16 +266,14 @@ def _bareiss(a, ops: PayloadOps):
         if best != k:
             a[k], a[best] = a[best], a[k]
             negate = not negate
-        pivot = a[k][k]
-        tail = a[k][k + 1 :]
-        for i in range(k + 1, n):
-            row = a[i]
-            new = ops.comb(pivot, row[k + 1 :], row[k], tail)
-            if prev is not None:
-                new = ops.quo(new, prev)
-                if new is None:
-                    raise PostconditionFailed("Bareiss division left a remainder")
-            row[k + 1 :] = new
+        pivot, tail, width = a[k][k], a[k][k + 1 :], n - k - 1
+        block = [v for row in a[k + 1 :] for v in ops.comb(pivot, row[k + 1 :], row[k], tail)]
+        if prev is not None:
+            block = ops.quo(block, prev)
+            if block is None:
+                raise PostconditionFailed("Bareiss division left a remainder")
+        for i, row in enumerate(a[k + 1 :]):
+            row[k + 1 :] = block[i * width : (i + 1) * width]
         prev = pivot
     d = a[n - 1][n - 1]
     return ops.neg(d) if negate else d

@@ -282,15 +282,15 @@ def crt(residues, moduli) -> int:
 # is canonical. Matrix products bypass add and mul: they take whole dot
 # products on the integer lift (matrices._matmul).
 # The row kernels serve the row steps of the sweep and of Bareiss's
-# elimination, one call per row. `comb(a, xs, b, ys)` is the row
+# elimination. `comb(a, xs, b, ys)`, one call per row, is the row
 # [a*x - b*y for x, y in zip(xs, ys)]; over GF(p)[x] a and -b are packed
 # once per call, in a Kronecker slot (below) sized for len(a) + len(b)
-# products of coefficients, the most any coefficient of a*x - b*y sums.
-# `quo(xs, d)`, for d nonzero, is the row of exact quotients x/d as div
-# gives them, or None if any entry leaves a remainder; over GF(p)[x] it
-# divides through one Newton reciprocal of the reversed d per call once d
-# has _NEWTON_CROSSOVER coefficients or more. Both are None for the series,
-# which has no matrices, and for products, which reduce and take
+# products of coefficients, and a unit a skips the entries whose y is 0.
+# `quo(xs, d)`, for d nonzero, is the list of exact quotients x/d as div
+# gives them, or None if any entry leaves a remainder; Bareiss passes it a
+# whole step's entries, and over GF(p)[x] a d of _NEWTON_CROSSOVER
+# coefficients or more is inverted once per call. Both are None for the
+# series, which has no matrices, and for products, which reduce and take
 # determinants componentwise; quo is None over Z/n too (matrices._zn_det).
 PayloadOps = namedtuple("PayloadOps", "zero one add sub mul neg size div bezout normal comb quo")
 
@@ -510,10 +510,26 @@ def _pcomb(a, xs, b, ys, p):
     """The row [a*x - b*y for x, y in zip(xs, ys)] over GF(p): a and -b
     (as the residues p - c) are packed once, and each entry is one packed
     multiply-add and one unpack. The slot holds the len(a) + len(b)
-    products of coefficients below p that a coefficient of the row sums."""
+    products of coefficients below p that a coefficient of the row sums.
+
+    For the unit a of the sweep's row steps an entry whose y is zero is x
+    itself, and x is not multiplied. Byte slots then pack by bytes() and
+    unpack by one to_bytes of a length fixed for the row, one translate to
+    the residues and one rstrip, with no _kunpack call."""
     w = _kslot(p, len(a) + len(b))
     pa, pb = _kpack(a, w), _kpack(_pneg(b, p), w)
-    return [_kunpack(pa * _kpack(x, w) + pb * _kpack(y, w), w, p) for x, y in zip(xs, ys)]
+    if a != (1,):
+        return [_kunpack(pa * _kpack(x, w) + pb * _kpack(y, w), w, p) for x, y in zip(xs, ys)]
+    if w > 1:
+        return [_kunpack(_kpack(x, w) + pb * _kpack(y, w), w, p) if y else x for x, y in zip(xs, ys)]
+    size, residues = len(b) + max(map(len, itertools.chain(xs, ys)), default=0), _byte_residues(p)
+    return [
+        tuple(
+            (int.from_bytes(bytes(x), "little") + pb * int.from_bytes(bytes(y), "little"))
+            .to_bytes(size, "little").translate(residues).rstrip(b"\0")
+        ) if y else x
+        for x, y in zip(xs, ys)
+    ]
 
 
 def _preciprocal(f, k, p):
@@ -533,8 +549,8 @@ def _pquo(xs, d, p):
     """The exact quotients of the row xs by d != 0 over GF(p), or None if
     any entry leaves a remainder.
 
-    A short d goes through _pdivmod. A longer one is inverted once for the
-    row: the quotient q of x by d, of k = len(x) - len(d) + 1 coefficients,
+    A short d goes through _pdivmod. A longer one is inverted once for all
+    of xs: the quotient q of x by d, of k = len(x) - len(d) + 1 coefficients,
     reversed, is x's top k coefficients, reversed, times the reciprocal of
     the reversed d mod x^k (von zur Gathen & Gerhard, ch. 9). The remainder
     is zero iff q*d = x."""

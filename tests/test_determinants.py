@@ -15,6 +15,7 @@ from edr.matrices import RingMatrix, _det, _peel, _zn_det
 from edr.complete import complete_row
 from edr.reduce import ReductionCertificate, diagonal_reduce, kaplansky_2x2, verify_reduction
 from edr.rings import (
+    _NEWTON_CROSSOVER,
     IntegerRing,
     ModularRing,
     PrimeFieldPolynomialRing,
@@ -23,6 +24,7 @@ from edr.rings import (
     gcd_bezout,
     is_prime,
     is_unit,
+    _preciprocal,
 )
 
 from oracles import lifted_bareiss_det, perm_det
@@ -250,6 +252,23 @@ def test_zn_det_matches_the_lifted_bareiss(modulus, shape, peeled, core, zero_pi
     if shape != "Z/n":
         rows = [list(zip(*lines)) for lines in zip(*parts)]
     assert _det(ring, [row[:] for row in rows]) == lifted_bareiss_det(ring, rows)
+
+
+def test_bareiss_takes_one_reciprocal_per_step(monkeypatch):
+    # the division of a step by the previous pivot builds its Newton
+    # reciprocal once for the step, not once for each of its rows: a dense
+    # 12 x 12 GF(5)[x] core divides in n - 2 steps
+    calls = []
+
+    def counted(f, k, p):
+        calls.append(1)
+        return _preciprocal(f, k, p)
+
+    monkeypatch.setattr("edr.rings._preciprocal", counted)
+    rng, n, length = random.Random(12), 12, _NEWTON_CROSSOVER + 1
+    rows = [[(*(rng.randrange(5) for _ in range(length - 1)), rng.randrange(1, 5)) for _ in range(n)] for _ in range(n)]
+    assert _det(GF5, rows)
+    assert len(calls) <= n - 2, len(calls)
 
 
 def test_peel_finds_singletons_that_appear_as_lines_are_peeled():

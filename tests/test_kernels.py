@@ -22,6 +22,7 @@ from edr.rings import (
     IntegerRing,
     ModularRing,
     PrimeFieldPolynomialRing,
+    _kslot,
     _pcomb,
     _pdivmod,
     _pmul,
@@ -169,6 +170,31 @@ def test_comb_slot_holds_both_products_on_and_below_each_boundary():
         expected = [_psub(_pmul(a, full, p), _pmul(b, full, p), p)] * 2
         assert _pcomb(a, [full, full], b, [full, full], p) == expected, p
         assert _pcomb(b, [full], a, [full], p) == [_psub(_pmul(b, full, p), _pmul(a, full, p), p)], p
+
+
+def test_comb_with_the_unit_multiplier_matches_the_scalar_entries():
+    # a = 1, as in the sweep's row steps, where an entry whose y is zero is x
+    # itself: about a third of the ys are zero, and some xs
+    for p in PRIMES:
+        rng = random.Random(f"unit comb/{p}")
+        for _ in range(40):
+            b = poly(rng, p, rng.choice([0, 1, rng.randint(1, 4), rng.randrange(MAX_LEN + 1)]))
+            width = rng.randint(1, 6)
+            xs = [poly(rng, p, rng.choice([0, rng.randint(1, MAX_LEN)])) for _ in range(width)]
+            ys = [poly(rng, p, 0 if rng.random() < 1 / 3 else rng.randint(1, MAX_LEN)) for _ in range(width)]
+            expected = [_psub(x, _pmul(b, y, p), p) for x, y in zip(xs, ys)]
+            assert _pcomb((1,), xs, b, ys, p) == expected, p
+            assert _pcomb((1,), [], b, [], p) == [], p
+    # p = 5 on both sides of the byte slot: with len(b) = 14 the slot holds
+    # 15 * 4^2 = 240 (one byte), with len(b) = 15 it holds 256 (two bytes);
+    # -b, x and y are all p - 1
+    assert (_kslot(5, 1 + 14), _kslot(5, 1 + 15)) == (1, 2)
+    for lb in (14, 15):
+        b, full = (1,) * lb, (4,) * MAX_LEN
+        xs = [(4,) * (lb + MAX_LEN - 1), (4,) * 3, (), full]
+        ys = [full, full, full, ()]
+        expected = [_psub(x, _pmul(b, y, 5), 5) for x, y in zip(xs, ys)]
+        assert _pcomb((1,), xs, b, ys, 5) == expected, lb
 
 
 def _row(rng, p, d, exact):

@@ -213,8 +213,8 @@ def readme_runs(tmp_path_factory):
 
 def test_readme_examples_in_process_match_their_process_runs(readme_runs, monkeypatch):
     # the examples run again, in order, through one in-process edr.cli.main,
-    # whose parser is built once at import: each stdout and exit code must
-    # be byte-equal to that example's process run
+    # which reads each argv against its option table afresh: each stdout and
+    # exit code must be byte-equal to that example's process run
     from edr.cli import main
 
     work, examples, runs = readme_runs
