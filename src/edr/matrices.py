@@ -253,8 +253,8 @@ def _bareiss(a, ops: PayloadOps):
     minor on the leading pivot rows and columns bordered by that entry, so
     the division by the previous pivot is exact; a remainder raises
     PostconditionFailed rather than yield a wrong determinant. comb forms
-    pivot*row - f*pivot_row, one call a row, and one quo call divides the
-    step's entries, flattened, by the previous pivot."""
+    pivot*row - f*pivot_row in place, one call a row; then one quo call
+    divides the step's entries, flattened, by the previous pivot."""
     n = len(a)
     negate = False
     prev = None  # the previous pivot; None stands for 1
@@ -267,13 +267,15 @@ def _bareiss(a, ops: PayloadOps):
             a[k], a[best] = a[best], a[k]
             negate = not negate
         pivot, tail, width = a[k][k], a[k][k + 1 :], n - k - 1
-        block = [v for row in a[k + 1 :] for v in ops.comb(pivot, row[k + 1 :], row[k], tail)]
+        for row in a[k + 1 :]:
+            row[k + 1 :] = ops.comb(pivot, row[k + 1 :], row[k], tail)
         if prev is not None:
-            block = ops.quo(block, prev)
+            block = ops.quo([v for row in a[k + 1 :] for v in row[k + 1 :]], prev)
             if block is None:
                 raise PostconditionFailed("Bareiss division left a remainder")
-        for i, row in enumerate(a[k + 1 :]):
-            row[k + 1 :] = block[i * width : (i + 1) * width]
+            for i, row in enumerate(a[k + 1 :]):
+                row[k + 1 :] = block[i * width : (i + 1) * width]
+            del block  # so the next step's comb frees these quotients
         prev = pivot
     d = a[n - 1][n - 1]
     return ops.neg(d) if negate else d

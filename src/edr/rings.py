@@ -320,8 +320,13 @@ def _int_comb(a, xs, b, ys):
 def _row_quo(div, xs, d):
     """quo from a division with remainder: the quotients, or None if any
     remainder is nonzero."""
-    qr = [div(x, d) for x in xs]
-    return None if any(r for _, r in qr) else [q for q, _ in qr]
+    qs = []
+    for x in xs:
+        q, r = div(x, d)
+        if r:
+            return None
+        qs.append(q)
+    return qs
 
 
 _INT_OPS = PayloadOps(
@@ -460,9 +465,10 @@ def _kpack(cs, w):
 
 def _kunpack(v, w, p):
     """The GF(p)[x] payload of the w-byte slots of v >= 0, each taken mod p."""
-    raw = v.to_bytes(-(-v.bit_length() // (8 * w)) * w, "little")
     if w == 1:
+        raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
         return tuple(raw.translate(_byte_residues(p)).rstrip(b"\0"))
+    raw = v.to_bytes(-(-v.bit_length() // (8 * w)) * w, "little")
     if w in _SLOT_FORMATS:
         return _ptrim([c % p for c in struct.unpack(f"<{len(raw) // w}{_SLOT_FORMATS[w]}", raw)])
     return _ptrim([int.from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)])
@@ -513,23 +519,12 @@ def _pcomb(a, xs, b, ys, p):
     products of coefficients below p that a coefficient of the row sums.
 
     For the unit a of the sweep's row steps an entry whose y is zero is x
-    itself, and x is not multiplied. Byte slots then pack by bytes() and
-    unpack by one to_bytes of a length fixed for the row, one translate to
-    the residues and one rstrip, with no _kunpack call."""
+    itself, and x is not multiplied."""
     w = _kslot(p, len(a) + len(b))
     pa, pb = _kpack(a, w), _kpack(_pneg(b, p), w)
     if a != (1,):
         return [_kunpack(pa * _kpack(x, w) + pb * _kpack(y, w), w, p) for x, y in zip(xs, ys)]
-    if w > 1:
-        return [_kunpack(_kpack(x, w) + pb * _kpack(y, w), w, p) if y else x for x, y in zip(xs, ys)]
-    size, residues = len(b) + max(map(len, itertools.chain(xs, ys)), default=0), _byte_residues(p)
-    return [
-        tuple(
-            (int.from_bytes(bytes(x), "little") + pb * int.from_bytes(bytes(y), "little"))
-            .to_bytes(size, "little").translate(residues).rstrip(b"\0")
-        ) if y else x
-        for x, y in zip(xs, ys)
-    ]
+    return [_kunpack(_kpack(x, w) + pb * _kpack(y, w), w, p) if y else x for x, y in zip(xs, ys)]
 
 
 def _preciprocal(f, k, p):
