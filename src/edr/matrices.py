@@ -253,8 +253,9 @@ def _bareiss(a, ops: PayloadOps):
     minor on the leading pivot rows and columns bordered by that entry, so
     the division by the previous pivot is exact; a remainder raises
     PostconditionFailed rather than yield a wrong determinant. comb forms
-    pivot*row - f*pivot_row in place, one call a row; then one quo call
-    divides the step's entries, flattened, by the previous pivot."""
+    pivot*row - f*pivot_row, one call a row, and the result replaces the
+    row; then one quo call divides the step's entries, flattened, by the
+    previous pivot."""
     n = len(a)
     negate = False
     prev = None  # the previous pivot; None stands for 1
