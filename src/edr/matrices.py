@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from functools import partial
+from itertools import repeat
 from math import gcd
 from operator import mul
 
 from .errors import DescriptorMismatch, PostconditionFailed, UnsupportedRing
 from .rings import ModularRing, PayloadOps, ProductRing, Ring, RingElement
-from .rings import PrimeFieldPolynomialRing, _kpack, _kslot, _kunpack
+from .rings import PrimeFieldPolynomialRing, _kmuladd, _kpack, _kslot
 
 __all__ = ["RingMatrix"]
 
@@ -114,8 +114,9 @@ class RingMatrix:
         minor of growing degree, takes one Newton reciprocal of the reversed
         pivot for the whole step once the pivot has rings._NEWTON_CROSSOVER
         coefficients or more (von zur Gathen & Gerhard, Modern Computer
-        Algebra, ch. 9), and then two Kronecker products an entry, one of
-        them the check q*prev = x; shorter pivots use schoolbook division.
+        Algebra, ch. 9), and then two calls of the kernel rings._kmuladd:
+        one forms every quotient of the step, the other every check
+        q*prev = x; shorter pivots use schoolbook division.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -134,7 +135,8 @@ class RingMatrix:
 def _matmul(ring: Ring, a, b):
     """Payload rows of the product of the payload rows a and b. Each entry
     is one dot product of ints, mapped back once: Z as it is, Z/n on its
-    integer lift, GF(p)[x] by Kronecker packing (rings._kpack)."""
+    integer lift, GF(p)[x] by Kronecker packing (rings._kpack), a row of
+    dot products unpacked by one call of the kernel rings._kmuladd."""
     if isinstance(ring, ProductRing):
         parts = [
             _matmul(f, *([[v[i] for v in row] for row in m] for m in (a, b))) for i, f in enumerate(ring.factors)
@@ -147,9 +149,8 @@ def _matmul(ring: Ring, a, b):
         w = _kslot(ring.p, len(cols[0]) * min(la, lb))
         a = [[_kpack(cs, w) for cs in row] for row in a]
         cols = [[_kpack(cs, w) for cs in col] for col in cols]
-        back = partial(_kunpack, w=w, p=ring.p)
-    else:  # Z/n reduces each entry once: v -> v % n
-        back = ring.n.__rmod__ if isinstance(ring, ModularRing) else int
+        return [_kmuladd(None, [sum(map(mul, row, col)) for col in cols], 0, repeat(()), w, ring.p) for row in a]
+    back = ring.n.__rmod__ if isinstance(ring, ModularRing) else int  # Z/n reduces each entry once
     return [[back(sum(map(mul, row, col))) for col in cols] for row in a]
 
 

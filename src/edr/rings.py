@@ -285,7 +285,8 @@ def crt(residues, moduli) -> int:
 # elimination. `comb(a, xs, b, ys)`, one call per row, is the row
 # [a*x - b*y for x, y in zip(xs, ys)]; over GF(p)[x] a and -b are packed
 # once per call, in a Kronecker slot (below) sized for len(a) + len(b)
-# products of coefficients, and a unit a skips the entries whose y is 0.
+# products of coefficients, _kmuladd packs, combines and unpacks each entry
+# with no call of its own, and a unit a skips the entries whose y is 0.
 # `quo(xs, d)`, for d nonzero, is the list of exact quotients x/d as div
 # gives them, or None if any entry leaves a remainder; Bareiss passes it a
 # whole step's entries, and over GF(p)[x] a d of _NEWTON_CROSSOVER
@@ -427,7 +428,7 @@ def _psub(a, b, p):
 
 
 def _pneg(a, p):
-    return tuple((-c) % p for c in a)
+    return tuple([(-c) % p for c in a])
 
 
 def _pmul(a, b, p):
@@ -436,7 +437,7 @@ def _pmul(a, b, p):
     if len(a) <= 1:  # zero or a constant, the sweep's commonest factors
         return tuple(a[0] * c % p for c in b) if a else ()
     w = _kslot(p, len(a))
-    return _kunpack(_kpack(a, w) * _kpack(b, w), w, p)
+    return _kmuladd(_kpack(a, w), (b,), 0, ((),), w, p)[0]
 
 
 # Kronecker substitution: coefficients below 2^(8w) pack into the int
@@ -463,15 +464,42 @@ def _kpack(cs, w):
     return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
 
 
-def _kunpack(v, w, p):
-    """The GF(p)[x] payload of the w-byte slots of v >= 0, each taken mod p."""
+def _kmuladd(pa, xs, pb, ys, w, p):
+    """The row [pa*x + pb*y for x, y in zip(xs, ys)] of GF(p)[x] payloads, pa
+    and pb packed in w-byte slots that hold every coefficient of the sums;
+    the only unpack. Each entry is packed, combined and reduced mod p in the
+    loop body, with no call of its own: byte slots by from_bytes, to_bytes,
+    one translate and rstrip, 2- to 8-byte ones by struct, wider ones by
+    to_bytes and from_bytes. pa == 1 is the unit: an entry whose y is 0 is
+    x. pa None takes each x as packed already (matrices._matmul)."""
+    unit, packed, from_bytes = pa == 1, pa is None, int.from_bytes
     if w == 1:
-        raw = v.to_bytes((v.bit_length() + 7) // 8, "little")
-        return tuple(raw.translate(_byte_residues(p)).rstrip(b"\0"))
-    raw = v.to_bytes(-(-v.bit_length() // (8 * w)) * w, "little")
-    if w in _SLOT_FORMATS:
-        return _ptrim([c % p for c in struct.unpack(f"<{len(raw) // w}{_SLOT_FORMATS[w]}", raw)])
-    return _ptrim([int.from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)])
+        table = _byte_residues(p)
+        return [
+            x if unit and not y else tuple(
+                (v := (x if packed else pa * from_bytes(x, "little")) + (pb * from_bytes(y, "little") if y else 0))
+                .to_bytes((v.bit_length() + 7) // 8, "little").translate(table).rstrip(b"\0")) for x, y in zip(xs, ys)
+        ]
+    fmt, out = _SLOT_FORMATS.get(w), []
+    for x, y in zip(xs, ys):
+        if unit and not y:
+            out.append(x)
+            continue
+        if fmt:
+            v = x if packed else pa * from_bytes(struct.pack(f"<{len(x)}{fmt}", *x), "little")
+            v += pb * from_bytes(struct.pack(f"<{len(y)}{fmt}", *y), "little") if y else 0
+            raw = v.to_bytes(-(-v.bit_length() // (8 * w)) * w, "little")
+            cs = [c % p for c in struct.unpack(f"<{len(raw) // w}{fmt}", raw)]
+        else:
+            v = x if packed else pa * from_bytes(b"".join([c.to_bytes(w, "little") for c in x]), "little")
+            v += pb * from_bytes(b"".join([c.to_bytes(w, "little") for c in y]), "little") if y else 0
+            raw = v.to_bytes(-(-v.bit_length() // (8 * w)) * w, "little")
+            cs = [from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)]
+        cs = cs if any(cs) else ()  # the zeros off the diagonal of P*A*Q, at one scan
+        while cs and not cs[-1]:
+            cs.pop()
+        out.append(tuple(cs))
+    return out
 
 
 @cache
@@ -500,31 +528,27 @@ def _pdivmod(a, b, p):
 # The shortest divisor that quo divides by a Newton reciprocal; shorter ones
 # go through schoolbook long division. Measured on rows of 30 entries, each
 # quotient as long as the divisor (as in Bareiss), on one x86-64 core under
-# Python 3.11; microseconds an entry, schoolbook / Newton, by the divisor's
-# length m:
+# Python 3.11, the Newton column on the kernel _kmuladd; microseconds an
+# entry, schoolbook / Newton, by the divisor's length m:
 #   p            m = 3        m = 5        m = 6        m = 7
-#   5            5.5 / 5.5    8.4 / 6.4    10.1 / 6.4   11.9 / 6.7
-#   65537        7.5 / 12.6   11.7 / 14.4  14.4 / 15.1  18.4 / 17.2
-#   2^61 - 1     16.6 / 22.1  31.7 / 32.5  39.7 / 37.0  48.7 / 41.8
-# From m = 6 on Newton wins or loses at most 5 % (GF(257)[x] and
-# GF(65537)[x] at m = 6), and its lead grows with m: at m = 64 it is 12x
-# (p = 5) and 8x (p = 65537) faster.
+#   5            2.7 / 1.9    4.4 / 2.3    5.3 / 2.4    6.4 / 2.5
+#   65537        3.3 / 4.4    5.7 / 5.8    7.1 / 6.3    8.9 / 6.8
+#   2^61 - 1     7.9 / 7.4    12.5 / 11.7  16.6 / 13.3  19.2 / 15.3
+# From m = 6 on Newton wins (GF(257)[x] too, 5.7 / 5.4), while at m = 5
+# it still loses 6 % at p = 257 (4.7 / 5.0); its lead grows with m: at
+# m = 64 it is 15x (p = 5) and 8x (p = 65537) faster.
 _NEWTON_CROSSOVER = 6
 
 
 def _pcomb(a, xs, b, ys, p):
     """The row [a*x - b*y for x, y in zip(xs, ys)] over GF(p): a and -b
-    (as the residues p - c) are packed once, and each entry is one packed
-    multiply-add and one unpack. The slot holds the len(a) + len(b)
-    products of coefficients below p that a coefficient of the row sums.
-
-    For the unit a of the sweep's row steps an entry whose y is zero is x
-    itself, and x is not multiplied."""
+    (as the residues p - c) are packed once, and _kmuladd packs, multiplies,
+    adds and unpacks each entry with no call of its own. The slot holds the
+    len(a) + len(b) products of coefficients below p that a coefficient of
+    the row sums. For the unit a of the sweep's row steps an entry whose y
+    is zero is x itself."""
     w = _kslot(p, len(a) + len(b))
-    pa, pb = _kpack(a, w), _kpack(_pneg(b, p), w)
-    if a != (1,):
-        return [_kunpack(pa * _kpack(x, w) + pb * _kpack(y, w), w, p) for x, y in zip(xs, ys)]
-    return [_kunpack(_kpack(x, w) + pb * _kpack(y, w), w, p) if y else x for x, y in zip(xs, ys)]
+    return _kmuladd(_kpack(a, w), xs, _kpack(_pneg(b, p), w), ys, w, p)
 
 
 def _preciprocal(f, k, p):
@@ -554,19 +578,12 @@ def _pquo(xs, d, p):
     m = len(d)
     longest = max((len(x) for x in xs), default=0) - m + 1  # quotient length
     w = _kslot(p, max(longest, m))
-    inv, packed_d = _kpack(_preciprocal(d[::-1], longest, p), w), _kpack(d, w)
-    out = []
-    for x in xs:
-        k = len(x) - m + 1
-        q = ()
-        if k > 0:  # the low k slots of a product are the product mod x^k
-            low = (1 << 8 * w * k) - 1
-            rq = _kunpack(_kpack(x[m - 1 :][::-1], w) * (inv & low) & low, w, p)
-            q = (0,) * (k - len(rq)) + rq[::-1]
-        if _kunpack(_kpack(q, w) * packed_d, w, p) != x:
-            return None
-        out.append(q)
-    return out
+    # the low k slots of each product are the quotient, reversed
+    tops = [x[m - 1 :][::-1] for x in xs]
+    zeros = itertools.repeat(())
+    low = _kmuladd(_kpack(_preciprocal(d[::-1], longest, p), w), tops, 0, zeros, w, p)
+    qs = [(r + (0,) * len(t))[: len(t)][::-1] for t, r in zip(tops, low)]
+    return qs if _kmuladd(_kpack(d, w), qs, 0, zeros, w, p) == list(xs) else None
 
 
 def _pbezout(a, b, p):

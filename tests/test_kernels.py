@@ -5,9 +5,12 @@ product goes through a ring, and GF(p)[x] takes p below psi_13 only, so
 there the widest prime is the largest below psi_13 (21 bytes and more).
 
 The row kernels of the op tables, comb and quo, are checked against the
-scalar entries of the same tables (sub, mul and div), and the division of
-GF(p)[x] on both sides of its schoolbook/Newton crossover against the
-schoolbook division of `oracles`.
+scalar entries of the same tables (sub, mul and div), and over GF(p)[x],
+where every caller of the multiply-add-unpack kernel (rings._kmuladd) is
+checked at every slot width, against `oracles` alone: comb against its
+schoolbook products, the division on both sides of its schoolbook/Newton
+crossover against its schoolbook division. One guard counts the pack and
+unpack calls of each comb and quo call in a reduction and its verification.
 
 Runs under pytest, or without it as a plain script:
 
@@ -15,8 +18,12 @@ Runs under pytest, or without it as a plain script:
 """
 
 import random
+import sys
 
+import edr.matrices
+import edr.rings
 from edr.matrices import RingMatrix
+from edr.reduce import diagonal_reduce, verify_reduction
 from edr.rings import (
     _NEWTON_CROSSOVER,
     IntegerRing,
@@ -27,7 +34,6 @@ from edr.rings import (
     _pdivmod,
     _pmul,
     _pquo,
-    _psub,
 )
 from oracles import poly_divmod, poly_dot, poly_mul
 
@@ -141,6 +147,11 @@ COMB_BOUNDARY = (
 DIVISOR_LENGTHS = (1, 2, _NEWTON_CROSSOVER - 1, _NEWTON_CROSSOVER, _NEWTON_CROSSOVER + 1, 2 * _NEWTON_CROSSOVER + 3, 40)
 
 
+def comb_oracle(a, xs, b, ys, p):
+    """[a*x - b*y], each entry one schoolbook dot product with -b."""
+    return [poly_dot([a, [(-c) % p for c in b]], [x, y], p) for x, y in zip(xs, ys)]
+
+
 def scalar_comb(ops, a, xs, b, ys):
     return [ops.sub(ops.mul(a, x), ops.mul(b, y)) for x, y in zip(xs, ys)]
 
@@ -159,17 +170,15 @@ def test_comb_matches_the_scalar_entries_for_every_length():
             width = rng.randint(0, 4)
             xs = [poly(rng, p, rng.choice([0, length])) for _ in range(width)]
             ys = [poly(rng, p, rng.randrange(MAX_LEN + 1)) for _ in range(width)]
-            expected = [_psub(_pmul(a, x, p), _pmul(b, y, p), p) for x, y in zip(xs, ys)]
-            assert _pcomb(a, xs, b, ys, p) == expected, (p, length)
+            assert _pcomb(a, xs, b, ys, p) == comb_oracle(a, xs, b, ys, p), (p, length)
 
 
 def test_comb_slot_holds_both_products_on_and_below_each_boundary():
     for p, la, lb, largest in COMB_BOUNDARY:
         assert (la + lb) * (p - 1) ** 2 == largest
         a, b, full = (p - 1,) * la, (1,) * lb, (p - 1,) * max(la, lb)  # -b is all p - 1
-        expected = [_psub(_pmul(a, full, p), _pmul(b, full, p), p)] * 2
-        assert _pcomb(a, [full, full], b, [full, full], p) == expected, p
-        assert _pcomb(b, [full], a, [full], p) == [_psub(_pmul(b, full, p), _pmul(a, full, p), p)], p
+        assert _pcomb(a, [full, full], b, [full, full], p) == comb_oracle(a, [full] * 2, b, [full] * 2, p), p
+        assert _pcomb(b, [full], a, [full], p) == comb_oracle(b, [full], a, [full], p), p
 
 
 def test_comb_with_the_unit_multiplier_matches_the_scalar_entries():
@@ -182,8 +191,7 @@ def test_comb_with_the_unit_multiplier_matches_the_scalar_entries():
             width = rng.randint(1, 6)
             xs = [poly(rng, p, rng.choice([0, rng.randint(1, MAX_LEN)])) for _ in range(width)]
             ys = [poly(rng, p, 0 if rng.random() < 1 / 3 else rng.randint(1, MAX_LEN)) for _ in range(width)]
-            expected = [_psub(x, _pmul(b, y, p), p) for x, y in zip(xs, ys)]
-            assert _pcomb((1,), xs, b, ys, p) == expected, p
+            assert _pcomb((1,), xs, b, ys, p) == comb_oracle((1,), xs, b, ys, p), p
             assert _pcomb((1,), [], b, [], p) == [], p
     # p = 5 on both sides of the byte slot: with len(b) = 14 the slot holds
     # 15 * 4^2 = 240 (one byte), with len(b) = 15 it holds 256 (two bytes);
@@ -193,18 +201,17 @@ def test_comb_with_the_unit_multiplier_matches_the_scalar_entries():
         b, full = (1,) * lb, (4,) * MAX_LEN
         xs = [(4,) * (lb + MAX_LEN - 1), (4,) * 3, (), full]
         ys = [full, full, full, ()]
-        expected = [_psub(x, _pmul(b, y, 5), 5) for x, y in zip(xs, ys)]
-        assert _pcomb((1,), xs, b, ys, 5) == expected, lb
+        assert _pcomb((1,), xs, b, ys, 5) == comb_oracle((1,), xs, b, ys, 5), lb
 
 
 def _row(rng, p, d, exact):
     """Entries q*d for random q of lengths 0 to MAX_LEN, and, unless
     `exact`, one entry with a nonzero remainder (shorter than d)."""
-    xs = [_pmul(poly(rng, p, rng.randrange(MAX_LEN + 1)), d, p) for _ in range(rng.randint(1, 5))]
+    xs = [poly_mul(poly(rng, p, rng.randrange(MAX_LEN + 1)), d, p) for _ in range(rng.randint(1, 5))]
     if not exact:
         r = poly(rng, p, rng.randint(1, len(d) - 1))
         i = rng.randrange(len(xs))
-        xs[i] = _psub(xs[i], r, p)
+        xs[i] = poly_dot([xs[i], r], [(1,), (p - 1,)], p)  # x - r
     return xs
 
 
@@ -262,6 +269,72 @@ def test_comb_and_quo_match_the_scalar_table_over_z_zn_and_gfpx():
             assert ops.quo(xs, d) == scalar_quo(ops, xs, d), ring
             exact = [ops.mul(d, x) for x in xs]
             assert ops.quo(exact, d) == scalar_quo(ops, exact, d) is not None, ring
+
+
+def test_every_caller_of_the_kernel_meets_the_oracles_at_every_slot_width():
+    # the oracle tests above again, with the caller and the slot width of
+    # each kernel call recorded (9 stands for every width above 8 bytes)
+    kernel, seen = edr.rings._kmuladd, set()
+
+    def recorded(pa, xs, pb, ys, w, p):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
+            frame = frame.f_back
+        caller = frame.f_code.co_name
+        seen.add((caller + " unit" * (caller == "_pcomb" and pa == 1), min(w, 9)))
+        return kernel(pa, xs, pb, ys, w, p)
+
+    edr.rings._kmuladd = edr.matrices._kmuladd = recorded
+    try:
+        test_pmul_matches_schoolbook_for_every_length()
+        test_matrix_product_matches_schoolbook()
+        test_largest_coefficient_on_and_below_each_slot_boundary()
+        test_comb_matches_the_scalar_entries_for_every_length()
+        test_comb_with_the_unit_multiplier_matches_the_scalar_entries()
+        test_division_matches_the_oracle_on_both_sides_of_the_crossover()
+    finally:
+        edr.rings._kmuladd = edr.matrices._kmuladd = kernel
+    callers = ("_pcomb", "_pcomb unit", "_pmul", "_pquo", "_matmul")
+    assert seen == {(c, w) for c in callers for w in (1, 2, 4, 8, 9)}, sorted(seen)
+
+
+def test_a_row_kernel_call_packs_and_unpacks_a_fixed_number_of_times():
+    # a seeded GF(5)[x] 8x8 reduction and its verification, counting the
+    # pack and unpack helpers (_kpack and the kernel) that each comb and quo
+    # call makes outside the Newton reciprocal, whose products follow the
+    # quotient's length: a call an entry would grow with the row
+    names = ("_kpack", "_kmuladd", "_preciprocal", "_pcomb", "_pquo")
+    originals, stack, records = {name: getattr(edr.rings, name) for name in names}, [], []
+
+    def wrap(name):
+        def wrapped(*args):
+            if name in ("_kpack", "_kmuladd"):
+                if stack:
+                    stack[-1] += 1
+                return originals[name](*args)
+            stack.append(0)
+            try:
+                return originals[name](*args)
+            finally:
+                calls = stack.pop()
+                if name != "_preciprocal":
+                    records.append((name, len(args[1] if name == "_pcomb" else args[0]), calls))
+
+        return wrapped
+
+    rng = random.Random(8)
+    A = RingMatrix.from_payloads(PrimeFieldPolynomialRing(5), [[poly(rng, 5, 4) for _ in range(8)] for _ in range(8)])
+    for name in names:
+        setattr(edr.rings, name, wrap(name))
+    try:
+        assert verify_reduction(A, diagonal_reduce(A)).ok
+    finally:
+        for name in names:
+            setattr(edr.rings, name, originals[name])
+    assert {calls for name, _, calls in records if name == "_pcomb"} == {3}  # a, -b and the kernel
+    assert {calls for name, _, calls in records if name == "_pquo"} == {0, 4}  # schoolbook; Newton
+    for name in ("_pcomb", "_pquo"):
+        assert max(width for n, width, _ in records if n == name) >= 8, name
 
 
 if __name__ == "__main__":
