@@ -114,9 +114,8 @@ class RingMatrix:
         minor of growing degree, takes one Newton reciprocal of the reversed
         pivot for the whole step once the pivot has rings._NEWTON_CROSSOVER
         coefficients or more (von zur Gathen & Gerhard, Modern Computer
-        Algebra, ch. 9), and then two calls of the kernel rings._kmuladd:
-        one forms every quotient of the step, the other every check
-        q*prev = x; shorter pivots use schoolbook division.
+        Algebra, ch. 9): one call of rings._kmuladd forms the step's quotients,
+        one their checks q*prev = x; shorter pivots use schoolbook division.
         """
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
@@ -135,8 +134,7 @@ class RingMatrix:
 def _matmul(ring: Ring, a, b):
     """Payload rows of the product of the payload rows a and b. Each entry
     is one dot product of ints, mapped back once: Z as it is, Z/n on its
-    integer lift, GF(p)[x] by Kronecker packing (rings._kpack), a row of
-    dot products unpacked by one call of the kernel rings._kmuladd."""
+    integer lift, GF(p)[x] Kronecker-packed, a row per rings._kmuladd call."""
     if isinstance(ring, ProductRing):
         parts = [
             _matmul(f, *([[v[i] for v in row] for row in m] for m in (a, b))) for i, f in enumerate(ring.factors)

@@ -464,23 +464,23 @@ def _kpack(cs, w):
     return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
 
 
-def _kmuladd(pa, xs, pb, ys, w, p):
+def _kmuladd(pa, xs, pb, ys, w, p, low=False):
     """The row [pa*x + pb*y for x, y in zip(xs, ys)] of GF(p)[x] payloads, pa
-    and pb packed in w-byte slots that hold every coefficient of the sums;
-    the only unpack. Each entry is packed, combined and reduced mod p in the
-    loop body, with no call of its own: byte slots by from_bytes, to_bytes,
-    one translate and rstrip, 2- to 8-byte ones by struct, wider ones by
-    to_bytes and from_bytes. pa == 1 is the unit: an entry whose y is 0 is
-    x. pa None takes each x as packed already (matrices._matmul)."""
+    and pb packed in w-byte slots that hold every coefficient of the sums:
+    the one unpack. Each entry is packed, combined and reduced mod p in the
+    loop body with no call of its own, byte slots (and 2-byte ones below
+    p = 128) by translate. pa == 1 is the unit: an entry whose y is 0 is x;
+    pa None takes each x as packed (matrices._matmul); low wants only the
+    len(x) low slots of an entry (_pquo), and wider slots drop the rest."""
     unit, packed, from_bytes = pa == 1, pa is None, int.from_bytes
     if w == 1:
         table = _byte_residues(p)
-        return [
-            x if unit and not y else tuple(
-                (v := (x if packed else pa * from_bytes(x, "little")) + (pb * from_bytes(y, "little") if y else 0))
-                .to_bytes((v.bit_length() + 7) // 8, "little").translate(table).rstrip(b"\0")) for x, y in zip(xs, ys)
-        ]
-    fmt, out = _SLOT_FORMATS.get(w), []
+        return [x if unit and not y else tuple(
+            (v := (x if packed else pa * from_bytes(x, "little")) + (pb * from_bytes(y, "little") if y else 0))
+            .to_bytes((v.bit_length() + 7) // 8, "little").translate(table).rstrip(b"\0")) for x, y in zip(xs, ys)]
+    fmt, split, out = _SLOT_FORMATS.get(w), w == 2 and p < 128, []
+    if split:  # a slot lo + 256*hi is lo + (256*hi mod p) mod p, the sum below 256
+        table, high = _byte_residues(p), _byte_residues(p, 8)
     for x, y in zip(xs, ys):
         if unit and not y:
             out.append(x)
@@ -488,13 +488,18 @@ def _kmuladd(pa, xs, pb, ys, w, p):
         if fmt:
             v = x if packed else pa * from_bytes(struct.pack(f"<{len(x)}{fmt}", *x), "little")
             v += pb * from_bytes(struct.pack(f"<{len(y)}{fmt}", *y), "little") if y else 0
-            raw = v.to_bytes(-(-v.bit_length() // (8 * w)) * w, "little")
-            cs = [c % p for c in struct.unpack(f"<{len(raw) // w}{fmt}", raw)]
         else:
             v = x if packed else pa * from_bytes(b"".join([c.to_bytes(w, "little") for c in x]), "little")
             v += pb * from_bytes(b"".join([c.to_bytes(w, "little") for c in y]), "little") if y else 0
-            raw = v.to_bytes(-(-v.bit_length() // (8 * w)) * w, "little")
-            cs = [from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)]
+        if low:  # the product mod z^len(x)
+            v &= (1 << 8 * w * len(x)) - 1
+        raw = v.to_bytes(-(-v.bit_length() // (8 * w)) * w, "little")
+        if split:
+            v = from_bytes(raw[::2].translate(table), "little") + from_bytes(raw[1::2].translate(high), "little")
+            out.append(tuple(v.to_bytes(len(raw) // 2, "little").translate(table).rstrip(b"\0")))
+            continue
+        cs = [c % p for c in struct.unpack(f"<{len(raw) // w}{fmt}", raw)] if fmt else [
+            from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)]
         cs = cs if any(cs) else ()  # the zeros off the diagonal of P*A*Q, at one scan
         while cs and not cs[-1]:
             cs.pop()
@@ -503,9 +508,9 @@ def _kmuladd(pa, xs, pb, ys, w, p):
 
 
 @cache
-def _byte_residues(p):
-    """The translation table byte -> byte % p, for primes p below 256."""
-    return bytes(i % p for i in range(256))
+def _byte_residues(p, shift=0):
+    """The translation table byte -> (byte << shift) % p, for p below 256."""
+    return bytes((i << shift) % p for i in range(256))
 
 
 def _pdivmod(a, b, p):
@@ -579,9 +584,8 @@ def _pquo(xs, d, p):
     longest = max((len(x) for x in xs), default=0) - m + 1  # quotient length
     w = _kslot(p, max(longest, m))
     # the low k slots of each product are the quotient, reversed
-    tops = [x[m - 1 :][::-1] for x in xs]
-    zeros = itertools.repeat(())
-    low = _kmuladd(_kpack(_preciprocal(d[::-1], longest, p), w), tops, 0, zeros, w, p)
+    tops, zeros = [x[m - 1 :][::-1] for x in xs], itertools.repeat(())
+    low = _kmuladd(_kpack(_preciprocal(d[::-1], longest, p), w), tops, 0, zeros, w, p, low=True)
     qs = [(r + (0,) * len(t))[: len(t)][::-1] for t, r in zip(tops, low)]
     return qs if _kmuladd(_kpack(d, w), qs, 0, zeros, w, p) == list(xs) else None
 

@@ -37,7 +37,7 @@ from edr.rings import (
 )
 from oracles import poly_divmod, poly_dot, poly_mul
 
-PRIMES = (2, 3, 5, 17, 251, 257, 65537, 2**31 - 1, 2**61 - 1, 2**89 - 1)
+PRIMES = (2, 3, 5, 17, 131, 251, 257, 65537, 2**31 - 1, 2**61 - 1, 2**89 - 1)
 # the largest prime below psi_13 = 3317044064679887385961981
 BELOW_PSI13 = 3317044064679887385961813
 RING_PRIMES = PRIMES[:-1] + (BELOW_PSI13,)
@@ -273,16 +273,19 @@ def test_comb_and_quo_match_the_scalar_table_over_z_zn_and_gfpx():
 
 def test_every_caller_of_the_kernel_meets_the_oracles_at_every_slot_width():
     # the oracle tests above again, with the caller and the slot width of
-    # each kernel call recorded (9 stands for every width above 8 bytes)
-    kernel, seen = edr.rings._kmuladd, set()
+    # each kernel call recorded (9 stands for every width above 8 bytes);
+    # 2-byte slots are reduced by translate below p = 128, by % p above
+    kernel, seen, halves = edr.rings._kmuladd, set(), set()
 
-    def recorded(pa, xs, pb, ys, w, p):
+    def recorded(pa, xs, pb, ys, w, p, **low):
         frame = sys._getframe(1)
         while frame.f_code.co_name.startswith("<"):  # a comprehension's own frame
             frame = frame.f_back
         caller = frame.f_code.co_name
         seen.add((caller + " unit" * (caller == "_pcomb" and pa == 1), min(w, 9)))
-        return kernel(pa, xs, pb, ys, w, p)
+        if w == 2:
+            halves.add(p < 128)
+        return kernel(pa, xs, pb, ys, w, p, **low)
 
     edr.rings._kmuladd = edr.matrices._kmuladd = recorded
     try:
@@ -296,6 +299,7 @@ def test_every_caller_of_the_kernel_meets_the_oracles_at_every_slot_width():
         edr.rings._kmuladd = edr.matrices._kmuladd = kernel
     callers = ("_pcomb", "_pcomb unit", "_pmul", "_pquo", "_matmul")
     assert seen == {(c, w) for c in callers for w in (1, 2, 4, 8, 9)}, sorted(seen)
+    assert halves == {True, False}
 
 
 def test_a_row_kernel_call_packs_and_unpacks_a_fixed_number_of_times():
@@ -307,11 +311,11 @@ def test_a_row_kernel_call_packs_and_unpacks_a_fixed_number_of_times():
     originals, stack, records = {name: getattr(edr.rings, name) for name in names}, [], []
 
     def wrap(name):
-        def wrapped(*args):
+        def wrapped(*args, **kw):
             if name in ("_kpack", "_kmuladd"):
                 if stack:
                     stack[-1] += 1
-                return originals[name](*args)
+                return originals[name](*args, **kw)
             stack.append(0)
             try:
                 return originals[name](*args)
