@@ -585,8 +585,8 @@ def _pquo(xs, d, p):
     w = _kslot(p, max(longest, m))
     # the low k slots of each product are the quotient, reversed
     tops, zeros = [x[m - 1 :][::-1] for x in xs], itertools.repeat(())
-    low = _kmuladd(_kpack(_preciprocal(d[::-1], longest, p), w), tops, 0, zeros, w, p, low=True)
-    qs = [(r + (0,) * len(t))[: len(t)][::-1] for t, r in zip(tops, low)]
+    rqs = _kmuladd(_kpack(_preciprocal(d[::-1], longest, p), w), tops, 0, zeros, w, p, low=True)
+    qs = [(r + (0,) * len(t))[: len(t)][::-1] for t, r in zip(tops, rqs)]
     return qs if _kmuladd(_kpack(d, w), qs, 0, zeros, w, p) == list(xs) else None
 
 
