@@ -50,10 +50,14 @@ class RingMatrix:
     @classmethod
     def from_payloads(cls, ring: Ring, payload_rows) -> "RingMatrix":
         """Build from raw payloads (ints for Z and Z/n, coefficient lists for
-        polynomials, tuples for products)."""
-        conv = [[v if isinstance(v, RingElement) else ring.from_int(v) if isinstance(v, int) else ring.element(v)
-                 for v in row] for row in payload_rows]
-        return cls(ring, conv)
+        polynomials, tuples for products) or from RingElements of `ring`."""
+        def payload(v):
+            if not isinstance(v, RingElement):
+                return (ring.from_int(v) if isinstance(v, int) else ring.element(v)).payload
+            if v.ring is ring or v.ring == ring:
+                return v.payload
+            raise DescriptorMismatch("entry from a different ring")
+        return cls.wrap(ring, [[payload(v) for v in row] for row in payload_rows])
 
     @classmethod
     def wrap(cls, ring: Ring, payload_rows) -> "RingMatrix":

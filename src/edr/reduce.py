@@ -32,12 +32,14 @@ the components' P, D, Q and determinants back together. A direct sweep
 over prod(Z,Z/12) verifies too, but it ran 2-4x slower, and its Z part
 loses the Euclidean size control.
 
-The sweep, the chain repair and the normalization work on lists of raw
-payloads through the ring's PayloadOps table (rings.py). A RingMatrix holds
-payload rows, so diagonal_reduce copies A's rows and stores P, D and Q
-without wrapping an entry; the two recorded determinants are the only
-elements it builds. A row step is one call of the table's row kernel comb
-for each matrix it changes. In the column phase the pivot is the only
+The sweep, the chain repair and the normalization work on raw payloads
+through the ring's PayloadOps table (rings.py), on the rows of W = [A | P]
+with P = I at the start, as the textbook row-reduces [A | I]: a row step
+is one call of the table's row kernel comb on W's row from the pivot
+column on (A's rows are zero left of it), and D and P are split off W at
+the end. A RingMatrix holds payload rows, so diagonal_reduce stores P, D
+and Q without wrapping an entry; the two recorded determinants are the
+only elements it builds. In the column phase the pivot is the only
 nonzero entry of its column of A (the rows below were cleared first, and
 the rows above belong to finished pivots), so subtracting q times the
 pivot column from column j changes A in the pivot row alone, where the
@@ -75,6 +77,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import chain
 
 from .adequate import lifted_split
 from .errors import NotUnimodular, PostconditionFailed, UnsupportedRing
@@ -179,7 +182,9 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement):
     D = _matmul(ring, _matmul(ring, P, [[a.payload, zero.payload], [b.payload, c.payload]]), Q)
     if D[0][1] or D[1][0]:
         raise PostconditionFailed("2x2 step failed to diagonalize")
-    detP = _normalize_diagonal(ring.ops, D, P)  # both transforms above have det 1
+    W = [d + p for d, p in zip(D, P)]  # [D | P]
+    detP = _normalize_diagonal(ring.ops, W, 2)  # both transforms above have det 1
+    D, P = [row[:2] for row in W], [row[2:] for row in W]
     # the chain holds by construction: d1 is the unit 1, which divides d2
     return _make_certificate(ring, P, D, Q, detP, one.payload)
 
@@ -188,81 +193,83 @@ def kaplansky_2x2(a: RingElement, b: RingElement, c: RingElement):
 # full reduction
 
 
-def _pivot(ops, A, P, Qt, k, cells, detP, detQ):
-    """Settle pivot k of the payload rows A in place: swap the smallest
-    candidate cell into the pivot slot and divide its column, then its row,
-    with remainder; the remainders are the next candidates. Rows k.. of A
-    must be zero left of column k, rows above k zero from column k on.
-    Returns the payloads detP and detQ negated once per row or column swap."""
-    m, n = len(A), len(A[0])
-    while cells:
-        bi, bj = min(cells, key=lambda ij: ops.size(A[ij[0]][ij[1]]))
+def _smallest(size, values):
+    """Index of the first payload of least nonzero size, -1 if all are zero."""
+    sizes = list(map(size, values)) if any(values) else ()
+    return sizes.index(min(filter(None, sizes))) if sizes else -1
+
+
+def _pivot(ops, W, n, Qt, k, bi, bj, detP, detQ):
+    """Settle pivot k of the payload rows W = [A | P], A's n columns first,
+    in place: swap A's entry (bi, bj) into the pivot slot and divide its
+    column, then its row, with remainder; the smallest remainder is the
+    next pivot. Rows k.. of A must be zero left of column k, rows above k
+    zero from column k on. Returns the payloads detP and detQ negated once
+    per row or column swap."""
+    m, size = len(W), ops.size
+    while True:
         if bi != k:
-            A[k], A[bi] = A[bi], A[k]
-            P[k], P[bi] = P[bi], P[k]
+            W[k], W[bi] = W[bi], W[k]
             detP = ops.neg(detP)
         if bj != k:
-            for row in A:
+            for row in W:
                 row[k], row[bj] = row[bj], row[k]
             Qt[k], Qt[bj] = Qt[bj], Qt[k]
             detQ = ops.neg(detQ)
-        pivot = A[k][k]
+        pivot, pivot_row = W[k][k], W[k][k:]
         for i in range(k + 1, m):
-            q = ops.div(A[i][k], pivot)[0]
+            q = ops.div(W[i][k], pivot)[0]
             if q:
-                A[i][k:] = ops.comb(ops.one, A[i][k:], q, A[k][k:])
-                P[i] = ops.comb(ops.one, P[i], q, P[k])
-        cells = [(i, k) for i in range(k + 1, m) if A[i][k]]
-        if not cells:
+                W[i][k:] = ops.comb(ops.one, W[i][k:], q, pivot_row)
+        bi, bj = k + 1 + _smallest(size, [row[k] for row in W[k + 1 :]]), k
+        if bi == k:
             for j in range(k + 1, n):
-                q, A[k][j] = ops.div(A[k][j], pivot)
+                q, W[k][j] = ops.div(W[k][j], pivot)
                 if q:
                     Qt[j] = ops.comb(ops.one, Qt[j], q, Qt[k])
-            cells = [(k, j) for j in range(k + 1, n) if A[k][j]]
-    return detP, detQ
+            bi, bj = k, k + 1 + _smallest(size, W[k][k + 1 : n])
+            if bj == k:
+                return detP, detQ
 
 
-def _sweep(ops, A, P, Qt):
-    """Diagonalize the payload rows A in place, one pivot at a time; returns
-    the payloads of the determinants of the steps on P and Q."""
-    m, n = len(A), len(A[0])
+def _sweep(ops, W, n, Qt):
+    """Diagonalize A, the first n columns of the payload rows W = [A | P], in
+    place; returns the payloads of the determinants of the steps on P and Q."""
     detP = detQ = ops.one
-    for k in range(min(m, n)):
-        cells = [(i, j) for i in range(k, m) for j in range(k, n) if A[i][j]]
-        if not cells:
+    for k in range(min(len(W), n)):
+        j = _smallest(ops.size, list(chain.from_iterable(row[k:n] for row in W[k:])))  # row-major
+        if j < 0:
             break  # trailing block is zero; remaining diagonal entries stay 0
-        detP, detQ = _pivot(ops, A, P, Qt, k, cells, detP, detQ)
+        detP, detQ = _pivot(ops, W, n, Qt, k, k + j // (n - k), k + j % (n - k), detP, detQ)
     return detP, detQ
 
 
-def _fix_divisibility_chain(ops, A, P, Qt):
-    """Repair d_i | d_{i+1} in the diagonal payload rows A, in place (see
-    the module docstring); returns the payloads of the determinants of the
-    steps on P and Q. A pivot step at i leaves A diagonal."""
+def _fix_divisibility_chain(ops, W, n, Qt):
+    """Repair d_i | d_{i+1} on A's diagonal in W = [A | P], in place (see the
+    module docstring); returns the payloads of the determinants of the steps
+    on P and Q. A pivot step at i leaves A diagonal."""
     detP = detQ = ops.one
     while True:
         changed = False
-        for i in range(min(len(A), len(A[0])) - 1):
-            while ops.div(A[i + 1][i + 1], A[i][i])[1]:  # div(b, 0) leaves b
-                for R in (A, P):
-                    R[i] = ops.comb(ops.one, R[i], ops.neg(ops.one), R[i + 1])
-                cells = [(i, j) for j in (i, i + 1) if A[i][j]]  # d_i can be 0 over Z/n
-                detP, detQ = _pivot(ops, A, P, Qt, i, cells, detP, detQ)
+        for i in range(min(len(W), n) - 1):
+            while ops.div(W[i + 1][i + 1], W[i][i])[1]:  # div(b, 0) leaves b
+                W[i] = ops.comb(ops.one, W[i], ops.neg(ops.one), W[i + 1])
+                j = i + _smallest(ops.size, W[i][i : i + 2])  # d_i can be 0 over Z/n
+                detP, detQ = _pivot(ops, W, n, Qt, i, i, j, detP, detQ)
                 changed = True
         if not changed:
             return detP, detQ
 
 
-def _normalize_diagonal(ops, A, P):
-    """Scale rows of the payload rows A and P so that each d_i is its
-    canonical associate; returns the payload of the determinant of the
-    scaling, the product of the u^-1."""
+def _normalize_diagonal(ops, W, n):
+    """Scale rows of the payload rows W = [D | P], D's n columns first, so
+    that each d_i is its canonical associate; returns the payload of the
+    determinant of the scaling, the product of the u^-1."""
     scale = ops.one
-    for i in range(min(len(A), len(A[0]))):
-        u_inv = ops.normal(A[i][i])
+    for i in range(min(len(W), n)):
+        u_inv = ops.normal(W[i][i])
         if u_inv != ops.one:
-            A[i] = [ops.mul(u_inv, v) for v in A[i]]
-            P[i] = [ops.mul(u_inv, v) for v in P[i]]
+            W[i] = [ops.mul(u_inv, v) for v in W[i]]
             scale = ops.mul(scale, u_inv)
     return scale
 
@@ -284,12 +291,12 @@ def _reduce(ring, A):
         raise UnsupportedRing(f"diagonal reduction is not supported over {ring}")
     ops = ring.ops
     m, n = len(A), len(A[0])
-    P = [[ops.one if i == j else ops.zero for j in range(m)] for i in range(m)]
+    W = [row + [ops.one if i == j else ops.zero for j in range(m)] for i, row in enumerate(A)]  # [A | P]
     Qt = [[ops.one if i == j else ops.zero for j in range(n)] for i in range(n)]  # Q transposed
-    detP, detQ = _sweep(ops, A, P, Qt)
-    fixP, fixQ = _fix_divisibility_chain(ops, A, P, Qt)
-    detP = ops.mul(ops.mul(detP, fixP), _normalize_diagonal(ops, A, P))
-    return P, A, [list(c) for c in zip(*Qt)], detP, ops.mul(detQ, fixQ)
+    detP, detQ = _sweep(ops, W, n, Qt)
+    fixP, fixQ = _fix_divisibility_chain(ops, W, n, Qt)
+    detP = ops.mul(ops.mul(detP, fixP), _normalize_diagonal(ops, W, n))
+    return [row[n:] for row in W], [row[:n] for row in W], [list(c) for c in zip(*Qt)], detP, ops.mul(detQ, fixQ)
 
 
 # ---------------------------------------------------------------------------

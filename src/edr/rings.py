@@ -443,9 +443,11 @@ def _pmul(a, b, p):
 # Kronecker substitution: coefficients below 2^(8w) pack into the int
 # sum(c_i * 2^(8*w*i)), so a product or a dot product of polynomials is one
 # int multiply-and-add, exact while no coefficient of it reaches 2^(8w).
-# Slots of 1, 2, 4 or 8 bytes go through struct (little-endian standard
-# sizes, whatever the host's byte order), wider ones through int.to_bytes.
-_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# Byte slots go through bytes, slots of 2, 4 or 8 bytes through struct
+# (little-endian standard sizes, whatever the host's byte order), with one
+# Struct per slot count, made on first use, so that no entry builds a
+# format string; wider slots go through int.to_bytes.
+_SLOT_STRUCTS = {w: cache(lambda n, f=f: struct.Struct(f"<{n}{f}")) for w, f in ((2, "H"), (4, "I"), (8, "Q"))}
 
 
 def _kslot(p, terms):
@@ -459,8 +461,8 @@ def _kpack(cs, w):
     """The coefficients cs, each below 2^(8w), as one int, w bytes a slot."""
     if w == 1:
         return int.from_bytes(bytes(cs), "little")
-    if w in _SLOT_FORMATS:
-        return int.from_bytes(struct.pack(f"<{len(cs)}{_SLOT_FORMATS[w]}", *cs), "little")
+    if w in _SLOT_STRUCTS:
+        return int.from_bytes(_SLOT_STRUCTS[w](len(cs)).pack(*cs), "little")
     return int.from_bytes(b"".join(c.to_bytes(w, "little") for c in cs), "little")
 
 
@@ -478,16 +480,16 @@ def _kmuladd(pa, xs, pb, ys, w, p, low=False):
         return [x if unit and not y else tuple(
             (v := (x if packed else pa * from_bytes(x, "little")) + (pb * from_bytes(y, "little") if y else 0))
             .to_bytes((v.bit_length() + 7) // 8, "little").translate(table).rstrip(b"\0")) for x, y in zip(xs, ys)]
-    fmt, split, out = _SLOT_FORMATS.get(w), w == 2 and p < 128, []
+    structs, split, out = _SLOT_STRUCTS.get(w), w == 2 and p < 128, []
     if split:  # a slot lo + 256*hi is lo + (256*hi mod p) mod p, the sum below 256
         table, high = _byte_residues(p), _byte_residues(p, 8)
     for x, y in zip(xs, ys):
         if unit and not y:
             out.append(x)
             continue
-        if fmt:
-            v = x if packed else pa * from_bytes(struct.pack(f"<{len(x)}{fmt}", *x), "little")
-            v += pb * from_bytes(struct.pack(f"<{len(y)}{fmt}", *y), "little") if y else 0
+        if structs:
+            v = x if packed else pa * from_bytes(structs(len(x)).pack(*x), "little")
+            v += pb * from_bytes(structs(len(y)).pack(*y), "little") if y else 0
         else:
             v = x if packed else pa * from_bytes(b"".join([c.to_bytes(w, "little") for c in x]), "little")
             v += pb * from_bytes(b"".join([c.to_bytes(w, "little") for c in y]), "little") if y else 0
@@ -498,7 +500,7 @@ def _kmuladd(pa, xs, pb, ys, w, p, low=False):
             v = from_bytes(raw[::2].translate(table), "little") + from_bytes(raw[1::2].translate(high), "little")
             out.append(tuple(v.to_bytes(len(raw) // 2, "little").translate(table).rstrip(b"\0")))
             continue
-        cs = [c % p for c in struct.unpack(f"<{len(raw) // w}{fmt}", raw)] if fmt else [
+        cs = [c % p for c in structs(len(raw) // w).unpack(raw)] if structs else [
             from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)]
         cs = cs if any(cs) else ()  # the zeros off the diagonal of P*A*Q, at one scan
         while cs and not cs[-1]:

@@ -998,15 +998,16 @@ def test_one_fault_messages_are_argparses(case):
 
 def test_double_dash_is_an_unrecognized_argument(matrix_file):
     # argparse read what follows "--" as positionals, and so refused it as
-    # well, except as the text of an "=" value: --a=-- gave the value [],
-    # where the table keeps the text "--"
+    # well, except as the text of an "=" value: --a=-- gave the value []
+    # before Python 3.13 and gives "--" from 3.13 on; the table keeps "--"
     argv = ["reduce", "--matrix", matrix_file, "--"]
     assert _table(argv) == ("refused", "unrecognized arguments: --")
     assert _main(argv)[0] == 1
     assert _table(["split", "--ring", "Z", "--b", "1", "--a", "--", "5"]) == (
         "refused", "argument --a: expected one argument")
     argv = ["split", "--ring", "Z", "--b", "1", "--a=--"]
-    assert _table(argv)[1]["a"] == "--" and _argparse(argv)[1]["a"] == []
+    assert _table(argv)[1]["a"] == "--"
+    assert _argparse(argv)[1]["a"] == ([] if sys.version_info < (3, 13) else "--")
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["reduce", "-h"], ["split", "--help"]])

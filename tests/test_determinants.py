@@ -119,10 +119,37 @@ def test_matrix_refusals():
         RingMatrix.from_payloads(Z, [[1, 2], [3]])
     with pytest.raises(DescriptorMismatch, match="entry"):
         RingMatrix(Z, [[Z.one, Z360.one]])
+    # from_payloads keeps the constructor's refusal and each ring's own errors
+    with pytest.raises(DescriptorMismatch, match="entry"):
+        RingMatrix.from_payloads(Z, [[1, Z360.one]])
+    with pytest.raises(DescriptorMismatch, match="component"):
+        RingMatrix.from_payloads(ProductRing([Z, Z360]), [[(Z360.one, 1)]])
+    with pytest.raises(ValueError, match="component count"):
+        RingMatrix.from_payloads(ProductRing([Z, Z360]), [[(1, 2, 3)]])
+    for ring, entry in ((Z, "2"), (Z360, 1.5)):
+        with pytest.raises(TypeError, match="integer payload"):
+            RingMatrix.from_payloads(ring, [[1, entry]])
+    with pytest.raises(UnsupportedRing):
+        RingMatrix.from_payloads(TruncatedSeriesRing(2), [[1]])
     with pytest.raises(DescriptorMismatch, match="rings differ"):
         RingMatrix.identity(Z, 2) * RingMatrix.identity(Z360, 2)
     with pytest.raises(ValueError, match="inner dimensions"):
         RingMatrix.from_payloads(Z, [[1, 2]]) * RingMatrix.from_payloads(Z, [[1, 2]])
+
+
+@pytest.mark.parametrize(
+    "ring, rows, payloads",
+    [
+        (Z, [[3, -4], [True, Z.from_int(7)]], ((3, -4), (1, 7))),
+        (Z360, [[-1, 725, Z360.from_int(9)]], ((359, 5, 9),)),
+        (PrimeFieldPolynomialRing(7), [[[8, 0, 0], (), 9, [0, 14, 3]]], (((1,), (), (2,), (0, 0, 3)),)),
+        (ProductRing([Z, Z360]), [[(2, -1), 5, (Z.one, 361)]], (((2, 359), (5, 5), (1, 1)),)),
+    ],
+)
+def test_from_payloads_canonicalises_by_each_ring(ring, rows, payloads):
+    # ints go through the ring's from_int, other payloads through its
+    # element, and elements of the ring are taken as they are
+    assert RingMatrix.from_payloads(ring, rows).payloads == payloads
 
 
 # ---------------------------------------------------------------------------

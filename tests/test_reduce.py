@@ -770,3 +770,53 @@ def test_gf_from_psi13_up_is_refused_before_any_primality_test(monkeypatch):
     ring = PrimeFieldPolynomialRing(3317044064679887385961813)  # the largest prime below psi_13
     A = RingMatrix.from_payloads(ring, [[[P13]], [[1]]])
     assert verify_reduction(A, diagonal_reduce(A)).ok
+
+
+def _counted_ops(ring, monkeypatch, events):
+    """Install on `ring` a copy of its op table whose div and comb append
+    ("div", q, r) and ("comb", b) to events; returns the original table."""
+    ops = ring.ops
+
+    def div(a, b):
+        q, r = ops.div(a, b)
+        events.append(("div", q, r))
+        return q, r
+
+    def comb(a, xs, b, ys):
+        events.append(("comb", b))
+        return ops.comb(a, xs, b, ys)
+
+    owner = type(ring) if isinstance(ring, IntegerRing) else ring  # Z's table is a class attribute
+    monkeypatch.setattr(owner, "ops", ops._replace(div=div, comb=comb))
+    return ops
+
+
+@pytest.mark.parametrize("ring, n, seed", [(PrimeFieldPolynomialRing(5), 6, 41), (IntegerRing(), 8, 21)])
+def test_a_row_step_is_one_comb_on_the_augmented_rows(ring, n, seed, monkeypatch):
+    # P rides in A's row steps ([A | P] is reduced as one matrix): every comb
+    # directly follows the div it acts on, a row step's with the nonzero
+    # quotient it subtracts, a chain repair's with a nonzero remainder (it
+    # adds the next row: b = -1), so no div is followed by two combs; the
+    # seeds are ones whose reduction runs the chain repair
+    rng = random.Random(seed)
+    if isinstance(ring, IntegerRing):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    else:
+        rows = [[[rng.randrange(5) for _ in range(rng.randint(0, 3))] for _ in range(n)] for _ in range(n)]
+    A = RingMatrix.from_payloads(ring, rows)
+    events = []
+    ops = _counted_ops(ring, monkeypatch, events)
+    cert = diagonal_reduce(A)
+    monkeypatch.undo()
+    assert verify_reduction(A, cert).ok
+    minus_one, row_steps, repairs = ops.neg(ops.one), 0, 0
+    for before, event in zip([("start",)] + events, events):
+        if event[0] == "comb":
+            assert before[0] == "div", "a comb that follows no div: two calls for one step"
+            _, q, r = before
+            if q and event[1] == q:
+                row_steps += 1
+            else:
+                assert r and event[1] == minus_one, (before, event)
+                repairs += 1
+    assert row_steps > 0 and repairs > 0
